@@ -227,11 +227,10 @@ def run_decay(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 
 def run_decompose(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    d = decomp_mod.martingale_psi(cfg.sequence(), cfg.phi(), cfg.k_trunc,
-                                  cfg.n_bins, cfg.depth, cfg.subsamples)
-    s2, se, _ = decomp_mod.sigma_squared(cfg.family, cfg.bounds(), cfg.seeds(),
-                                         cfg.phi(), cfg.k_trunc, cfg.n_bins,
-                                         cfg.depth, cfg.subsamples)
+    s2, se, decomps = decomp_mod.sigma_squared(cfg.family, cfg.bounds(), cfg.seeds(),
+                                               cfg.phi(), cfg.k_trunc, cfg.n_bins,
+                                               cfg.depth, cfg.subsamples)
+    d = decomps[0]   # seeds()[0] is cfg.seed, the sequence the artifacts describe
     csv = out / "decompose.csv"
     write_csv(csv, ["bin", "g", "g_next", "psi"],
               [np.arange(cfg.n_bins), d.g.values, d.g_next.values, d.psi.values])
@@ -350,7 +349,8 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir: str | Path) -> int:
         }
         write_json(out / "manifest.json", manifest)
         return 0
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # library ValueErrors (an empty fit window, ...) reject the config too
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, RuntimeError, FloatingPointError) as exc:
@@ -369,15 +369,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", default=None, help="flat key=value config file")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; execution is currently single-threaded")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # peel off --key value overrides the parser does not know about
-    known = {"--config", "--out", "--threads"}
+    known = {"--config", "--out"}
     passthrough, overrides = [], []
     i = 0
     while i < len(argv):

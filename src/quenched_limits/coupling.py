@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maps import FiberMap, apply
+from .maps import FiberMap, apply, orbit
 from .omega import ParamSequence, make_sequence
-from .tower import BASE_LO, CAP_DEFAULT, return_times_vec
+from .tower import BASE_LO, CAP_DEFAULT, _first_hits
 
 ALPHA_EXP_DEFAULT = 0.1
 
@@ -29,28 +29,6 @@ class CouplingTrace:
     taus: list[int]
     Ts: list[int]
     capped: bool
-
-
-def _advance(seq: ParamSequence, pt: float, t0: int, steps: int) -> float:
-    y = pt
-    for k in range(steps):
-        y = apply(FiberMap(seq.family, seq.param(t0 + k)), y)
-    return y
-
-
-def _l0_return(seq: ParamSequence, x: float, t0: int, l0: int, cap: int):
-    """l0-fold return time of the point at tower time t0 (from the base)."""
-    total = 0
-    y = x
-    for _ in range(l0):
-        for _step in range(cap):
-            y = apply(FiberMap(seq.family, seq.param(t0 + total)), y)
-            total += 1
-            if y >= BASE_LO:
-                break
-        else:
-            return None
-    return total
 
 
 def match_pair(seq: ParamSequence, x: float, x_prime: float, l0: int,
@@ -67,12 +45,12 @@ def match_pair(seq: ParamSequence, x: float, x_prime: float, l0: int,
     t = 0
     use_first = True   # each T-segment starts from the x component
     for _ in range(max_alternations):
-        mover = px if use_first else py
-        r = _l0_return(seq, mover, t, l0, cap)
+        mover, other = (px, py) if use_first else (py, px)
+        r, landed = _first_hits(seq, mover, t, l0, cap)
         if r is None:
             return CouplingTrace(x, x_prime, l0, taus, Ts, True)
-        px = _advance(seq, px, t, r)
-        py = _advance(seq, py, t, r)
+        other = orbit(seq.shift(t), other, r)[-1]
+        px, py = (landed, other) if use_first else (other, landed)
         t += r
         taus.append(t)
         if px >= BASE_LO and py >= BASE_LO:

@@ -119,17 +119,6 @@ def _decompose(seq: ParamSequence, phi: Observable, K_trunc: int, n_bins: int,
                          first_norm, float(masked_fraction), warnings)
 
 
-def coboundary_g(seq: ParamSequence, phi: Observable, K_trunc: int = K_TRUNC_DEFAULT,
-                 n_bins: int = N_BINS_DEFAULT, depth: int = DEPTH_DEFAULT,
-                 subsamples: int = 64) -> tuple[GridFunction, dict]:
-    """Truncated series g_w with its convergence diagnostics."""
-    d = _decompose(seq, phi, K_trunc, n_bins, depth, subsamples)
-    diag = {"truncation_tail": d.truncation_tail,
-            "first_term_norm": d.first_term_norm,
-            "warnings": d.warnings}
-    return d.g, diag
-
-
 def martingale_psi(seq: ParamSequence, phi: Observable, K_trunc: int = K_TRUNC_DEFAULT,
                    n_bins: int = N_BINS_DEFAULT, depth: int = DEPTH_DEFAULT,
                    subsamples: int = 64) -> Decomposition:
@@ -140,17 +129,19 @@ def martingale_psi(seq: ParamSequence, phi: Observable, K_trunc: int = K_TRUNC_D
 def sigma_squared(family: str, bounds: tuple[float, float], seeds: list[int],
                   phi: Observable, K_trunc: int = K_TRUNC_DEFAULT,
                   n_bins: int = N_BINS_DEFAULT, depth: int = DEPTH_DEFAULT,
-                  subsamples: int = 64) -> tuple[float, float, list[float]]:
-    """Ensemble average of int psi^2 dmu_w over driving seeds."""
+                  subsamples: int = 64) -> tuple[float, float, list[Decomposition]]:
+    """Ensemble average of int psi^2 dmu_w over driving seeds.
+
+    Also returns the per-seed decompositions, so callers that need one
+    (seed 0 for the artifacts and the pointwise check) do not rebuild it.
+    """
     if not seeds:
         raise ValueError("need at least one seed")
-    vals = []
-    for seed in seeds:
-        seq = make_sequence(seed, family, bounds)
-        vals.append(_decompose(seq, phi, K_trunc, n_bins, depth, subsamples).sigma2_fiber)
-    vals = np.array(vals)
+    decomps = [_decompose(make_sequence(seed, family, bounds), phi, K_trunc,
+                          n_bins, depth, subsamples) for seed in seeds]
+    vals = np.array([d.sigma2_fiber for d in decomps])
     se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    return float(vals.mean()), se, vals.tolist()
+    return float(vals.mean()), se, decomps
 
 
 def nearest_bin(x: np.ndarray, n_bins: int) -> np.ndarray:
@@ -168,13 +159,14 @@ def coboundary_test(family: str, bounds: tuple[float, float], seeds: list[int],
     the absolute grid-noise floor; in that case the pointwise coboundary
     identity is additionally checked on points sampled from mu_w.
     """
-    s2, se, _ = sigma_squared(family, bounds, seeds, phi, K_trunc, n_bins, depth, subsamples)
+    s2, se, decomps = sigma_squared(family, bounds, seeds, phi, K_trunc, n_bins, depth,
+                                    subsamples)
     degenerate = s2 < max(3.0 * se, sigma2_floor)
     out = {"verdict": "degenerate" if degenerate else "nondegenerate",
            "sigma2": s2, "sigma2_se": se, "pointwise_residual": None}
     if degenerate:
         seq = make_sequence(seeds[0], family, bounds)
-        d = _decompose(seq, phi, K_trunc, n_bins, depth, subsamples)
+        d = decomps[0]
         from .transfer import equivariant_density
         h0 = equivariant_density(seq, n_bins, depth, subsamples)
         h1 = pushforward(next(matrices_along(seq, 0, 1, n_bins, subsamples)), h0)

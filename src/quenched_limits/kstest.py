@@ -1,7 +1,9 @@
-"""Kolmogorov-Smirnov machinery, self-contained.
+"""Kolmogorov-Smirnov statistics; the Kolmogorov law comes from scipy.special.
 
 One-sample statistic against an arbitrary CDF, two-sample statistic, and
-the asymptotic Kolmogorov survival function used as the p-value proxy.
+asymptotic p-values from the Kolmogorov survival function.  scipy.special is
+imported inside the functions that need it, so importing the package stays
+cheap.
 """
 
 from __future__ import annotations
@@ -23,33 +25,17 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     return float(max(hi, lo))
 
 
-def kolmogorov_sf(lam: float, terms: int = 100) -> float:
-    """P(K > lam) for the Kolmogorov distribution (alternating series)."""
-    if lam <= 0:
-        return 1.0
-    s = 0.0
-    for k in range(1, terms + 1):
-        term = 2.0 * (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam)
-        s += term
-        if abs(term) < 1e-16:
-            break
-    return min(max(s, 0.0), 1.0)
-
-
 def ks_pvalue(d: float, n: int) -> float:
     """Asymptotic p-value with the Stephens small-sample correction."""
+    from scipy.special import kolmogorov
     sqn = math.sqrt(n)
     lam = (sqn + 0.12 + 0.11 / sqn) * d
-    return kolmogorov_sf(lam)
-
-
-def ks_test(samples: np.ndarray, cdf) -> tuple[float, float]:
-    d = ks_statistic(samples, cdf)
-    return d, ks_pvalue(d, len(samples))
+    return float(kolmogorov(lam))
 
 
 def ks_2samp(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Two-sample KS distance and asymptotic p-value."""
+    from scipy.special import kolmogorov
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     grid = np.concatenate([a, b])
@@ -57,7 +43,7 @@ def ks_2samp(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     cdf_b = np.searchsorted(b, grid, side="right") / b.size
     d = float(np.max(np.abs(cdf_a - cdf_b)))
     n_eff = a.size * b.size / (a.size + b.size)
-    return d, kolmogorov_sf(math.sqrt(n_eff) * d)
+    return d, float(kolmogorov(math.sqrt(n_eff) * d))
 
 
 def normal_cdf(x: np.ndarray, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:

@@ -96,11 +96,6 @@ def orbit(seq: ParamSequence, x: float, n: int) -> np.ndarray:
     return pts
 
 
-def orbit_step(seq_family: str, params: np.ndarray, xs: np.ndarray, k: int) -> np.ndarray:
-    """Vectorized single step for an ensemble of points at time k."""
-    return apply(FiberMap(seq_family, params[k]), xs)
-
-
 @dataclass(frozen=True)
 class Observable:
     """A Holder observable on [0,1] with its regularity certificate."""
@@ -149,6 +144,3 @@ def get_observable(name: str, gamma: float = 0.5) -> Observable:
     if name == "coboundary_cos":
         return Observable("coboundary_cos", _coboundary_cos, 1.0, 6.0 * np.pi)
     raise ValueError(f"unknown observable {name!r}")
-
-
-OBSERVABLE_NAMES = ("cos2pi", "holder_gamma", "smooth_indicator", "coboundary_cos")

@@ -73,7 +73,3 @@ def make_sequence(master_seed: int, family: str, bounds: tuple[float, float]) ->
     if family == "lsv" and not (0.0 < alpha_min and alpha_max < 1.0):
         raise ValueError("lsv family needs 0 < alpha_min <= alpha_max < 1")
     return ParamSequence(int(master_seed), family, alpha_min, alpha_max)
-
-
-def shift(seq: ParamSequence, k: int) -> ParamSequence:
-    return seq.shift(k)

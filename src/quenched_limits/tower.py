@@ -7,8 +7,7 @@ expansion checks for the induced map.
 For both map families the orbit of a base point stays in [0, 1/2) between
 returns and every branch involved is increasing, so {R = n} is a single
 interval and the return-time value labels the partition cell uniquely.  In
-particular first returns and Markov-partition returns coincide; the
-``mode`` flag on records is metadata only.
+particular first returns and Markov-partition returns coincide.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maps import FiberMap, apply, derivative, left_branch_inverse
+from .maps import FiberMap, apply, derivative, left_branch_inverse, orbit
 from .omega import ParamSequence
 
 BASE_LO = 0.5
@@ -31,7 +30,6 @@ class ReturnRecord:
     R: int | None              # None when the cap was hit
     itinerary: str
     capped: bool
-    mode: str = "first"
 
 
 @dataclass
@@ -54,20 +52,35 @@ def _check_base(x: float):
         raise ValueError(f"point {x} outside the base [1/2, 1]")
 
 
+def _first_hits(seq: ParamSequence, x: float, t0: int, l: int, cap: int):
+    """Step x from tower time t0 until its l-th entry to the base.
+
+    Returns (steps, landing point), or (None, last point) once a single leg
+    runs cap steps without entering.  x itself is not checked against the
+    base, so a point still in its excursion can be advanced too.
+    """
+    y = x
+    steps = 0
+    for _ in range(l):
+        for _step in range(cap):
+            y = apply(FiberMap(seq.family, seq.param(t0 + steps)), y)
+            steps += 1
+            if y >= BASE_LO:
+                break
+        else:
+            return None, y
+    return steps, y
+
+
 def return_time(seq: ParamSequence, x: float, cap: int = CAP_DEFAULT) -> ReturnRecord:
     """First n >= 1 with f^n(x) back in [1/2, 1], or a capped record."""
     _check_base(x)
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    itin = []
-    y = x
-    for n in range(1, cap + 1):
-        fmap = FiberMap(seq.family, seq.param(n - 1))
-        itin.append("R" if y >= 0.5 else "L")
-        y = apply(fmap, y)
-        if y >= BASE_LO:
-            return ReturnRecord(x, n, "".join(itin), False)
-    return ReturnRecord(x, None, "".join(itin), True)
+    n, _ = _first_hits(seq, x, 0, 1, cap)
+    # x is in the base and the orbit stays below 1/2 until it returns
+    itinerary = "R" + "L" * ((cap if n is None else n) - 1)
+    return ReturnRecord(x, n, itinerary, n is None)
 
 
 def return_times_vec(seq: ParamSequence, xs: np.ndarray, cap: int = CAP_DEFAULT) -> np.ndarray:
@@ -92,33 +105,7 @@ def nth_return(seq: ParamSequence, x: float, n: int, cap: int = CAP_DEFAULT):
     _check_base(x)
     if n < 0:
         raise ValueError("n must be >= 0")
-    total = 0
-    y = x
-    for _ in range(n):
-        rec = return_time(seq.shift(total), y, cap)
-        if rec.capped:
-            return None
-        total += rec.R
-        for k in range(rec.R):
-            y = apply(FiberMap(seq.family, seq.param(total - rec.R + k)), y)
-    return total
-
-
-def return_state(seq: ParamSequence, x: float, n: int, cap: int = CAP_DEFAULT):
-    """(R^n, f^{R^n}(x)) in one pass, or (None, None) when capped."""
-    _check_base(x)
-    total = 0
-    y = x
-    for _ in range(n):
-        for step in range(1, cap + 1):
-            fmap = FiberMap(seq.family, seq.param(total))
-            y = apply(fmap, y)
-            total += 1
-            if y >= BASE_LO:
-                break
-        else:
-            return None, None
-    return total, y
+    return _first_hits(seq, x, 0, n, cap)[0]
 
 
 def build_partition(seq: ParamSequence, depth_cap: int, refine_tol: float = 1e-12) -> ReturnPartition:
@@ -152,10 +139,7 @@ def build_partition(seq: ParamSequence, depth_cap: int, refine_tol: float = 1e-1
 def _image_ok(seq: ParamSequence, lo: float, hi: float, R: int, tol: float) -> bool:
     """Does f^R map (lo, hi) onto the base up to tol at both ends?"""
     def f_R(x):
-        y = x
-        for k in range(R):
-            y = apply(FiberMap(seq.family, seq.param(k)), y)
-        return y
+        return orbit(seq, x, R)[-1]
 
     width = hi - lo
     low_ok = any(f_R(lo + width * 10.0 ** -j) <= BASE_LO + max(tol, 1e-9)
@@ -259,17 +243,13 @@ def separation_time(seq: ParamSequence, x: float, y: float, cap: int = 64,
     t = 0
     px, py = x, y
     for n in range(cap):
-        rx = return_time(seq.shift(t), px, return_cap)
-        ry = return_time(seq.shift(t), py, return_cap)
-        if rx.capped or ry.capped:
+        rx, px = _first_hits(seq, px, t, 1, return_cap)
+        ry, py = _first_hits(seq, py, t, 1, return_cap)
+        if rx is None or ry is None:
             return SeparationResult(math.inf, True)
-        if rx.R != ry.R:
+        if rx != ry:
             return SeparationResult(n, False)
-        for k in range(rx.R):
-            fmap = FiberMap(seq.family, seq.param(t + k))
-            px = apply(fmap, px)
-            py = apply(fmap, py)
-        t += rx.R
+        t += rx
     return SeparationResult(math.inf, False)
 
 
@@ -310,8 +290,8 @@ def distortion_check(seq: ParamSequence, partition: ReturnPartition,
             continue
         jr = induced_jacobian(seq, x, R) / induced_jacobian(seq, y, R)
         dev = abs(jr - 1.0)
-        fx = _iterate(seq, x, R)
-        fy = _iterate(seq, y, R)
+        fx = orbit(seq, x, R)[-1]
+        fy = orbit(seq, y, R)[-1]
         expansion = abs(fx - fy) / abs(x - y)
         min_expansion = min(min_expansion, expansion)
         beta_hat = max(beta_hat, 1.0 / expansion)
@@ -330,10 +310,3 @@ def distortion_check(seq: ParamSequence, partition: ReturnPartition,
         "pair_samples": pair_samples,
         "beta": beta,
     }
-
-
-def _iterate(seq: ParamSequence, x: float, n: int) -> float:
-    y = x
-    for k in range(n):
-        y = apply(FiberMap(seq.family, seq.param(k)), y)
-    return y

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quenched_limits
 from quenched_limits.cli import ConfigError, load_config, main
 from quenched_limits.util import sha256_of
 
@@ -122,10 +127,20 @@ def test_clt_subcommand_small(tmp_path):
     assert "verdict" in res
 
 
-def test_threads_flag_accepted(tmp_path):
-    code = main(["rate", "--threads", "4", "--p", "inf", "--D", "20",
-                 "--out", str(tmp_path / "r")])
-    assert code == 0
+def test_empty_fit_window_exits_2(tmp_path):
+    # the library ValueError from the fit reaches main as a config error
+    code = main(["tail", "--n_max", "10", "--window_lo", "100", "--window_hi", "200",
+                 "--samples", "1000", "--out", str(tmp_path / "t")])
+    assert code == 2
+
+
+def test_cli_import_leaves_scipy_special_and_stats_unloaded():
+    src = Path(quenched_limits.__file__).resolve().parents[1]
+    probe = ("import sys, quenched_limits.cli; "
+             "print(sorted(m for m in ('scipy.special', 'scipy.stats') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
 
 
 def test_float_format_17_digits(tmp_path):

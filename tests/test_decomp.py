@@ -15,6 +15,7 @@ def test_doubling_cos_variance_is_half():
                                        16, 2 ** 12, 16, 32)
     assert s2 == pytest.approx(0.5, abs=0.01)
     assert len(per) == 1
+    assert per[0].sigma2_fiber == s2
 
 
 def test_doubling_cos_residual_vanishes():
@@ -56,7 +57,7 @@ def test_sigma_squared_ensemble():
                                        get_observable("cos2pi"), 12, 2 ** 10, 16, 32)
     assert len(per) == 3
     assert se > 0.0
-    assert s2 == pytest.approx(np.mean(per))
+    assert s2 == pytest.approx(np.mean([d.sigma2_fiber for d in per]))
     assert s2 > 0.1
 
 

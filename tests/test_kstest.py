@@ -1,8 +1,12 @@
 """KS statistic and p-values, cross-checked against scipy.stats."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from quenched_limits import kstest
 
@@ -23,18 +27,40 @@ def test_statistic_matches_scipy_normal():
     assert d == pytest.approx(ref, abs=1e-12)
 
 
+def stephens_factor(n):
+    sqn = math.sqrt(n)
+    return sqn + 0.12 + 0.11 / sqn
+
+
+def pvalue_at(lam, n=400):
+    """ks_pvalue at the statistic whose Stephens-corrected lambda is lam."""
+    return kstest.ks_pvalue(lam / stephens_factor(n), n)
+
+
 def test_kolmogorov_sf_values():
     # K distribution survival: classical table values
-    assert kstest.kolmogorov_sf(1.36) == pytest.approx(0.05, abs=1e-3)
-    assert kstest.kolmogorov_sf(1.63) == pytest.approx(0.01, abs=2e-3)
-    assert kstest.kolmogorov_sf(0.0) == 1.0
-    assert kstest.kolmogorov_sf(5.0) < 1e-20
+    assert pvalue_at(1.36) == pytest.approx(0.05, abs=1e-3)
+    assert pvalue_at(1.63) == pytest.approx(0.01, abs=2e-3)
+    assert pvalue_at(0.0) == 1.0
+    assert pvalue_at(5.0) < 1e-20
 
 
 def test_kolmogorov_sf_matches_scipy():
     for lam in (0.5, 0.8, 1.0, 1.5, 2.0):
-        assert kstest.kolmogorov_sf(lam) == pytest.approx(
-            scipy.stats.kstwobign.sf(lam), abs=1e-10)
+        assert pvalue_at(lam) == pytest.approx(scipy.stats.kstwobign.sf(lam), abs=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=st.one_of(st.floats(0.0, 0.05), st.floats(0.0, 3.0)),
+       n=st.integers(1, 10 ** 6))
+def test_pvalue_is_kolmogorov_at_stephens_lambda(lam, n):
+    # a truncated alternating series gave 0.397 at lambda = 0.005; the law is 1 there
+    d = lam / stephens_factor(n)
+    stephens_lam = stephens_factor(n) * d
+    p = kstest.ks_pvalue(d, n)
+    assert p == scipy.special.kolmogorov(stephens_lam)
+    if stephens_lam <= 0.05:
+        assert p == 1.0
 
 
 def test_pvalue_sane_under_null():

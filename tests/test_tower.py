@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quenched_limits import tower
-from quenched_limits.maps import FiberMap, apply
+from quenched_limits.maps import FiberMap, apply, orbit
 from quenched_limits.omega import make_sequence
 
 
@@ -49,10 +49,10 @@ def test_nth_return_additive():
     seq = lsv_seq(2)
     x = 0.77
     r1 = tower.return_time(seq, x).R
-    total, y = tower.return_state(seq, x, 1)
-    assert total == r1
+    assert tower.nth_return(seq, x, 1) == r1
+    y = orbit(seq, x, r1)[-1]
     assert y >= 0.5
-    r2 = tower.return_time(seq.shift(total), y).R
+    r2 = tower.return_time(seq.shift(r1), y).R
     assert tower.nth_return(seq, x, 2) == r1 + r2
     assert tower.nth_return(seq, x, 0) == 0
 
@@ -94,8 +94,8 @@ def test_partition_image_onto():
     seq = lsv_seq(6)
     part = tower.build_partition(seq, 15)
     for lo, hi, R, _ in part.cells[:6]:
-        y_lo = tower._iterate(seq, lo + (hi - lo) * 1e-9, R)
-        y_hi = tower._iterate(seq, hi - (hi - lo) * 1e-9, R)
+        y_lo = orbit(seq, lo + (hi - lo) * 1e-9, R)[-1]
+        y_hi = orbit(seq, hi - (hi - lo) * 1e-9, R)[-1]
         assert y_lo <= 0.5 + 1e-6
         assert y_hi >= 1.0 - 1e-5
 
