@@ -233,7 +233,7 @@ def run_decompose(cfg: ExperimentConfig, out: Path) -> list[Path]:
     d = decomps[0]   # seeds()[0] is cfg.seed, the sequence the artifacts describe
     csv = out / "decompose.csv"
     write_csv(csv, ["bin", "g", "g_next", "psi"],
-              [np.arange(cfg.n_bins), d.g.values, d.g_next.values, d.psi.values])
+              [np.arange(cfg.n_bins), d.g, d.g_next, d.psi])
     rep = d.report()
     rep.update({"sigma2": s2, "sigma2_se": se, "warnings": d.warnings})
     dj = out / "decompose.json"
@@ -301,12 +301,7 @@ def run_fclt(cfg: ExperimentConfig, out: Path) -> list[Path]:
     if cfg.functional == "sup":
         res["brownian_self_test"] = stats_mod.brownian_oracle_self_test(
             n_paths=min(10 ** 5, 10 * cfg.n_samples))
-    if cfg.functional == "terminal":
-        emp = ens.terminal / math.sqrt(s2 * ens.n_steps)
-    elif cfg.functional == "sup":
-        emp = ens.path_max / math.sqrt(ens.n_steps)
-    else:
-        emp = ens.path_absmax / math.sqrt(ens.n_steps)
+    emp = stats_mod.empirical_functional(ens, s2, cfg.functional)
     csv = out / "fclt.csv"
     write_csv(csv, ["sample", "functional_value"],
               [np.arange(ens.n_samples), emp])

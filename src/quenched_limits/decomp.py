@@ -16,8 +16,8 @@ import numpy as np
 
 from .maps import FiberMap, Observable, apply
 from .omega import ParamSequence, make_sequence
-from .transfer import (MASS_FLOOR, GridDensity, GridFunction, bin_average,
-                       matrices_along, pushforward, uniform_density)
+from .transfer import (MASS_FLOOR, GridDensity, bin_average, matrices_along, pull,
+                       pushforward, uniform_density)
 
 K_TRUNC_DEFAULT = 16
 N_BINS_DEFAULT = 2 ** 12
@@ -32,9 +32,11 @@ SIGMA2_FLOOR = 1e-4
 @dataclass
 class Decomposition:
     K_trunc: int
-    g: GridFunction                 # on fiber w
-    g_next: GridFunction            # on fiber sw
-    psi: GridFunction               # on fiber w
+    h: GridDensity                  # mu_w, from the chain g and psi are built on
+    h_next: GridDensity             # mu_sw, its image under M_0
+    g: np.ndarray                   # on fiber w
+    g_next: np.ndarray              # on fiber sw
+    psi: np.ndarray                 # on fiber w
     residual: float                 # L1(mu_sw) norm of P_w psi_w, unmasked bins
     sigma2_fiber: float             # int psi^2 dmu_w
     truncation_tail: float          # L1(mu_w) size of the last series term
@@ -52,10 +54,6 @@ class Decomposition:
         }
 
 
-def _centered_mass(phi_bar: np.ndarray, h: GridDensity) -> np.ndarray:
-    return (phi_bar - h.mean_of(phi_bar)) * h.mass
-
-
 def _decompose(seq: ParamSequence, phi: Observable, K_trunc: int, n_bins: int,
                depth: int, subsamples: int = 64,
                mass_floor: float = MASS_FLOOR) -> Decomposition:
@@ -67,56 +65,49 @@ def _decompose(seq: ParamSequence, phi: Observable, K_trunc: int, n_bins: int,
     """
     if K_trunc < 0:
         raise ValueError("K_trunc must be >= 0")
-    phi_bar = bin_average(phi, n_bins).values
+    phi_bar = bin_average(phi, n_bins)
     anchor = -(K_trunc + depth)
-    h = uniform_density(n_bins)
-    A = tail = B = None
-    h0 = M0 = None
-    for j, M in zip(range(anchor, 1), matrices_along(seq, anchor, 1, n_bins, subsamples)):
+    h1 = uniform_density(n_bins).mass
+    A, B, tail = np.zeros(n_bins), np.zeros(n_bins), np.zeros(n_bins)
+    for j, M0 in zip(range(anchor, 1), matrices_along(seq, anchor, 1, n_bins, subsamples)):
+        h0 = h1
         if j >= -K_trunc:
-            c = _centered_mass(phi_bar, h)
-            A = c if A is None else A + c
-            tail = c.copy() if tail is None else tail
-            if j >= -K_trunc + 1:
-                B = c if B is None else B + c
-        if j == 0:
-            h0, M0 = h, M
+            c = (phi_bar - float(h0 @ phi_bar)) * h0   # centered mass on fiber j
+            A = A + c
+            if j == -K_trunc:
+                tail = c
+            else:
+                B = B + c
+        if j < 0:
             # A and tail live on fiber 0; only B crosses M_0.
-            B = B @ M if B is not None else None
-            h = pushforward(M, h)
-            break
-        if A is not None:
-            A = A @ M
-            tail = tail @ M
-        if B is not None:
-            B = B @ M
-        h = pushforward(M, h)
-    h1 = h
-    c1 = _centered_mass(phi_bar, h1)
-    B = c1 if B is None else B + c1
+            A, tail = pushforward(M0, A), pushforward(M0, tail)
+        B = pushforward(M0, B)
+        h1 = pushforward(M0, h0)
+    # the loop ends at j = 0: h0, h1 are the fiber 0 and 1 masses, c the j = 0 term
+    phi_c1 = phi_bar - float(h1 @ phi_bar)
+    B = B + phi_c1 * h1
 
-    mask0 = h0.mass >= mass_floor
-    mask1 = h1.mass >= mass_floor
+    mask0 = h0 >= mass_floor
+    mask1 = h1 >= mass_floor
     g_w = np.zeros(n_bins)
-    g_w[mask0] = A[mask0] / h0.mass[mask0]
+    g_w[mask0] = A[mask0] / h0[mask0]
     g_sw = np.zeros(n_bins)
-    g_sw[mask1] = B[mask1] / h1.mass[mask1]
+    g_sw[mask1] = B[mask1] / h1[mask1]
 
-    phi_c1 = phi_bar - h1.mean_of(phi_bar)
-    psi = M0 @ (phi_c1 - g_sw) + g_w
-    residual_num = (psi * h0.mass) @ M0
+    psi = pull(M0, phi_c1 - g_sw) + g_w
+    residual_num = pushforward(M0, psi * h0)
     residual = float(np.abs(residual_num[mask1]).sum())
-    sigma2_fiber = float(np.sum(psi ** 2 * h0.mass))
+    sigma2_fiber = float(np.sum(psi ** 2 * h0))
     tail_norm = float(np.abs(tail).sum())
-    first_norm = float(np.abs(_centered_mass(phi_bar, h0)).sum())
+    first_norm = float(np.abs(c).sum())
     warnings = []
     if first_norm > 0 and tail_norm > 0.10 * first_norm:
         warnings.append(
             f"series tail {tail_norm:.3e} exceeds 10% of the first term {first_norm:.3e}")
     masked_fraction = 1.0 - min(mask0.mean(), mask1.mean())
-    return Decomposition(K_trunc, GridFunction(g_w), GridFunction(g_sw),
-                         GridFunction(psi), residual, sigma2_fiber, tail_norm,
-                         first_norm, float(masked_fraction), warnings)
+    return Decomposition(K_trunc, GridDensity(h0), GridDensity(h1), g_w, g_sw, psi,
+                         residual, sigma2_fiber, tail_norm, first_norm,
+                         float(masked_fraction), warnings)
 
 
 def martingale_psi(seq: ParamSequence, phi: Observable, K_trunc: int = K_TRUNC_DEFAULT,
@@ -167,17 +158,13 @@ def coboundary_test(family: str, bounds: tuple[float, float], seeds: list[int],
     if degenerate:
         seq = make_sequence(seeds[0], family, bounds)
         d = decomps[0]
-        from .transfer import equivariant_density
-        h0 = equivariant_density(seq, n_bins, depth, subsamples)
-        h1 = pushforward(next(matrices_along(seq, 0, 1, n_bins, subsamples)), h0)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seeds[0], 0xC0B))))
-        xs = sample_from_density(h0, orbit_samples, rng)
+        xs = sample_from_density(d.h, orbit_samples, rng)
         fx = apply(FiberMap(seq.family, seq.param(0)), xs)
-        phi_bar = bin_average(phi, n_bins).values
-        mean1 = h1.mean_of(phi_bar)
+        mean1 = d.h_next.mean_of(bin_average(phi, n_bins))
         resid = (phi(fx) - mean1
-                 - d.g_next.values[nearest_bin(fx, n_bins)]
-                 + d.g.values[nearest_bin(xs, n_bins)])
+                 - d.g_next[nearest_bin(fx, n_bins)]
+                 + d.g[nearest_bin(xs, n_bins)])
         out["pointwise_residual"] = float(np.mean(np.abs(resid)))
     return out
 

@@ -89,14 +89,14 @@ def birkhoff_ensemble(seq: ParamSequence, phi: Observable, n_steps: int,
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence((seq.master_seed, seq.origin_offset, 0xB1F, rng_seed))))
 
-    phi_bar = bin_average(phi, n_bins).values
+    phi_bar = bin_average(phi, n_bins)
     h = equivariant_density(seq, n_bins, depth, subsamples)
     means = np.empty(n_steps + 1)
     means[0] = h.mean_of(phi_bar)
-    h_run = h
+    mass = h.mass
     for k, M in enumerate(matrices_along(seq, 0, n_steps, n_bins, subsamples), start=1):
-        h_run = pushforward(M, h_run)
-        means[k] = h_run.mean_of(phi_bar)
+        mass = pushforward(M, mass)
+        means[k] = float(mass @ phi_bar)
 
     use_bits = seq.family == "doubling"
     if use_bits:
@@ -175,7 +175,7 @@ def qclt_test(ens: BirkhoffEnsemble, sigma2: float) -> dict:
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive; degenerate observables "
                          "belong to the coboundary route")
-    z = ens.terminal / math.sqrt(sigma2 * ens.n_steps)
+    z = empirical_functional(ens, sigma2, "terminal")
     d = ks_statistic(z, normal_cdf)
     return {"ks_distance": d, "p_value": ks_pvalue(d, z.size), "n_samples": z.size}
 
@@ -262,6 +262,19 @@ def brownian_oracle_self_test(n_paths: int = 10 ** 5, n_steps: int = 2 ** 10,
     return {"ks_distance": d, "n_paths": n_paths}
 
 
+def empirical_functional(ens: BirkhoffEnsemble, sigma2: float,
+                         functional: str) -> np.ndarray:
+    """Per-sample path functional of S^{n,w}; the sup functionals are compared
+    with sigma B, so only the terminal value (the CLT statistic) is scaled."""
+    if functional == "terminal":
+        return ens.terminal / math.sqrt(sigma2 * ens.n_steps)
+    if functional == "sup":
+        return ens.path_max / math.sqrt(ens.n_steps)
+    if functional == "sup_abs":
+        return ens.path_absmax / math.sqrt(ens.n_steps)
+    raise ValueError(f"unknown functional {functional!r}")
+
+
 def qfclt_paths(ens: BirkhoffEnsemble, sigma2: float, functional: str,
                 brownian_paths: int = 10 ** 5, brownian_steps: int = 2 ** 10,
                 rng_seed: int = 17) -> dict:
@@ -277,13 +290,7 @@ def qfclt_paths(ens: BirkhoffEnsemble, sigma2: float, functional: str,
         res = qclt_test(ens, sigma2)
         res["functional"] = "terminal"
         return res
-    root_n = math.sqrt(ens.n_steps)
-    if functional == "sup":
-        emp = ens.path_max / root_n
-    elif functional == "sup_abs":
-        emp = ens.path_absmax / root_n
-    else:
-        raise ValueError(f"unknown functional {functional!r}")
+    emp = empirical_functional(ens, sigma2, functional)
     ref = brownian_functional_samples(functional, math.sqrt(sigma2),
                                       brownian_paths, brownian_steps, rng_seed)
     d, p = ks_2samp(emp, ref)

@@ -1,5 +1,7 @@
 """Ulam-discretized transfer operators, equivariant densities, dual operator.
 
+An Ulam matrix is stored as (row, col, weight) triplets; ``pushforward``
+(mass @ M) and ``pull`` (M @ values) are the only two ways to apply it.
 Measures are stored as bin masses (not density values), which keeps every
 pushforward exactly mass-conserving; densities are masses times n_bins.
 The equivariant density h_w is obtained by pushing Lebesgue forward through
@@ -13,10 +15,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .maps import FiberMap, Observable, apply
-from .omega import ParamSequence
+from .omega import ParamSequence, make_sequence
 
 MASS_FLOOR = 1e-12
 
@@ -37,15 +38,6 @@ class GridDensity:
         return float(self.mass @ values)
 
 
-@dataclass
-class GridFunction:
-    values: np.ndarray         # bin-averaged values
-
-    @property
-    def n_bins(self) -> int:
-        return self.values.size
-
-
 def uniform_density(n_bins: int) -> GridDensity:
     return GridDensity(np.full(n_bins, 1.0 / n_bins))
 
@@ -54,11 +46,10 @@ def bin_centers(n_bins: int) -> np.ndarray:
     return (np.arange(n_bins) + 0.5) / n_bins
 
 
-def bin_average(fn, n_bins: int, subsamples: int = 16) -> GridFunction:
+def bin_average(fn, n_bins: int, subsamples: int = 16) -> np.ndarray:
     """Bin-averaged observable values via stratified midpoint subsampling."""
     pts = _stratified_points(n_bins, subsamples)
-    vals = np.asarray(fn(pts)).reshape(n_bins, subsamples).mean(axis=1)
-    return GridFunction(vals)
+    return np.asarray(fn(pts)).reshape(n_bins, subsamples).mean(axis=1)
 
 
 def _stratified_points(n_bins: int, subsamples: int) -> np.ndarray:
@@ -66,7 +57,20 @@ def _stratified_points(n_bins: int, subsamples: int) -> np.ndarray:
     return ((np.arange(n_bins)[:, None] + offs[None, :]) / n_bins).ravel()
 
 
-def ulam_matrix(fmap: FiberMap, n_bins: int, subsamples: int = 64) -> sp.csr_matrix:
+@dataclass(frozen=True)
+class UlamMatrix:
+    """Sparse matrix M[rows[k], cols[k]] = weights[k], one triplet per nonzero.
+
+    Triplets are row-major with ascending columns, so pushforward and pull
+    add their terms in the same order as a CSR product (bit-identical sums).
+    """
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+    n_bins: int
+
+
+def ulam_matrix(fmap: FiberMap, n_bins: int, subsamples: int = 64) -> UlamMatrix:
     """Row-stochastic bin-to-bin transition fractions under one fiber map.
 
     M[i, j] estimates Leb(bin_i intersect f^-1 bin_j) / Leb(bin_i) by
@@ -79,21 +83,27 @@ def ulam_matrix(fmap: FiberMap, n_bins: int, subsamples: int = 64) -> sp.csr_mat
     img = apply(fmap, pts)
     j = np.minimum((img * n_bins).astype(np.int64), n_bins - 1)
     i = np.repeat(np.arange(n_bins, dtype=np.int64), subsamples)
-    w = np.full(pts.size, 1.0 / subsamples)
-    M = sp.coo_matrix((w, (i, j)), shape=(n_bins, n_bins)).tocsr()
-    M.sum_duplicates()
-    return M
+    keys, counts = np.unique(i * n_bins + j, return_counts=True)
+    # The weight of c hits is 1/subsamples added c times in sequence, not
+    # c/subsamples: the two differ in the last bit for non-dyadic counts.
+    weights = np.cumsum(np.full(subsamples, 1.0 / subsamples))[counts - 1]
+    return UlamMatrix(keys // n_bins, keys % n_bins, weights, n_bins)
 
 
-def row_stochasticity_defect(M: sp.csr_matrix) -> float:
-    return float(np.max(np.abs(np.asarray(M.sum(axis=1)).ravel() - 1.0)))
+def pushforward(M: UlamMatrix, mass: np.ndarray) -> np.ndarray:
+    """mass @ M: the image of a (signed) mass vector under one Ulam step."""
+    if mass.size != M.n_bins:
+        raise ValueError("dimension mismatch between matrix and mass vector")
+    return np.bincount(M.cols, M.weights * mass[M.rows], minlength=M.n_bins)
 
 
-def pushforward(M: sp.csr_matrix, rho: GridDensity) -> GridDensity:
-    """Image of a mass vector under one Ulam step; preserves total mass."""
-    if M.shape[0] != rho.n_bins:
-        raise ValueError("dimension mismatch between matrix and density")
-    return GridDensity(rho.mass @ M)
+def pull(M: UlamMatrix, values: np.ndarray) -> np.ndarray:
+    """M @ values: bin averages of values composed with the fiber map."""
+    return np.bincount(M.rows, M.weights * values[M.cols], minlength=M.n_bins)
+
+
+def row_stochasticity_defect(M: UlamMatrix) -> float:
+    return float(np.max(np.abs(pull(M, np.ones(M.n_bins)) - 1.0)))
 
 
 def matrices_along(seq: ParamSequence, k_lo: int, k_hi: int, n_bins: int,
@@ -120,10 +130,10 @@ def equivariant_density(seq: ParamSequence, n_bins: int, pullback_depth: int,
     """
     if pullback_depth < 0:
         raise ValueError("pullback_depth must be >= 0")
-    rho = uniform_density(n_bins)
+    mass = uniform_density(n_bins).mass
     for M in matrices_along(seq, -pullback_depth, 0, n_bins, subsamples):
-        rho = pushforward(M, rho)
-    return rho
+        mass = pushforward(M, mass)
+    return GridDensity(mass)
 
 
 def equivariance_residual(seq: ParamSequence, n_bins: int, pullback_depth: int,
@@ -131,9 +141,9 @@ def equivariance_residual(seq: ParamSequence, n_bins: int, pullback_depth: int,
     """L1 gap between push(h_w) and the independently pulled-back h_{shift w}."""
     h = equivariant_density(seq, n_bins, pullback_depth, subsamples)
     M0 = next(matrices_along(seq, 0, 1, n_bins, subsamples))
-    pushed = pushforward(M0, h)
+    pushed = pushforward(M0, h.mass)
     h_next = equivariant_density(seq.shift(1), n_bins, pullback_depth, subsamples)
-    return float(np.abs(pushed.mass - h_next.mass).sum())
+    return float(np.abs(pushed - h_next.mass).sum())
 
 
 @dataclass
@@ -143,7 +153,7 @@ class DualResult:
     masked_fraction: float
 
 
-def dual_apply_step(M: sp.csr_matrix, h: GridDensity, psi: np.ndarray,
+def dual_apply_step(M: UlamMatrix, h: GridDensity, psi: np.ndarray,
                     mass_floor: float = MASS_FLOOR) -> tuple[DualResult, GridDensity]:
     """One application of the dual operator on the Ulam grid.
 
@@ -152,23 +162,23 @@ def dual_apply_step(M: sp.csr_matrix, h: GridDensity, psi: np.ndarray,
     masked.  Returns the result together with the pushed density, so chains
     stay exactly composition-consistent.
     """
-    num = (psi * h.mass) @ M
-    h_next = pushforward(M, h)
+    num = pushforward(M, psi * h.mass)
+    h_next = GridDensity(pushforward(M, h.mass))
     mask = h_next.mass >= mass_floor
     out = np.zeros_like(num)
     out[mask] = num[mask] / h_next.mass[mask]
     return DualResult(out, mask, 1.0 - mask.mean()), h_next
 
 
-def dual_apply(seq: ParamSequence, psi: GridFunction, n_bins: int,
+def dual_apply(seq: ParamSequence, psi: np.ndarray, n_bins: int,
                pullback_depth: int, subsamples: int = 64,
                mass_floor: float = MASS_FLOOR) -> DualResult:
     """P_w applied to a grid function on fiber w (single step to fiber sw)."""
-    if psi.n_bins != n_bins:
+    if psi.size != n_bins:
         raise ValueError("grid size mismatch")
     h = equivariant_density(seq, n_bins, pullback_depth, subsamples)
     M0 = next(matrices_along(seq, 0, 1, n_bins, subsamples))
-    res, _ = dual_apply_step(M0, h, psi.values, mass_floor)
+    res, _ = dual_apply_step(M0, h, psi, mass_floor)
     if res.masked_fraction > 0.10:
         raise RuntimeError(f"masked-bin fraction {res.masked_fraction:.3f} exceeds 10%")
     return res
@@ -193,11 +203,9 @@ def decay_curve(family: str, bounds: tuple[float, float], seeds: list[int],
     P^n(phi_w - int phi_w d mu_w), so no divisions are needed except for
     the mask bookkeeping.
     """
-    from .omega import make_sequence
-
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    phi_bar = bin_average(phi, n_bins).values
+    phi_bar = bin_average(phi, n_bins)
     curves = np.empty((len(seeds), n_max + 1))
     masked = np.zeros((len(seeds), n_max + 1))
     for si, seed in enumerate(seeds):
@@ -209,8 +217,8 @@ def decay_curve(family: str, bounds: tuple[float, float], seeds: list[int],
         curves[si, 0] = np.abs(w[mask]).sum()
         masked[si, 0] = 1.0 - mask.mean()
         for n, M in enumerate(matrices_along(seq, 0, n_max, n_bins, subsamples), start=1):
-            w = w @ M
-            h = pushforward(M, h)
+            w = pushforward(M, w)
+            h = GridDensity(pushforward(M, h.mass))
             mask = h.mass >= mass_floor
             curves[si, n] = np.abs(w[mask]).sum()
             masked[si, n] = 1.0 - mask.mean()

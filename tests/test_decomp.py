@@ -31,7 +31,9 @@ def test_psi_has_zero_mean():
     seq = make_sequence(4, "lsv", (0.05, 0.15))
     d = decomp.martingale_psi(seq, get_observable("cos2pi"), 12, 2 ** 11, 24, 32)
     h0 = transfer.equivariant_density(seq, 2 ** 11, 12 + 24, 32)
-    assert abs(float(d.psi.values @ h0.mass)) < 1e-6
+    assert abs(float(d.psi @ h0.mass)) < 1e-6
+    # the kept fiber-0 density is the one anchored at -(K_trunc + depth)
+    assert np.array_equal(d.h.mass, h0.mass)
 
 
 def test_residual_decreases_as_K_doubles():

@@ -26,6 +26,9 @@ CONFIGS = {
     "density": LSV + GRID,
     "decay": LSV + GRID + ["--n_max", "8"],
     "decompose": LSV + GRID + ["--n_seeds", "2"],
+    # odd grid and non-dyadic subsamples: weights that do not add exactly
+    "decompose-odd-grid": LSV + ["--n_bins", "333", "--depth", "6", "--k_trunc", "0",
+                                 "--subsamples", "12", "--n_seeds", "2"],
     "couple": LSV + ["--l0", "2", "--n_max", "16", "--pairs", "100", "--cap", "10000"],
     "clt": LSV + ENSEMBLE,
     "lil": LSV + ENSEMBLE,
@@ -33,15 +36,16 @@ CONFIGS = {
 }
 
 
-def csv_digests(subcommand: str, out: Path) -> dict:
-    assert main([subcommand, *CONFIGS[subcommand], "--out", str(out)]) == 0
+def csv_digests(key: str, out: Path) -> dict:
+    subcommand = key.split("-")[0]
+    assert main([subcommand, *CONFIGS[key], "--out", str(out)]) == 0
     return {p.name: sha256_of(p) for p in sorted(out.glob("*.csv"))}
 
 
-@pytest.mark.parametrize("subcommand", sorted(CONFIGS))
-def test_csv_matches_golden_pin(subcommand, tmp_path):
+@pytest.mark.parametrize("key", sorted(CONFIGS))
+def test_csv_matches_golden_pin(key, tmp_path):
     pins = json.loads(PINS.read_text())
-    assert csv_digests(subcommand, tmp_path) == pins[subcommand]
+    assert csv_digests(key, tmp_path) == pins[key]
 
 
 if __name__ == "__main__":
