@@ -1,9 +1,13 @@
 """Experiment runner: config parsing, subcommand dispatch, reproducible output.
 
 Config files are flat ``key=value`` text (``#`` comments allowed); any key
-can be overridden on the command line as ``--key value``.  Floats are
-serialized with 17 significant digits and every reduction runs in a fixed
-order, so identical configs produce byte-identical CSV/JSON output.
+can be overridden on the command line as ``--key value``, and ``--help``
+lists the keys.  Each ``run_<subcommand>`` only computes and returns its
+artifacts; ``run`` writes them, then the manifest, once the handler has
+returned, so a run that exits 2 or 3 writes no artifact, and a run that
+exits non-zero writes no manifest (exit 4 may leave what it wrote).
+Floats are serialized with 17 significant digits and every reduction runs
+in a fixed order, so identical configs produce byte-identical CSV/JSON output.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
 """
@@ -170,87 +174,69 @@ def _default_window(cfg: ExperimentConfig, lo: float, hi: float) -> tuple[float,
     return (wl, wh)
 
 
-def run_tail(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def run_tail(cfg: ExperimentConfig) -> dict:
     tc = tower_mod.tail_curve(cfg.family, cfg.bounds(), cfg.seeds(),
                               cfg.n_max, cfg.samples, cfg.cap)
-    csv = out / "tail.csv"
-    write_csv(csv, ["n", "tail_estimate", "std_err", "n_eff"],
-              [tc.n, tc.tail, tc.std_err, np.full(tc.n.size, tc.n_eff)])
     fit = fit_loglog(tc.n, tc.tail, _default_window(cfg, 2, cfg.n_max))
     fit["warnings"] = tc.warnings
     fit["capped_fraction"] = tc.capped_fraction
-    fj = out / "tail_fit.json"
-    write_json(fj, fit)
-    return [csv, fj]
+    return {"tail.csv": (["n", "tail_estimate", "std_err", "n_eff"],
+                         [tc.n, tc.tail, tc.std_err, np.full(tc.n.size, tc.n_eff)]),
+            "tail_fit.json": fit}
 
 
-def run_partition(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def run_partition(cfg: ExperimentConfig) -> dict:
     part = tower_mod.build_partition(cfg.sequence(), cfg.depth_cap, cfg.refine_tol)
-    csv = out / "partition.csv"
     los = np.array([c[0] for c in part.cells])
     his = np.array([c[1] for c in part.cells])
     rs = np.array([c[2] for c in part.cells])
     oks = np.array([int(c[3]) for c in part.cells])
-    write_csv(csv, ["lo", "hi", "R", "image_ok"], [los, his, rs, oks])
     info = {"residual_mass": part.residual_mass, "depth_cap": part.depth_cap,
             "gcd": tower_mod.gcd_check(part, cfg.mass_floor),
             "n_cells": len(part.cells)}
-    pj = out / "partition.json"
-    write_json(pj, info)
-    return [csv, pj]
+    return {"partition.csv": (["lo", "hi", "R", "image_ok"], [los, his, rs, oks]),
+            "partition.json": info}
 
 
-def run_density(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def run_density(cfg: ExperimentConfig) -> dict:
     seq = cfg.sequence()
     h = transfer_mod.equivariant_density(seq, cfg.n_bins, cfg.depth, cfg.subsamples)
-    csv = out / "density.csv"
-    write_csv(csv, ["bin", "mass", "density"],
-              [np.arange(cfg.n_bins), h.mass, h.density])
     resid = transfer_mod.equivariance_residual(seq, cfg.n_bins, cfg.depth, cfg.subsamples)
-    dj = out / "density.json"
-    write_json(dj, {"equivariance_residual_l1": resid, "depth": cfg.depth,
-                    "n_bins": cfg.n_bins})
-    return [csv, dj]
+    return {"density.csv": (["bin", "mass", "density"],
+                            [np.arange(cfg.n_bins), h.mass, h.density]),
+            "density.json": {"equivariance_residual_l1": resid, "depth": cfg.depth,
+                             "n_bins": cfg.n_bins}}
 
 
-def run_decay(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def run_decay(cfg: ExperimentConfig) -> dict:
     dc = transfer_mod.decay_curve(cfg.family, cfg.bounds(), cfg.seeds(), cfg.phi(),
                                   cfg.n_max, cfg.n_bins, cfg.depth, cfg.subsamples)
-    csv = out / "decay.csv"
-    write_csv(csv, ["n", "decay_estimate", "std_err"],
-              [dc.n, dc.decay, dc.std_err])
     fit = fit_loglog(dc.n, dc.decay, _default_window(cfg, 1, cfg.n_max))
     fit["warnings"] = dc.warnings
-    fj = out / "decay_fit.json"
-    write_json(fj, fit)
-    return [csv, fj]
+    return {"decay.csv": (["n", "decay_estimate", "std_err"], [dc.n, dc.decay, dc.std_err]),
+            "decay_fit.json": fit}
 
 
-def run_decompose(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def run_decompose(cfg: ExperimentConfig) -> dict:
     s2, se, decomps = decomp_mod.sigma_squared(cfg.family, cfg.bounds(), cfg.seeds(),
                                                cfg.phi(), cfg.k_trunc, cfg.n_bins,
                                                cfg.depth, cfg.subsamples)
     d = decomps[0]   # seeds()[0] is cfg.seed, the sequence the artifacts describe
-    csv = out / "decompose.csv"
-    write_csv(csv, ["bin", "g", "g_next", "psi"],
-              [np.arange(cfg.n_bins), d.g, d.g_next, d.psi])
     rep = d.report()
     rep.update({"sigma2": s2, "sigma2_se": se, "warnings": d.warnings})
-    dj = out / "decompose.json"
-    write_json(dj, rep)
-    return [csv, dj]
+    return {"decompose.csv": (["bin", "g", "g_next", "psi"],
+                              [np.arange(cfg.n_bins), d.g, d.g_next, d.psi]),
+            "decompose.json": rep}
 
 
-def run_couple(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def run_couple(cfg: ExperimentConfig) -> dict:
     ct = coupling_mod.coupling_tail(cfg.family, cfg.bounds(), cfg.seeds(), cfg.l0,
                                     cfg.alpha_exp, cfg.n_max, cfg.pairs, cfg.cap)
-    csv = out / "couple.csv"
-    write_csv(csv, ["n", "tail_estimate", "std_err", "capped_fraction"],
-              [ct.n, ct.tail, ct.std_err, np.full(ct.n.size, ct.capped_fraction)])
     fit = fit_loglinear(ct.n, ct.tail, _default_window(cfg, 1, cfg.n_max))
-    fj = out / "couple_fit.json"
-    write_json(fj, fit)
-    return [csv, fj]
+    return {"couple.csv": (["n", "tail_estimate", "std_err", "capped_fraction"],
+                           [ct.n, ct.tail, ct.std_err,
+                            np.full(ct.n.size, ct.capped_fraction)]),
+            "couple_fit.json": fit}
 
 
 def _ensemble_and_sigma(cfg: ExperimentConfig):
@@ -263,36 +249,30 @@ def _ensemble_and_sigma(cfg: ExperimentConfig):
     return ens, s2, se
 
 
-def run_clt(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def run_clt(cfg: ExperimentConfig) -> dict:
     ens, s2, se = _ensemble_and_sigma(cfg)
     if s2 <= 0:
         raise NumericError("sigma2 estimate is not positive; use the coboundary route")
     vg = stats_mod.variance_growth(ens)
-    csv = out / "clt.csv"
-    write_csv(csv, ["n", "var_over_n", "ci_lo", "ci_hi"],
-              [vg["n"], vg["var_over_n"], vg["ci_lo"], vg["ci_hi"]])
     res = stats_mod.qclt_test(ens, s2)
     res.update({"sigma2": s2, "sigma2_se": se,
                 "verdict": "pass" if res["ks_distance"] < 0.03 else "fail"})
-    cj = out / "clt.json"
-    write_json(cj, res)
-    return [csv, cj]
+    return {"clt.csv": (["n", "var_over_n", "ci_lo", "ci_hi"],
+                        [vg["n"], vg["var_over_n"], vg["ci_lo"], vg["ci_hi"]]),
+            "clt.json": res}
 
 
-def run_lil(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def run_lil(cfg: ExperimentConfig) -> dict:
     ens, s2, se = _ensemble_and_sigma(cfg)
     env = stats_mod.qlil_envelope(ens, s2)
     env["sigma2_se"] = se
-    csv = out / "lil.csv"
-    write_csv(csv, ["sample", "max_c1", "min_c1", "max_c2", "min_c2"],
-              [np.arange(ens.n_samples), ens.lil_max_c1, ens.lil_min_c1,
-               ens.lil_max_c2, ens.lil_min_c2])
-    lj = out / "lil.json"
-    write_json(lj, env)
-    return [csv, lj]
+    return {"lil.csv": (["sample", "max_c1", "min_c1", "max_c2", "min_c2"],
+                        [np.arange(ens.n_samples), ens.lil_max_c1, ens.lil_min_c1,
+                         ens.lil_max_c2, ens.lil_min_c2]),
+            "lil.json": env}
 
 
-def run_fclt(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def run_fclt(cfg: ExperimentConfig) -> dict:
     ens, s2, se = _ensemble_and_sigma(cfg)
     if s2 <= 0:
         raise NumericError("sigma2 estimate is not positive; use the coboundary route")
@@ -302,25 +282,17 @@ def run_fclt(cfg: ExperimentConfig, out: Path) -> list[Path]:
         res["brownian_self_test"] = stats_mod.brownian_oracle_self_test(
             n_paths=min(10 ** 5, 10 * cfg.n_samples))
     emp = stats_mod.empirical_functional(ens, s2, cfg.functional)
-    csv = out / "fclt.csv"
-    write_csv(csv, ["sample", "functional_value"],
-              [np.arange(ens.n_samples), emp])
-    fj = out / "fclt.json"
-    write_json(fj, res)
-    return [csv, fj]
+    return {"fclt.csv": (["sample", "functional_value"], [np.arange(ens.n_samples), emp]),
+            "fclt.json": res}
 
 
-def run_rate(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def run_rate(cfg: ExperimentConfig) -> dict:
+    # an inadmissible (p, D) raises ValueError, which run reports as a config error
     params = stats_mod.RateParams(cfg.p, cfg.D, cfg.exponential, cfg.tail_a, cfg.tail_b)
-    try:
-        res = stats_mod.asip_rate(params)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    rj = out / "rate.json"
-    write_json(rj, res)
-    return [rj]
+    return {"rate.json": stats_mod.asip_rate(params)}
 
 
+# each handler returns {file name: (header, columns) for .csv, a dict for .json}
 HANDLERS = {
     "tail": run_tail, "partition": run_partition, "density": run_density,
     "decay": run_decay, "decompose": run_decompose, "couple": run_couple,
@@ -334,13 +306,18 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        files = HANDLERS[subcommand](cfg, out)
+        artifacts = HANDLERS[subcommand](cfg)
+        for name, content in artifacts.items():
+            if name.endswith(".csv"):
+                write_csv(out / name, *content)
+            else:
+                write_json(out / name, content)
         manifest = {
             "subcommand": subcommand,
             "config": cfg.as_dict(),
             "version": __version__,
             "wall_time_s": time.perf_counter() - t0,
-            "files": {f.name: sha256_of(f) for f in files},
+            "files": {name: sha256_of(out / name) for name in artifacts},
         }
         write_json(out / "manifest.json", manifest)
         return 0
@@ -357,44 +334,30 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir: str | Path) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a mistyped key such as --n_ma must not become --n_max
     parser = argparse.ArgumentParser(
-        prog="quenched-limits",
+        prog="quenched-limits", allow_abbrev=False, exit_on_error=False,
         description="Quenched limit-law experiments for random interval maps. "
                     "CSV columns per subcommand are documented in docs/formats.md.")
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", default=None, help="flat key=value config file")
     parser.add_argument("--out", required=True, help="output directory")
+    keys = parser.add_argument_group("config keys (override the config file)")
+    for f in fields(ExperimentConfig):
+        keys.add_argument(f"--{f.name}", default=argparse.SUPPRESS, metavar=f.type.upper(),
+                          help=f"default {f.default}")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # peel off --key value overrides the parser does not know about
-    known = {"--config", "--out"}
-    passthrough, overrides = [], []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok.startswith("--") and tok not in known and not tok.startswith("--help"):
-            if i + 1 >= len(argv):
-                print(f"config error: missing value for {tok}", file=sys.stderr)
-                return 2
-            overrides.append((tok[2:], argv[i + 1]))
-            i += 2
-        else:
-            if tok in known:
-                if i + 1 >= len(argv):
-                    print(f"config error: missing value for {tok}", file=sys.stderr)
-                    return 2
-                passthrough.extend(argv[i:i + 2])
-                i += 2
-            else:
-                passthrough.append(tok)
-                i += 1
-    args = _build_parser().parse_args(passthrough)
     try:
+        args, extra = _build_parser().parse_known_args(argv)
+        if extra:
+            raise ConfigError(f"unknown arguments {extra}")
+        overrides = [(f.name, getattr(args, f.name)) for f in fields(ExperimentConfig)
+                     if hasattr(args, f.name)]
         cfg = load_config(args.config, overrides)
-    except ConfigError as exc:
+    except (argparse.ArgumentError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return run(args.subcommand, cfg, args.out)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maps import FiberMap, apply, orbit
+from .maps import apply, fiber_map, orbit
 from .omega import ParamSequence, make_sequence
 from .tower import BASE_LO, CAP_DEFAULT, _first_hits
 
@@ -88,7 +88,7 @@ def estimate_l0(family: str, bounds: tuple[float, float], seeds: list[int],
         occ[si, 0] = 1.0
         y = xs.copy()
         for l in range(1, l_max + 1):
-            y = apply(FiberMap(family, seq.param(l - 1)), y)
+            y = apply(fiber_map(seq, l - 1), y)
             occ[si, l] = np.mean(y >= BASE_LO)
     eps = occ.mean(axis=0)
     suggested = None

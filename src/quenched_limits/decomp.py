@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import FiberMap, Observable, apply
+from .maps import Observable, apply, fiber_map
 from .omega import ParamSequence, make_sequence
 from .transfer import (MASS_FLOOR, GridDensity, bin_average, matrices_along, pull,
                        pushforward, uniform_density)
@@ -55,8 +55,7 @@ class Decomposition:
 
 
 def _decompose(seq: ParamSequence, phi: Observable, K_trunc: int, n_bins: int,
-               depth: int, subsamples: int = 64,
-               mass_floor: float = MASS_FLOOR) -> Decomposition:
+               depth: int, subsamples: int = 64) -> Decomposition:
     """Single sweep through the past fibers building g_w, g_sw and psi_w.
 
     The density chain starts uniform at fiber -(K_trunc + depth); signed
@@ -87,8 +86,8 @@ def _decompose(seq: ParamSequence, phi: Observable, K_trunc: int, n_bins: int,
     phi_c1 = phi_bar - float(h1 @ phi_bar)
     B = B + phi_c1 * h1
 
-    mask0 = h0 >= mass_floor
-    mask1 = h1 >= mass_floor
+    mask0 = h0 >= MASS_FLOOR
+    mask1 = h1 >= MASS_FLOOR
     g_w = np.zeros(n_bins)
     g_w[mask0] = A[mask0] / h0[mask0]
     g_sw = np.zeros(n_bins)
@@ -160,7 +159,7 @@ def coboundary_test(family: str, bounds: tuple[float, float], seeds: list[int],
         d = decomps[0]
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seeds[0], 0xC0B))))
         xs = sample_from_density(d.h, orbit_samples, rng)
-        fx = apply(FiberMap(seq.family, seq.param(0)), xs)
+        fx = apply(fiber_map(seq, 0), xs)
         mean1 = d.h_next.mean_of(bin_average(phi, n_bins))
         resid = (phi(fx) - mean1
                  - d.g_next[nearest_bin(fx, n_bins)]

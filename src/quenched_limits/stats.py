@@ -38,15 +38,27 @@ class BirkhoffEnsemble:
     S_records: np.ndarray              # [len(record_ns), n_samples]
     path_max: np.ndarray               # max_k S_k including S_0 = 0
     path_min: np.ndarray
-    path_absmax: np.ndarray
     lil_max_c1: np.ndarray             # max_{k>=16} S_k / sqrt(k loglog k)
     lil_min_c1: np.ndarray
-    lil_max_c2: np.ndarray             # same with sqrt(2 k loglog k)
-    lil_min_c2: np.ndarray
 
     @property
     def terminal(self) -> np.ndarray:
         return self.S_records[-1]
+
+    # Negation and correctly rounded division by a constant are monotone, so
+    # the derived extrema below equal the per-step ones bit for bit.
+    @property
+    def path_absmax(self) -> np.ndarray:
+        return np.maximum(self.path_max, -self.path_min)
+
+    @property
+    def lil_max_c2(self) -> np.ndarray:
+        """Same as lil_max_c1 with sqrt(2 k loglog k)."""
+        return self.lil_max_c1 / math.sqrt(2.0)
+
+    @property
+    def lil_min_c2(self) -> np.ndarray:
+        return self.lil_min_c1 / math.sqrt(2.0)
 
 
 def _dyadic_records(n_steps: int) -> np.ndarray:
@@ -71,8 +83,7 @@ def _doubling_orbit_values(n_samples: int, n_steps: int, rng: np.random.Generato
 def birkhoff_ensemble(seq: ParamSequence, phi: Observable, n_steps: int,
                       n_samples: int, sampling_mode: str = "equivariant",
                       n_bins: int = 2 ** 12, depth: int = 32,
-                      subsamples: int = 32, rng_seed: int = 0,
-                      record_ns: np.ndarray | None = None) -> BirkhoffEnsemble:
+                      subsamples: int = 32) -> BirkhoffEnsemble:
     """Simulate partial sums of the fiberwise-centered observable.
 
     Centering constants are grid quadratures of phi against the equivariant
@@ -81,13 +92,11 @@ def birkhoff_ensemble(seq: ParamSequence, phi: Observable, n_steps: int,
     """
     if sampling_mode not in ("equivariant", "lebesgue"):
         raise ValueError("sampling_mode must be 'equivariant' or 'lebesgue'")
-    if record_ns is None:
-        record_ns = _dyadic_records(n_steps)
-    record_ns = np.unique(np.append(np.asarray(record_ns, dtype=np.int64), n_steps))
-    if record_ns[0] < 1 or record_ns[-1] > n_steps:
-        raise ValueError("record times must lie in [1, n_steps]")
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    record_ns = _dyadic_records(n_steps)
     rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence((seq.master_seed, seq.origin_offset, 0xB1F, rng_seed))))
+        np.random.SeedSequence((seq.master_seed, seq.origin_offset, 0xB1F, 0))))
 
     phi_bar = bin_average(phi, n_bins)
     h = equivariant_density(seq, n_bins, depth, subsamples)
@@ -113,11 +122,8 @@ def birkhoff_ensemble(seq: ParamSequence, phi: Observable, n_steps: int,
     S_records = np.empty((record_ns.size, n_samples))
     path_max = np.zeros(n_samples)
     path_min = np.zeros(n_samples)
-    path_absmax = np.zeros(n_samples)
     lil_max_c1 = np.full(n_samples, -np.inf)
     lil_min_c1 = np.full(n_samples, np.inf)
-    lil_max_c2 = np.full(n_samples, -np.inf)
-    lil_min_c2 = np.full(n_samples, np.inf)
     ri = 0
     for k in range(1, n_steps + 1):
         if use_bits:
@@ -128,22 +134,17 @@ def birkhoff_ensemble(seq: ParamSequence, phi: Observable, n_steps: int,
         S += phi(xk) - means[k]
         np.maximum(path_max, S, out=path_max)
         np.minimum(path_min, S, out=path_min)
-        np.maximum(path_absmax, np.abs(S), out=path_absmax)
         if k >= LIL_MIN_N:
             norm1 = math.sqrt(k * math.log(math.log(k)))
             z = S / norm1
             np.maximum(lil_max_c1, z, out=lil_max_c1)
             np.minimum(lil_min_c1, z, out=lil_min_c1)
-            z2 = z / math.sqrt(2.0)
-            np.maximum(lil_max_c2, z2, out=lil_max_c2)
-            np.minimum(lil_min_c2, z2, out=lil_min_c2)
         if ri < record_ns.size and k == record_ns[ri]:
             S_records[ri] = S
             ri += 1
     return BirkhoffEnsemble(seq.family, n_steps, n_samples, sampling_mode,
                             record_ns, S_records, path_max, path_min,
-                            path_absmax, lil_max_c1, lil_min_c1,
-                            lil_max_c2, lil_min_c2)
+                            lil_max_c1, lil_min_c1)
 
 
 def variance_growth(ens: BirkhoffEnsemble, n_boot: int = 200,

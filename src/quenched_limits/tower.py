@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maps import FiberMap, apply, derivative, left_branch_inverse, orbit
+from .maps import FiberMap, apply, derivative, fiber_map, left_branch_inverse, orbit
 from .omega import ParamSequence
 
 BASE_LO = 0.5
@@ -63,7 +63,7 @@ def _first_hits(seq: ParamSequence, x: float, t0: int, l: int, cap: int):
     steps = 0
     for _ in range(l):
         for _step in range(cap):
-            y = apply(FiberMap(seq.family, seq.param(t0 + steps)), y)
+            y = apply(fiber_map(seq, t0 + steps), y)
             steps += 1
             if y >= BASE_LO:
                 break
@@ -92,7 +92,7 @@ def return_times_vec(seq: ParamSequence, xs: np.ndarray, cap: int = CAP_DEFAULT)
     for n in range(1, cap + 1):
         if active.size == 0:
             break
-        fmap = FiberMap(seq.family, seq.param(n - 1))
+        fmap = fiber_map(seq, n - 1)
         y[active] = apply(fmap, y[active])
         returned = y[active] >= BASE_LO
         R[active[returned]] = n
@@ -122,7 +122,7 @@ def build_partition(seq: ParamSequence, depth_cap: int, refine_tol: float = 1e-1
     for n in range(1, depth_cap + 1):
         w = 0.5
         for k in range(n - 1, 0, -1):
-            w = left_branch_inverse(FiberMap(seq.family, seq.param(k)), w)
+            w = left_branch_inverse(fiber_map(seq, k), w)
         boundaries.append((w + 1.0) / 2.0)   # right branch inverse of w
     cells = []
     residual = boundaries[depth_cap] - BASE_LO
@@ -258,7 +258,7 @@ def induced_jacobian(seq: ParamSequence, x: float, R: int) -> float:
     jac = 1.0
     y = x
     for k in range(R):
-        fmap = FiberMap(seq.family, seq.param(k))
+        fmap = fiber_map(seq, k)
         jac *= derivative(fmap, y)
         y = apply(fmap, y)
     return jac

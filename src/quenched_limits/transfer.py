@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maps import FiberMap, Observable, apply
+from .maps import FiberMap, Observable, apply, fiber_map
 from .omega import ParamSequence, make_sequence
 
 MASS_FLOOR = 1e-12
@@ -119,7 +119,7 @@ def matrices_along(seq: ParamSequence, k_lo: int, k_hi: int, n_bins: int,
             yield M
         return
     for k in range(k_lo, k_hi):
-        yield ulam_matrix(FiberMap(seq.family, seq.param(k)), n_bins, subsamples)
+        yield ulam_matrix(fiber_map(seq, k), n_bins, subsamples)
 
 
 def equivariant_density(seq: ParamSequence, n_bins: int, pullback_depth: int,
@@ -153,32 +153,31 @@ class DualResult:
     masked_fraction: float
 
 
-def dual_apply_step(M: UlamMatrix, h: GridDensity, psi: np.ndarray,
-                    mass_floor: float = MASS_FLOOR) -> tuple[DualResult, GridDensity]:
+def dual_apply_step(M: UlamMatrix, h: GridDensity,
+                    psi: np.ndarray) -> tuple[DualResult, GridDensity]:
     """One application of the dual operator on the Ulam grid.
 
     (P psi)[j] = sum_i psi[i] h_mass[i] M[i, j] / h_mass'[j], with
-    h_mass' = push(h); bins whose target mass falls below mass_floor are
+    h_mass' = push(h); bins whose target mass falls below MASS_FLOOR are
     masked.  Returns the result together with the pushed density, so chains
     stay exactly composition-consistent.
     """
     num = pushforward(M, psi * h.mass)
     h_next = GridDensity(pushforward(M, h.mass))
-    mask = h_next.mass >= mass_floor
+    mask = h_next.mass >= MASS_FLOOR
     out = np.zeros_like(num)
     out[mask] = num[mask] / h_next.mass[mask]
     return DualResult(out, mask, 1.0 - mask.mean()), h_next
 
 
 def dual_apply(seq: ParamSequence, psi: np.ndarray, n_bins: int,
-               pullback_depth: int, subsamples: int = 64,
-               mass_floor: float = MASS_FLOOR) -> DualResult:
+               pullback_depth: int, subsamples: int = 64) -> DualResult:
     """P_w applied to a grid function on fiber w (single step to fiber sw)."""
     if psi.size != n_bins:
         raise ValueError("grid size mismatch")
     h = equivariant_density(seq, n_bins, pullback_depth, subsamples)
     M0 = next(matrices_along(seq, 0, 1, n_bins, subsamples))
-    res, _ = dual_apply_step(M0, h, psi, mass_floor)
+    res, _ = dual_apply_step(M0, h, psi)
     if res.masked_fraction > 0.10:
         raise RuntimeError(f"masked-bin fraction {res.masked_fraction:.3f} exceeds 10%")
     return res
@@ -195,7 +194,7 @@ class DecayCurve:
 
 def decay_curve(family: str, bounds: tuple[float, float], seeds: list[int],
                 phi: Observable, n_max: int, n_bins: int, pullback_depth: int,
-                subsamples: int = 64, mass_floor: float = MASS_FLOOR) -> DecayCurve:
+                subsamples: int = 64) -> DecayCurve:
     """Annealed L1 decay of the iterated dual on the centered observable.
 
     Per seed the signed measure (phi - mean) d mu_w is pushed forward step
@@ -213,13 +212,13 @@ def decay_curve(family: str, bounds: tuple[float, float], seeds: list[int],
         h = equivariant_density(seq, n_bins, pullback_depth, subsamples)
         centered = phi_bar - h.mean_of(phi_bar)
         w = centered * h.mass
-        mask = h.mass >= mass_floor
+        mask = h.mass >= MASS_FLOOR
         curves[si, 0] = np.abs(w[mask]).sum()
         masked[si, 0] = 1.0 - mask.mean()
         for n, M in enumerate(matrices_along(seq, 0, n_max, n_bins, subsamples), start=1):
             w = pushforward(M, w)
             h = GridDensity(pushforward(M, h.mass))
-            mask = h.mass >= mass_floor
+            mask = h.mass >= MASS_FLOOR
             curves[si, n] = np.abs(w[mask]).sum()
             masked[si, n] = 1.0 - mask.mean()
     decay = curves.mean(axis=0)

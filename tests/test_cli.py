@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import quenched_limits
-from quenched_limits.cli import ConfigError, load_config, main
+from quenched_limits.cli import ConfigError, ExperimentConfig, load_config, main
 from quenched_limits.util import sha256_of
 
 
@@ -129,9 +130,29 @@ def test_clt_subcommand_small(tmp_path):
 
 def test_empty_fit_window_exits_2(tmp_path):
     # the library ValueError from the fit reaches main as a config error
+    out = tmp_path / "t"
     code = main(["tail", "--n_max", "10", "--window_lo", "100", "--window_hi", "200",
-                 "--samples", "1000", "--out", str(tmp_path / "t")])
+                 "--samples", "1000", "--out", str(out)])
     assert code == 2
+    # the handler failed after computing tail.csv's columns; nothing was written
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", [["--n_ma", "8"], ["--seed"]], ids=["prefix", "no-value"])
+def test_key_prefix_and_missing_value_exit_2(tmp_path, bad):
+    # a unique prefix is not taken as the key it abbreviates
+    out = tmp_path / "t"
+    assert main(["tail", "--out", str(out), *bad]) == 2
+    assert not out.exists()
+
+
+def test_help_lists_every_config_key(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for f in fields(ExperimentConfig):
+        assert f"--{f.name} " in text
 
 
 def test_cli_import_loads_no_scipy():

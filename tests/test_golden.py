@@ -33,6 +33,7 @@ CONFIGS = {
     "clt": LSV + ENSEMBLE,
     "lil": LSV + ENSEMBLE,
     "fclt": ["--family", "doubling", "--alpha_min", "0", "--alpha_max", "0"] + ENSEMBLE,
+    "fclt-supabs": LSV + ENSEMBLE + ["--functional", "sup_abs"],
 }
 
 

@@ -51,6 +51,8 @@ def test_ensemble_shapes_and_extrema():
     assert np.all(ens.path_max >= 0) and np.all(ens.path_min <= 0)
     assert np.all(ens.path_absmax >= np.maximum(ens.path_max, -ens.path_min) - 1e-12)
     assert np.all(ens.path_absmax >= np.abs(ens.terminal) - 1e-12)
+    with pytest.raises(ValueError):
+        small_doubling_ensemble(0, 10)
 
 
 def test_ensemble_reproducible():
