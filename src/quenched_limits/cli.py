@@ -333,10 +333,18 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir: str | Path) -> int:
         return 4
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse reports every bad command line, a missing subcommand or --out
+    # included, through error(), which exits; raising instead lets main
+    # return 2 to an in-process caller
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False: a mistyped key such as --n_ma must not become --n_max
-    parser = argparse.ArgumentParser(
-        prog="quenched-limits", allow_abbrev=False, exit_on_error=False,
+    parser = _Parser(
+        prog="quenched-limits", allow_abbrev=False,
         description="Quenched limit-law experiments for random interval maps. "
                     "CSV columns per subcommand are documented in docs/formats.md.")
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
@@ -357,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
         overrides = [(f.name, getattr(args, f.name)) for f in fields(ExperimentConfig)
                      if hasattr(args, f.name)]
         cfg = load_config(args.config, overrides)
-    except (argparse.ArgumentError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return run(args.subcommand, cfg, args.out)

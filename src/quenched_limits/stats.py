@@ -215,6 +215,62 @@ def qlil_envelope(ens: BirkhoffEnsemble, sigma2: float) -> dict:
     }
 
 
+# Rows of a chunk reduced at a time: 64 x 1024 doubles (512 KB) stay in L2.
+_ROW_BLOCK = 64
+
+
+def _skip_draws(bit_gen: np.random.Philox, n: int) -> None:
+    """Advance bit_gen past n 64-bit draws, as n calls of random_raw would.
+
+    Philox makes its draws four per counter step: the draws still buffered
+    are taken one by one, whole counter steps are skipped with advance, and
+    the rest start a fresh block.  advance also clears a buffered 32-bit
+    half, which the Brownian sampler never draws.
+    """
+    head = min(n, 4 - bit_gen.state["buffer_pos"])
+    bit_gen.random_raw(head)
+    q, r = divmod(n - head, 4)
+    if q:
+        bit_gen.advance(q)
+    bit_gen.random_raw(r)
+
+
+def _reduce_chunk(z: np.ndarray, out: np.ndarray, functional: str, scale: float,
+                  c: float, uniforms: np.random.Generator | None) -> None:
+    """Write the functional of each row of standard normals z into out.
+
+    Works _ROW_BLOCK rows at a time and overwrites z.  Each row becomes the
+    path w = cumsum(scale * z); for sup, the maximum on step k is
+    0.5 * (a + b + sqrt((b - a)^2 - c log u)) with a = w_{k-1} (w_0 = 0),
+    b = w_k and u drawn row-major from uniforms.  0.5 * max equals max of
+    0.5 * (...) because halving is exact and monotone.
+    """
+    if functional == "sup":
+        u_buf = np.empty((min(_ROW_BLOCK, len(z)), z.shape[1]))
+        t_buf = np.empty_like(u_buf)
+    for r in range(0, len(z), _ROW_BLOCK):
+        w = z[r:r + _ROW_BLOCK]
+        row_out = out[r:r + _ROW_BLOCK]
+        w *= scale
+        np.cumsum(w, axis=1, out=w)
+        if functional == "terminal":
+            row_out[:] = w[:, -1]
+        elif functional == "sup_abs":
+            np.max(np.abs(w, out=w), axis=1, out=row_out)
+        else:
+            u, t = u_buf[:len(w)], t_buf[:len(w)]
+            uniforms.random(out=u)
+            np.multiply(c, np.log(u, out=u), out=u)
+            t[:, 0] = w[:, 0]                              # b - a with a = 0
+            np.subtract(w[:, 1:], w[:, :-1], out=t[:, 1:])
+            np.subtract(np.square(t, out=t), u, out=t)
+            np.sqrt(t, out=t)
+            np.add(0.0, w[:, 0], out=u[:, 0])              # a + b with a = 0
+            np.add(w[:, :-1], w[:, 1:], out=u[:, 1:])
+            np.max(np.add(u, t, out=u), axis=1, out=row_out)
+            row_out *= 0.5
+
+
 def brownian_functional_samples(functional: str, sigma: float, n_paths: int,
                                 n_steps: int = 2 ** 10, rng_seed: int = 11,
                                 chunk: int = 4096) -> np.ndarray:
@@ -223,29 +279,45 @@ def brownian_functional_samples(functional: str, sigma: float, n_paths: int,
     For the running sup the per-step maximum is drawn exactly from the
     Brownian-bridge reflection law, removing the discrete-grid bias that a
     plain max over grid points would carry.
+
+    Stream layout: paths come in chunks of ``chunk`` rows, and for each chunk
+    of m paths the Philox stream holds its m * n_steps standard normals
+    (row-major), then, for sup only, its m * n_steps uniforms, one 64-bit
+    draw each.  That layout lets the uniforms be drawn from a copy of the
+    state while the caller's thread skips past them and draws the next
+    chunk's normals: one worker thread reduces chunk i as chunk i + 1 is
+    drawn, and the samples equal those of drawing the stream in order.
     """
     if functional not in ("sup", "sup_abs", "terminal"):
         raise ValueError(f"unknown functional {functional!r}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((rng_seed, 0xB2))))
-    dt = 1.0 / n_steps
     out = np.empty(n_paths)
-    done = 0
-    while done < n_paths:
-        m = min(chunk, n_paths - done)
-        inc = rng.standard_normal((m, n_steps)) * (sigma * math.sqrt(dt))
-        w = np.cumsum(inc, axis=1)
-        if functional == "terminal":
-            out[done:done + m] = w[:, -1]
-        elif functional == "sup_abs":
-            out[done:done + m] = np.max(np.abs(w), axis=1)
-        else:
-            a = np.concatenate([np.zeros((m, 1)), w[:, :-1]], axis=1)
-            b = w
-            u = rng.random((m, n_steps))
-            step_max = 0.5 * (a + b + np.sqrt((b - a) ** 2
-                                              - 2.0 * sigma * sigma * dt * np.log(u)))
-            out[done:done + m] = step_max.max(axis=1)
-        done += m
+    if n_paths == 0:
+        return out
+    from concurrent.futures import ThreadPoolExecutor
+
+    bit_gen = np.random.Philox(np.random.SeedSequence((rng_seed, 0xB2)))
+    rng = np.random.Generator(bit_gen)
+    dt = 1.0 / n_steps
+    scale = sigma * math.sqrt(dt)
+    c = 2.0 * sigma * sigma * dt
+    buffers = np.empty((2, min(chunk, n_paths), n_steps))
+    pending = None
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for i, lo in enumerate(range(0, n_paths, chunk)):
+            # the worker last used this buffer for chunk i - 2, already done
+            z = buffers[i % 2, :min(chunk, n_paths - lo)]
+            rng.standard_normal(out=z)
+            uniforms = None
+            if functional == "sup":
+                fork = np.random.Philox()
+                fork.state = bit_gen.state
+                uniforms = np.random.Generator(fork)
+                _skip_draws(bit_gen, z.size)
+            if pending is not None:
+                pending.result()
+            pending = worker.submit(_reduce_chunk, z, out[lo:lo + len(z)], functional,
+                                    scale, c, uniforms)
+        pending.result()
     return out
 
 

@@ -138,12 +138,16 @@ def test_empty_fit_window_exits_2(tmp_path):
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("bad", [["--n_ma", "8"], ["--seed"]], ids=["prefix", "no-value"])
-def test_key_prefix_and_missing_value_exit_2(tmp_path, bad):
-    # a unique prefix is not taken as the key it abbreviates
-    out = tmp_path / "t"
-    assert main(["tail", "--out", str(out), *bad]) == 2
-    assert not out.exists()
+@pytest.mark.parametrize("argv", [["tail", "--out", "t", "--n_ma", "8"],
+                                  ["tail", "--out", "t", "--seed"], ["tail"], []],
+                         ids=["prefix", "no-value", "no-out", "no-subcommand"])
+def test_key_prefix_and_missing_value_exit_2(tmp_path, argv, monkeypatch, capsys):
+    # a unique prefix is not taken as the key it abbreviates; a missing --out
+    # or subcommand returns 2 instead of raising SystemExit
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_help_lists_every_config_key(capsys):
@@ -158,10 +162,14 @@ def test_help_lists_every_config_key(capsys):
 def test_cli_import_loads_no_scipy():
     src = Path(quenched_limits.__file__).resolve().parents[1]
     probe = ("import sys, quenched_limits.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+             "print('concurrent.futures' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "[]"
+    scipy_modules, futures_loaded = out.stdout.splitlines()
+    assert scipy_modules == "[]"
+    # the Brownian sampler imports its worker pool only when it runs
+    assert futures_loaded == "False"
 
 
 def test_float_format_17_digits(tmp_path):

@@ -1,4 +1,5 @@
-"""Golden pins: sha256 of every CSV each subcommand writes at a tiny config.
+"""Golden pins: sha256 of every CSV and JSON artifact (the manifest excepted,
+since it carries wall time) each subcommand writes at a tiny config.
 
 The reruns check (criterion 12) only compares two runs of the same code;
 these pins catch silent numeric drift between versions.  Byte identity holds
@@ -15,7 +16,8 @@ import pytest
 from quenched_limits.cli import main
 from quenched_limits.util import sha256_of
 
-PINS = Path(__file__).parent / "golden" / "csv_sha256.json"
+GOLDEN = Path(__file__).parent / "golden"
+PINS = {suffix: GOLDEN / f"{suffix}_sha256.json" for suffix in ("csv", "json")}
 
 LSV = ["--family", "lsv", "--alpha_min", "0.05", "--alpha_max", "0.15", "--seed", "3"]
 GRID = ["--n_bins", "128", "--depth", "6", "--k_trunc", "4", "--subsamples", "8"]
@@ -32,27 +34,51 @@ CONFIGS = {
     "couple": LSV + ["--l0", "2", "--n_max", "16", "--pairs", "100", "--cap", "10000"],
     "clt": LSV + ENSEMBLE,
     "lil": LSV + ENSEMBLE,
+    # sup: the Brownian reference sample and the reflection-law self-test
     "fclt": ["--family", "doubling", "--alpha_min", "0", "--alpha_max", "0"] + ENSEMBLE,
     "fclt-supabs": LSV + ENSEMBLE + ["--functional", "sup_abs"],
 }
 
 
-def csv_digests(key: str, out: Path) -> dict:
+def digests(key: str, out: Path) -> dict:
+    """{suffix: {artifact name: sha256}} of one run of the key's subcommand."""
     subcommand = key.split("-")[0]
     assert main([subcommand, *CONFIGS[key], "--out", str(out)]) == 0
-    return {p.name: sha256_of(p) for p in sorted(out.glob("*.csv"))}
+    return {suffix: {p.name: sha256_of(p) for p in sorted(out.glob(f"*.{suffix}"))
+                     if p.name != "manifest.json"}
+            for suffix in PINS}
+
+
+@pytest.fixture(scope="module")
+def run_digests(tmp_path_factory):
+    """Each config runs once; the CSV and JSON tests share its digests."""
+    cache = {}
+
+    def get(key):
+        if key not in cache:
+            cache[key] = digests(key, tmp_path_factory.mktemp(key))
+        return cache[key]
+    return get
 
 
 @pytest.mark.parametrize("key", sorted(CONFIGS))
-def test_csv_matches_golden_pin(key, tmp_path):
-    pins = json.loads(PINS.read_text())
-    assert csv_digests(key, tmp_path) == pins[key]
+def test_csv_matches_golden_pin(key, run_digests):
+    pins = json.loads(PINS["csv"].read_text())
+    assert run_digests(key)["csv"] == pins[key]
+
+
+@pytest.mark.parametrize("key", sorted(CONFIGS))
+def test_json_matches_golden_pin(key, run_digests):
+    pins = json.loads(PINS["json"].read_text())
+    assert run_digests(key)["json"] == pins[key]
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        pins = {s: csv_digests(s, Path(tmp) / s) for s in sorted(CONFIGS)}
-    PINS.parent.mkdir(exist_ok=True)
-    PINS.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
+        runs = {key: digests(key, Path(tmp) / key) for key in sorted(CONFIGS)}
+    GOLDEN.mkdir(exist_ok=True)
+    for suffix, path in PINS.items():
+        pins = {key: runs[key][suffix] for key in runs}
+        path.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")

@@ -1,9 +1,11 @@
 """Birkhoff-sum ensembles, limit-law tests, Brownian oracle, rate formulas."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quenched_limits import stats
 from quenched_limits.kstest import ks_statistic, normal_cdf
@@ -111,6 +113,81 @@ def test_brownian_terminal_law():
     s = stats.brownian_functional_samples("terminal", 2.0, 50000, 256)
     d = ks_statistic(s / 2.0, normal_cdf)
     assert d < 0.01
+
+
+def whole_chunk_brownian(functional, sigma, n_paths, n_steps, rng_seed, chunk):
+    """The sampler as first written: one thread, whole-chunk temporaries."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((rng_seed, 0xB2))))
+    dt = 1.0 / n_steps
+    out = np.empty(n_paths)
+    done = 0
+    while done < n_paths:
+        m = min(chunk, n_paths - done)
+        inc = rng.standard_normal((m, n_steps)) * (sigma * math.sqrt(dt))
+        w = np.cumsum(inc, axis=1)
+        if functional == "terminal":
+            out[done:done + m] = w[:, -1]
+        elif functional == "sup_abs":
+            out[done:done + m] = np.max(np.abs(w), axis=1)
+        else:
+            a = np.concatenate([np.zeros((m, 1)), w[:, :-1]], axis=1)
+            b = w
+            u = rng.random((m, n_steps))
+            step_max = 0.5 * (a + b + np.sqrt((b - a) ** 2
+                                              - 2.0 * sigma * sigma * dt * np.log(u)))
+            out[done:done + m] = step_max.max(axis=1)
+        done += m
+    return out
+
+
+# chunks below, between multiples of and above the 64-row block
+@settings(max_examples=150, deadline=None)
+@given(functional=st.sampled_from(["sup", "sup_abs", "terminal"]),
+       n_paths=st.integers(0, 300), n_steps=st.integers(1, 40),
+       chunk=st.integers(1, 70), sigma=st.floats(0.1, 3.0),
+       rng_seed=st.integers(0, 2 ** 32 - 1))
+def test_brownian_samples_equal_whole_chunk_oracle(functional, n_paths, n_steps, chunk,
+                                                    sigma, rng_seed):
+    got = stats.brownian_functional_samples(functional, sigma, n_paths, n_steps,
+                                            rng_seed, chunk)
+    want = whole_chunk_brownian(functional, sigma, n_paths, n_steps, rng_seed, chunk)
+    assert got.shape == (n_paths,)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_brownian_handoff_under_fast_thread_switching():
+    # many small chunks through the two buffers, switching threads often
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = stats.brownian_functional_samples("sup", 1.3, 3000, 33, 5, 7)
+    finally:
+        sys.setswitchinterval(old)
+    assert got.tobytes() == whole_chunk_brownian("sup", 1.3, 3000, 33, 5, 7).tobytes()
+
+
+def test_brownian_worker_error_reaches_caller(monkeypatch):
+    def fail(*args):
+        raise FloatingPointError("worker")
+    monkeypatch.setattr(stats, "_reduce_chunk", fail)
+    with pytest.raises(FloatingPointError, match="worker"):
+        stats.brownian_functional_samples("sup", 1.0, 100, 8, 1, 16)
+
+
+@pytest.mark.parametrize("buffer_pos", range(5))
+@pytest.mark.parametrize("n", range(10))
+def test_skip_draws_equals_drawing(buffer_pos, n):
+    # Philox buffers four draws per counter step; buffer_pos of them are used
+    drawn = np.random.Philox(2024)
+    drawn.random_raw(5)
+    state = drawn.state
+    state["buffer_pos"] = buffer_pos
+    drawn.state = state
+    skipped = np.random.Philox()
+    skipped.state = drawn.state
+    drawn.random_raw(n)
+    stats._skip_draws(skipped, n)
+    assert skipped.random_raw(9).tolist() == drawn.random_raw(9).tolist()
 
 
 def test_qfclt_terminal_equals_qclt():
