@@ -30,11 +30,13 @@ from . import stats as stats_mod
 from . import tower as tower_mod
 from . import transfer as transfer_mod
 from .maps import get_observable
-from .omega import make_sequence
+from .omega import FAMILIES, make_sequence
 from .util import fit_loglinear, fit_loglog, fmt17, sha256_of, write_csv, write_json
 
 SUBCOMMANDS = ("tail", "partition", "density", "decay", "decompose",
                "couple", "clt", "lil", "fclt", "rate")
+# same-cell pairs sampled for the distortion diagnostics in partition.json
+DISTORTION_PAIRS = 64
 
 
 class ConfigError(Exception):
@@ -92,8 +94,8 @@ class ExperimentConfig:
         return (self.alpha_min, self.alpha_max)
 
     def validate(self):
-        if self.family not in ("lsv", "doubling"):
-            raise ConfigError(f"family must be lsv or doubling, got {self.family!r}")
+        if self.family not in FAMILIES:
+            raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.alpha_min > self.alpha_max:
             raise ConfigError("alpha_min must be <= alpha_max")
         if self.family == "lsv" and not (0.0 < self.alpha_min and self.alpha_max < 1.0):
@@ -186,14 +188,17 @@ def run_tail(cfg: ExperimentConfig) -> dict:
 
 
 def run_partition(cfg: ExperimentConfig) -> dict:
-    part = tower_mod.build_partition(cfg.sequence(), cfg.depth_cap, cfg.refine_tol)
+    seq = cfg.sequence()
+    part = tower_mod.build_partition(seq, cfg.depth_cap, cfg.refine_tol)
     los = np.array([c[0] for c in part.cells])
     his = np.array([c[1] for c in part.cells])
     rs = np.array([c[2] for c in part.cells])
     oks = np.array([int(c[3]) for c in part.cells])
     info = {"residual_mass": part.residual_mass, "depth_cap": part.depth_cap,
             "gcd": tower_mod.gcd_check(part, cfg.mass_floor),
-            "n_cells": len(part.cells)}
+            "n_cells": len(part.cells),
+            "distortion": tower_mod.distortion_check(seq, part, DISTORTION_PAIRS,
+                                                     rng_seed=cfg.seed)}
     return {"partition.csv": (["lo", "hi", "R", "image_ok"], [los, his, rs, oks]),
             "partition.json": info}
 
@@ -203,7 +208,7 @@ def run_density(cfg: ExperimentConfig) -> dict:
     h = transfer_mod.equivariant_density(seq, cfg.n_bins, cfg.depth, cfg.subsamples)
     resid = transfer_mod.equivariance_residual(seq, cfg.n_bins, cfg.depth, cfg.subsamples)
     return {"density.csv": (["bin", "mass", "density"],
-                            [np.arange(cfg.n_bins), h.mass, h.density]),
+                            [np.arange(cfg.n_bins), h, h * cfg.n_bins]),
             "density.json": {"equivariance_residual_l1": resid, "depth": cfg.depth,
                              "n_bins": cfg.n_bins}}
 
@@ -233,6 +238,8 @@ def run_couple(cfg: ExperimentConfig) -> dict:
     ct = coupling_mod.coupling_tail(cfg.family, cfg.bounds(), cfg.seeds(), cfg.l0,
                                     cfg.alpha_exp, cfg.n_max, cfg.pairs, cfg.cap)
     fit = fit_loglinear(ct.n, ct.tail, _default_window(cfg, 1, cfg.n_max))
+    fit["l0_estimate"] = coupling_mod.estimate_l0(cfg.family, cfg.bounds(), cfg.seeds(),
+                                                  l_max=cfg.n_max, samples=cfg.pairs)
     return {"couple.csv": (["n", "tail_estimate", "std_err", "capped_fraction"],
                            [ct.n, ct.tail, ct.std_err,
                             np.full(ct.n.size, ct.capped_fraction)]),

@@ -10,7 +10,7 @@ by construction) at the moved pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,20 +63,14 @@ def match_pair(seq: ParamSequence, x: float, x_prime: float, l0: int,
     return CouplingTrace(x, x_prime, l0, taus, Ts, False)
 
 
-@dataclass
-class L0Table:
-    l: np.ndarray
-    eps: np.ndarray
-    suggested_l0: int | None
-    warnings: list = field(default_factory=list)
-
-
 def estimate_l0(family: str, bounds: tuple[float, float], seeds: list[int],
-                l_max: int, samples: int) -> L0Table:
+                l_max: int, samples: int) -> dict:
     """Fraction of base points back in the base at each tower time l.
 
     The times at which an orbit visits the base are exactly its cumulative
-    return times, so eps_l is the base-occupation fraction at time l.
+    return times, so eps[l] is the base-occupation fraction at time l, for
+    l = 0 .. l_max.  suggested_l0 is the first l >= 1 from which every eps
+    stays positive, or None (with a warning) when there is none.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
@@ -97,7 +91,7 @@ def estimate_l0(family: str, bounds: tuple[float, float], seeds: list[int],
             suggested = l
             break
     warnings = [] if suggested is not None else [f"no l0 found up to l_max={l_max}"]
-    return L0Table(np.arange(l_max + 1), eps, suggested, warnings)
+    return {"suggested_l0": suggested, "eps": eps, "warnings": warnings}
 
 
 @dataclass

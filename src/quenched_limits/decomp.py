@@ -16,7 +16,7 @@ import numpy as np
 
 from .maps import Observable, apply, fiber_map
 from .omega import ParamSequence, make_sequence
-from .transfer import (MASS_FLOOR, GridDensity, bin_average, matrices_along, pull,
+from .transfer import (MASS_FLOOR, bin_average, matrices_along, nearest_bin, pull,
                        pushforward, uniform_density)
 
 K_TRUNC_DEFAULT = 16
@@ -32,8 +32,8 @@ SIGMA2_FLOOR = 1e-4
 @dataclass
 class Decomposition:
     K_trunc: int
-    h: GridDensity                  # mu_w, from the chain g and psi are built on
-    h_next: GridDensity             # mu_sw, its image under M_0
+    h: np.ndarray                   # masses of mu_w, from the chain g and psi are built on
+    h_next: np.ndarray              # masses of mu_sw, its image under M_0
     g: np.ndarray                   # on fiber w
     g_next: np.ndarray              # on fiber sw
     psi: np.ndarray                 # on fiber w
@@ -66,7 +66,7 @@ def _decompose(seq: ParamSequence, phi: Observable, K_trunc: int, n_bins: int,
         raise ValueError("K_trunc must be >= 0")
     phi_bar = bin_average(phi, n_bins)
     anchor = -(K_trunc + depth)
-    h1 = uniform_density(n_bins).mass
+    h1 = uniform_density(n_bins)
     A, B, tail = np.zeros(n_bins), np.zeros(n_bins), np.zeros(n_bins)
     for j, M0 in zip(range(anchor, 1), matrices_along(seq, anchor, 1, n_bins, subsamples)):
         h0 = h1
@@ -104,7 +104,7 @@ def _decompose(seq: ParamSequence, phi: Observable, K_trunc: int, n_bins: int,
         warnings.append(
             f"series tail {tail_norm:.3e} exceeds 10% of the first term {first_norm:.3e}")
     masked_fraction = 1.0 - min(mask0.mean(), mask1.mean())
-    return Decomposition(K_trunc, GridDensity(h0), GridDensity(h1), g_w, g_sw, psi,
+    return Decomposition(K_trunc, h0, h1, g_w, g_sw, psi,
                          residual, sigma2_fiber, tail_norm, first_norm,
                          float(masked_fraction), warnings)
 
@@ -134,10 +134,6 @@ def sigma_squared(family: str, bounds: tuple[float, float], seeds: list[int],
     return float(vals.mean()), se, decomps
 
 
-def nearest_bin(x: np.ndarray, n_bins: int) -> np.ndarray:
-    return np.minimum((np.asarray(x) * n_bins).astype(np.int64), n_bins - 1)
-
-
 def coboundary_test(family: str, bounds: tuple[float, float], seeds: list[int],
                     phi: Observable, K_trunc: int = K_TRUNC_DEFAULT,
                     n_bins: int = N_BINS_DEFAULT, depth: int = DEPTH_DEFAULT,
@@ -160,7 +156,7 @@ def coboundary_test(family: str, bounds: tuple[float, float], seeds: list[int],
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seeds[0], 0xC0B))))
         xs = sample_from_density(d.h, orbit_samples, rng)
         fx = apply(fiber_map(seq, 0), xs)
-        mean1 = d.h_next.mean_of(bin_average(phi, n_bins))
+        mean1 = float(d.h_next @ bin_average(phi, n_bins))
         resid = (phi(fx) - mean1
                  - d.g_next[nearest_bin(fx, n_bins)]
                  + d.g[nearest_bin(xs, n_bins)])
@@ -168,13 +164,13 @@ def coboundary_test(family: str, bounds: tuple[float, float], seeds: list[int],
     return out
 
 
-def sample_from_density(h: GridDensity, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF sampling from a grid density (uniform within each bin)."""
-    cdf = np.cumsum(h.mass)
+def sample_from_density(mass: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF sampling from grid bin masses (uniform within each bin)."""
+    cdf = np.cumsum(mass)
     cdf[-1] = 1.0
     u = rng.random(n)
     j = np.searchsorted(cdf, u, side="right")
-    j = np.minimum(j, h.n_bins - 1)
+    j = np.minimum(j, mass.size - 1)
     left = np.concatenate(([0.0], cdf[:-1]))
-    frac = np.where(h.mass[j] > 0, (u - left[j]) / np.where(h.mass[j] > 0, h.mass[j], 1.0), 0.5)
-    return (j + np.clip(frac, 0.0, 1.0)) / h.n_bins
+    frac = np.where(mass[j] > 0, (u - left[j]) / np.where(mass[j] > 0, mass[j], 1.0), 0.5)
+    return (j + np.clip(frac, 0.0, 1.0)) / mass.size

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .omega import ParamSequence
+from .omega import FAMILIES, ParamSequence
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class FiberMap:
     alpha: float
 
     def __post_init__(self):
-        if self.family not in ("lsv", "doubling"):
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
 
     def __call__(self, x):

@@ -101,8 +101,8 @@ def birkhoff_ensemble(seq: ParamSequence, phi: Observable, n_steps: int,
     phi_bar = bin_average(phi, n_bins)
     h = equivariant_density(seq, n_bins, depth, subsamples)
     means = np.empty(n_steps + 1)
-    means[0] = h.mean_of(phi_bar)
-    mass = h.mass
+    means[0] = float(h @ phi_bar)
+    mass = h
     for k, M in enumerate(matrices_along(seq, 0, n_steps, n_bins, subsamples), start=1):
         mass = pushforward(M, mass)
         means[k] = float(mass @ phi_bar)

@@ -28,7 +28,6 @@ CAP_DEFAULT = 10 ** 6
 class ReturnRecord:
     x: float
     R: int | None              # None when the cap was hit
-    itinerary: str
     capped: bool
 
 
@@ -78,9 +77,7 @@ def return_time(seq: ParamSequence, x: float, cap: int = CAP_DEFAULT) -> ReturnR
     if cap < 1:
         raise ValueError("cap must be >= 1")
     n, _ = _first_hits(seq, x, 0, 1, cap)
-    # x is in the base and the orbit stays below 1/2 until it returns
-    itinerary = "R" + "L" * ((cap if n is None else n) - 1)
-    return ReturnRecord(x, n, itinerary, n is None)
+    return ReturnRecord(x, n, n is None)
 
 
 def return_times_vec(seq: ParamSequence, xs: np.ndarray, cap: int = CAP_DEFAULT) -> np.ndarray:
@@ -222,35 +219,31 @@ def gcd_check(partition: ReturnPartition, mass_floor: float) -> int:
     return math.gcd(*times) if len(times) > 1 else times[0]
 
 
-@dataclass
-class SeparationResult:
-    n: float                # number of joint returns before separation; inf if never
-    capped: bool
-
-
 def separation_time(seq: ParamSequence, x: float, y: float, cap: int = 64,
-                    return_cap: int = CAP_DEFAULT) -> SeparationResult:
+                    return_cap: int = CAP_DEFAULT) -> float:
     """Markov returns survived together before x and y land in different cells.
 
     Cells of the return partition are labeled by the return-time value (one
     interval per value for these families), so separation is detected by the
-    first disagreement of the successive return times.
+    first disagreement of the successive return times.  math.inf when the
+    pair does not separate within cap returns or a return runs past
+    return_cap steps.
     """
     _check_base(x)
     _check_base(y)
     if x == y:
-        return SeparationResult(math.inf, False)
+        return math.inf
     t = 0
     px, py = x, y
     for n in range(cap):
         rx, px = _first_hits(seq, px, t, 1, return_cap)
         ry, py = _first_hits(seq, py, t, 1, return_cap)
         if rx is None or ry is None:
-            return SeparationResult(math.inf, True)
+            return math.inf
         if rx != ry:
-            return SeparationResult(n, False)
+            return n
         t += rx
-    return SeparationResult(math.inf, False)
+    return math.inf
 
 
 def induced_jacobian(seq: ParamSequence, x: float, R: int) -> float:
@@ -299,7 +292,7 @@ def distortion_check(seq: ParamSequence, partition: ReturnPartition,
             violations += 1
         if dev > 0.0:
             s = separation_time(seq, x, y, cap=64)
-            denom = beta ** s.n if s.n != math.inf else 0.0
+            denom = beta ** s if s != math.inf else 0.0
             if denom > 0:
                 max_cf = max(max_cf, dev / denom)
     return {

@@ -1,12 +1,14 @@
-"""Ulam-discretized transfer operators, equivariant densities, dual operator.
+"""Ulam-discretized transfer operators and equivariant densities.
 
 An Ulam matrix is stored as (row, col, weight) triplets; ``pushforward``
 (mass @ M) and ``pull`` (M @ values) are the only two ways to apply it.
-Measures are stored as bin masses (not density values), which keeps every
-pushforward exactly mass-conserving; densities are masses times n_bins.
-The equivariant density h_w is obtained by pushing Lebesgue forward through
-the fiber maps of the recent past (finite pullback), which is the direct
-discretization of its construction.
+Measures are stored as bin-mass arrays (not density values), which keeps
+every pushforward exactly mass-conserving; densities are masses times
+n_bins, and the mean of bin values under a measure is ``mass @ values``.
+The dual operator is never formed: the dual of psi against h is pushed as
+the signed mass psi * h.  The equivariant density h_w is obtained by pushing
+Lebesgue forward through the fiber maps of the recent past (finite
+pullback), which is the direct discretization of its construction.
 """
 
 from __future__ import annotations
@@ -22,28 +24,13 @@ from .omega import ParamSequence, make_sequence
 MASS_FLOOR = 1e-12
 
 
-@dataclass
-class GridDensity:
-    mass: np.ndarray           # probability mass per bin, sums to 1
-
-    @property
-    def n_bins(self) -> int:
-        return self.mass.size
-
-    @property
-    def density(self) -> np.ndarray:
-        return self.mass * self.mass.size
-
-    def mean_of(self, values: np.ndarray) -> float:
-        return float(self.mass @ values)
+def uniform_density(n_bins: int) -> np.ndarray:
+    return np.full(n_bins, 1.0 / n_bins)
 
 
-def uniform_density(n_bins: int) -> GridDensity:
-    return GridDensity(np.full(n_bins, 1.0 / n_bins))
-
-
-def bin_centers(n_bins: int) -> np.ndarray:
-    return (np.arange(n_bins) + 0.5) / n_bins
+def nearest_bin(x: np.ndarray, n_bins: int) -> np.ndarray:
+    """Index of the grid bin holding each point; x = 1 goes to the last bin."""
+    return np.minimum((np.asarray(x) * n_bins).astype(np.int64), n_bins - 1)
 
 
 def bin_average(fn, n_bins: int, subsamples: int = 16) -> np.ndarray:
@@ -80,8 +67,7 @@ def ulam_matrix(fmap: FiberMap, n_bins: int, subsamples: int = 64) -> UlamMatrix
     if n_bins < 2 or subsamples < 1:
         raise ValueError("need n_bins >= 2 and subsamples >= 1")
     pts = _stratified_points(n_bins, subsamples)
-    img = apply(fmap, pts)
-    j = np.minimum((img * n_bins).astype(np.int64), n_bins - 1)
+    j = nearest_bin(apply(fmap, pts), n_bins)
     i = np.repeat(np.arange(n_bins, dtype=np.int64), subsamples)
     keys, counts = np.unique(i * n_bins + j, return_counts=True)
     # The weight of c hits is 1/subsamples added c times in sequence, not
@@ -123,17 +109,17 @@ def matrices_along(seq: ParamSequence, k_lo: int, k_hi: int, n_bins: int,
 
 
 def equivariant_density(seq: ParamSequence, n_bins: int, pullback_depth: int,
-                        subsamples: int = 64) -> GridDensity:
-    """h_w approximated by pushing Lebesgue through the past fiber maps.
+                        subsamples: int = 64) -> np.ndarray:
+    """Bin masses of h_w approximated by pushing Lebesgue through the past fiber maps.
 
     Depth 0 returns the uniform density by convention.
     """
     if pullback_depth < 0:
         raise ValueError("pullback_depth must be >= 0")
-    mass = uniform_density(n_bins).mass
+    mass = uniform_density(n_bins)
     for M in matrices_along(seq, -pullback_depth, 0, n_bins, subsamples):
         mass = pushforward(M, mass)
-    return GridDensity(mass)
+    return mass
 
 
 def equivariance_residual(seq: ParamSequence, n_bins: int, pullback_depth: int,
@@ -141,46 +127,9 @@ def equivariance_residual(seq: ParamSequence, n_bins: int, pullback_depth: int,
     """L1 gap between push(h_w) and the independently pulled-back h_{shift w}."""
     h = equivariant_density(seq, n_bins, pullback_depth, subsamples)
     M0 = next(matrices_along(seq, 0, 1, n_bins, subsamples))
-    pushed = pushforward(M0, h.mass)
+    pushed = pushforward(M0, h)
     h_next = equivariant_density(seq.shift(1), n_bins, pullback_depth, subsamples)
-    return float(np.abs(pushed - h_next.mass).sum())
-
-
-@dataclass
-class DualResult:
-    values: np.ndarray
-    mask: np.ndarray           # True where the target density is resolvable
-    masked_fraction: float
-
-
-def dual_apply_step(M: UlamMatrix, h: GridDensity,
-                    psi: np.ndarray) -> tuple[DualResult, GridDensity]:
-    """One application of the dual operator on the Ulam grid.
-
-    (P psi)[j] = sum_i psi[i] h_mass[i] M[i, j] / h_mass'[j], with
-    h_mass' = push(h); bins whose target mass falls below MASS_FLOOR are
-    masked.  Returns the result together with the pushed density, so chains
-    stay exactly composition-consistent.
-    """
-    num = pushforward(M, psi * h.mass)
-    h_next = GridDensity(pushforward(M, h.mass))
-    mask = h_next.mass >= MASS_FLOOR
-    out = np.zeros_like(num)
-    out[mask] = num[mask] / h_next.mass[mask]
-    return DualResult(out, mask, 1.0 - mask.mean()), h_next
-
-
-def dual_apply(seq: ParamSequence, psi: np.ndarray, n_bins: int,
-               pullback_depth: int, subsamples: int = 64) -> DualResult:
-    """P_w applied to a grid function on fiber w (single step to fiber sw)."""
-    if psi.size != n_bins:
-        raise ValueError("grid size mismatch")
-    h = equivariant_density(seq, n_bins, pullback_depth, subsamples)
-    M0 = next(matrices_along(seq, 0, 1, n_bins, subsamples))
-    res, _ = dual_apply_step(M0, h, psi)
-    if res.masked_fraction > 0.10:
-        raise RuntimeError(f"masked-bin fraction {res.masked_fraction:.3f} exceeds 10%")
-    return res
+    return float(np.abs(pushed - h_next).sum())
 
 
 @dataclass
@@ -210,15 +159,15 @@ def decay_curve(family: str, bounds: tuple[float, float], seeds: list[int],
     for si, seed in enumerate(seeds):
         seq = make_sequence(seed, family, bounds)
         h = equivariant_density(seq, n_bins, pullback_depth, subsamples)
-        centered = phi_bar - h.mean_of(phi_bar)
-        w = centered * h.mass
-        mask = h.mass >= MASS_FLOOR
+        centered = phi_bar - float(h @ phi_bar)
+        w = centered * h
+        mask = h >= MASS_FLOOR
         curves[si, 0] = np.abs(w[mask]).sum()
         masked[si, 0] = 1.0 - mask.mean()
         for n, M in enumerate(matrices_along(seq, 0, n_max, n_bins, subsamples), start=1):
             w = pushforward(M, w)
-            h = GridDensity(pushforward(M, h.mass))
-            mask = h.mass >= MASS_FLOOR
+            h = pushforward(M, h)
+            mask = h >= MASS_FLOOR
             curves[si, n] = np.abs(w[mask]).sum()
             masked[si, n] = 1.0 - mask.mean()
     decay = curves.mean(axis=0)

@@ -77,6 +77,25 @@ def test_inadmissible_rate_is_config_error(tmp_path):
     assert code == 2
 
 
+def test_out_is_a_file_exits_4(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("x")
+    assert main(["rate", "--out", str(taken)]) == 4
+    assert capsys.readouterr().err.startswith("i/o error:")
+    assert list(tmp_path.iterdir()) == [taken]
+    assert taken.read_text() == "x"
+
+
+def test_couple_reports_l0_estimate(tmp_path):
+    out = tmp_path / "c"
+    assert main(["couple", "--family", "lsv", "--n_max", "8", "--pairs", "200",
+                 "--cap", "10000", "--out", str(out)]) == 0
+    est = json.loads((out / "couple_fit.json").read_text())["l0_estimate"]
+    assert sorted(est) == ["eps", "suggested_l0", "warnings"]
+    assert len(est["eps"]) == 9 and est["eps"][0] == 1.0
+    assert est["suggested_l0"] is not None and est["warnings"] == []
+
+
 def test_unknown_key_exit_code(tmp_path):
     code = main(["tail", "--bogus", "1", "--out", str(tmp_path / "x")])
     assert code == 2
@@ -101,6 +120,12 @@ def test_partition_artifacts(tmp_path):
     assert len(lines) == 9   # header + 8 cells
     info = json.loads((out / "partition.json").read_text())
     assert info["gcd"] == 1
+    # piecewise-linear doubling: no distortion, every induced branch expands by 2^R
+    dist = info["distortion"]
+    assert dist["empirical_CF"] == 0.0
+    assert dist["violations"] == 0
+    assert dist["min_expansion"] >= 2
+    assert dist["pair_samples"] == 64
 
 
 def test_density_artifacts(tmp_path):

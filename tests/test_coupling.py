@@ -65,16 +65,17 @@ def test_Ts_are_increasing():
 def test_estimate_l0_doubling():
     # one step after the base, half of [1/2, 1] is back: eps_1 = 1/2
     tab = coupling.estimate_l0("doubling", (0.0, 0.0), [1], 6, 100000)
-    assert tab.eps[0] == 1.0
-    assert tab.eps[1] == pytest.approx(0.5, abs=0.01)
-    assert tab.suggested_l0 == 1
-    assert np.all(tab.eps > 0)
+    assert tab["eps"][0] == 1.0
+    assert tab["eps"][1] == pytest.approx(0.5, abs=0.01)
+    assert tab["suggested_l0"] == 1
+    assert np.all(tab["eps"] > 0)
+    assert tab["warnings"] == []
 
 
 def test_estimate_l0_lsv_positive():
     tab = coupling.estimate_l0("lsv", (0.05, 0.15), [1, 2], 8, 20000)
-    assert tab.suggested_l0 is not None
-    assert np.all(tab.eps[tab.suggested_l0:] > 0)
+    assert tab["suggested_l0"] is not None
+    assert np.all(tab["eps"][tab["suggested_l0"]:] > 0)
 
 
 def test_coupling_tail_decreasing_and_bounded():

@@ -31,9 +31,9 @@ def test_psi_has_zero_mean():
     seq = make_sequence(4, "lsv", (0.05, 0.15))
     d = decomp.martingale_psi(seq, get_observable("cos2pi"), 12, 2 ** 11, 24, 32)
     h0 = transfer.equivariant_density(seq, 2 ** 11, 12 + 24, 32)
-    assert abs(float(d.psi @ h0.mass)) < 1e-6
+    assert abs(float(d.psi @ h0)) < 1e-6
     # the kept fiber-0 density is the one anchored at -(K_trunc + depth)
-    assert np.array_equal(d.h.mass, h0.mass)
+    assert np.array_equal(d.h, h0)
 
 
 def test_residual_decreases_as_K_doubles():
@@ -81,14 +81,10 @@ def test_cos_detected_as_nondegenerate():
 def test_sample_from_density_matches_masses():
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
     mass = np.array([0.5, 0.25, 0.125, 0.125])
-    xs = decomp.sample_from_density(transfer.GridDensity(mass), 200000, rng)
+    xs = decomp.sample_from_density(mass, 200000, rng)
     assert np.all((xs >= 0) & (xs <= 1))
     counts = np.histogram(xs, bins=4, range=(0, 1))[0] / xs.size
     assert counts == pytest.approx(mass, abs=5e-3)
-
-
-def test_nearest_bin_edges():
-    assert decomp.nearest_bin(np.array([0.0, 0.999, 1.0]), 10).tolist() == [0, 9, 9]
 
 
 def test_invalid_k():
