@@ -33,8 +33,6 @@ from .maps import get_observable
 from .omega import FAMILIES, make_sequence
 from .util import fit_loglinear, fit_loglog, fmt17, sha256_of, write_csv, write_json
 
-SUBCOMMANDS = ("tail", "partition", "density", "decay", "decompose",
-               "couple", "clt", "lil", "fclt", "rate")
 # same-cell pairs sampled for the distortion diagnostics in partition.json
 DISTORTION_PAIRS = 64
 
@@ -354,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="quenched-limits", allow_abbrev=False,
         description="Quenched limit-law experiments for random interval maps. "
                     "CSV columns per subcommand are documented in docs/formats.md.")
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=HANDLERS)
     parser.add_argument("--config", default=None, help="flat key=value config file")
     parser.add_argument("--out", required=True, help="output directory")
     keys = parser.add_argument_group("config keys (override the config file)")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import apply, fiber_map, orbit
+from .maps import _doubling_orbit_values, apply, fiber_map, orbit
 from .omega import ParamSequence, make_sequence
 from .tower import BASE_LO, CAP_DEFAULT, _first_hits
 
@@ -49,7 +49,7 @@ def match_pair(seq: ParamSequence, x: float, x_prime: float, l0: int,
         r, landed = _first_hits(seq, mover, t, l0, cap)
         if r is None:
             return CouplingTrace(x, x_prime, l0, taus, Ts, True)
-        other = orbit(seq.shift(t), other, r)[-1]
+        other = orbit(seq.shift(t), other, r)
         px, py = (landed, other) if use_first else (other, landed)
         t += r
         taus.append(t)
@@ -70,7 +70,9 @@ def estimate_l0(family: str, bounds: tuple[float, float], seeds: list[int],
     The times at which an orbit visits the base are exactly its cumulative
     return times, so eps[l] is the base-occupation fraction at time l, for
     l = 0 .. l_max.  suggested_l0 is the first l >= 1 from which every eps
-    stays positive, or None (with a warning) when there is none.
+    stays positive, or None (with a warning) when there is none.  Doubling
+    runs on bit streams (maps._doubling_orbit_values); x_l, l >= 1, skips
+    the first bit, so conditioning on the base stays exact in law.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
@@ -78,9 +80,12 @@ def estimate_l0(family: str, bounds: tuple[float, float], seeds: list[int],
     for si, seed in enumerate(seeds):
         seq = make_sequence(seed, family, bounds)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0x10))))
-        xs = BASE_LO + 0.5 * rng.random(samples)
         occ[si, 0] = 1.0
-        y = xs.copy()
+        if family == "doubling":
+            for l, y in enumerate(_doubling_orbit_values(samples, l_max, rng), start=1):
+                occ[si, l] = np.mean(y >= BASE_LO)
+            continue
+        y = BASE_LO + 0.5 * rng.random(samples)
         for l in range(1, l_max + 1):
             y = apply(fiber_map(seq, l - 1), y)
             occ[si, l] = np.mean(y >= BASE_LO)

@@ -40,7 +40,6 @@ class Decomposition:
     residual: float                 # L1(mu_sw) norm of P_w psi_w, unmasked bins
     sigma2_fiber: float             # int psi^2 dmu_w
     truncation_tail: float          # L1(mu_w) size of the last series term
-    first_term_norm: float
     masked_fraction: float
     warnings: list
 
@@ -105,7 +104,7 @@ def _decompose(seq: ParamSequence, phi: Observable, K_trunc: int, n_bins: int,
             f"series tail {tail_norm:.3e} exceeds 10% of the first term {first_norm:.3e}")
     masked_fraction = 1.0 - min(mask0.mean(), mask1.mean())
     return Decomposition(K_trunc, h0, h1, g_w, g_sw, psi,
-                         residual, sigma2_fiber, tail_norm, first_norm,
+                         residual, sigma2_fiber, tail_norm,
                          float(masked_fraction), warnings)
 
 

@@ -59,24 +59,29 @@ def derivative(fmap: FiberMap, x):
     return float(d) if d.ndim == 0 else d
 
 
-def left_branch_inverse(fmap: FiberMap, t: float) -> float:
+def left_branch_inverse(fmap: FiberMap, t):
     """The unique y in [0, 1/2) with f(y) = t, located by bisection.
 
-    The LSV left branch has no closed-form inverse; bisection to relative
-    machine precision is exact enough for every boundary computation here.
+    Accepts scalars or arrays.  The LSV left branch has no closed-form
+    inverse; each entry bisects its own bracket (at most 200 halvings, to
+    relative machine precision), so it gets the same bits alone or in an array.
     """
+    t = np.asarray(t, dtype=float)
     if fmap.family == "doubling":
-        return 0.5 * t
-    lo, hi = 0.0, 0.5
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if apply(fmap, mid) < t:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(lo, 1e-300):
-            break
-    return 0.5 * (lo + hi)
+        y = 0.5 * t
+    else:
+        tt = t.ravel()
+        lo, hi, act = np.zeros(tt.size), np.full(tt.size, 0.5), np.arange(tt.size)
+        for _ in range(200):
+            if act.size == 0:
+                break
+            mid = 0.5 * (lo[act] + hi[act])
+            below = apply(fmap, mid) < tt[act]
+            lo[act[below]] = mid[below]
+            hi[act[~below]] = mid[~below]
+            act = act[hi[act] - lo[act] > 1e-16 * np.maximum(lo[act], 1e-300)]
+        y = (0.5 * (lo + hi)).reshape(t.shape)
+    return float(y) if y.ndim == 0 else y
 
 
 def fiber_map(seq: ParamSequence, k: int = 0) -> FiberMap:
@@ -84,16 +89,33 @@ def fiber_map(seq: ParamSequence, k: int = 0) -> FiberMap:
     return FiberMap(seq.family, seq.param(k))
 
 
-def orbit(seq: ParamSequence, x: float, n: int) -> np.ndarray:
-    """[x, f_w0(x), f_w1 f_w0(x), ...] -- n+1 points of the composed orbit."""
+def orbit(seq: ParamSequence, x, n: int):
+    """f^n(x) = f_{w_{n-1}} ... f_{w_0}(x); accepts scalars or arrays, like apply."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    pts = np.empty(n + 1)
-    pts[0] = x
-    params = seq.params(0, n)
-    for k in range(n):
-        pts[k + 1] = apply(FiberMap(seq.family, params[k]), pts[k])
-    return pts
+    y = np.asarray(x, dtype=float)
+    for alpha in seq.params(0, n):
+        y = apply(FiberMap(seq.family, alpha), y)
+    return float(y) if np.ndim(y) == 0 else y
+
+
+def _doubling_orbit_values(n_samples: int, n_steps: int, rng: np.random.Generator):
+    """Yield doubling x_k arrays for k = 1..n_steps from i.i.d. random bit streams.
+
+    In float64, x -> 2x mod 1 exhausts its 53 mantissa bits after ~52 steps
+    and every orbit collapses to 0.  x_k is read as bits k .. k+52 of the
+    stream instead, which is exact in law for Lebesgue-random x_0 at any k.
+    """
+    n_words = (n_steps + 54) // 64 + 2
+    words = rng.integers(0, 2 ** 64, size=(n_samples, n_words), dtype=np.uint64)
+    scale = 2.0 ** -53
+    for k in range(1, n_steps + 1):
+        wi, off = divmod(k, 64)
+        if off == 0:
+            chunk = words[:, wi]
+        else:
+            chunk = (words[:, wi] << np.uint64(off)) | (words[:, wi + 1] >> np.uint64(64 - off))
+        yield (chunk >> np.uint64(11)).astype(np.float64) * scale
 
 
 @dataclass(frozen=True)

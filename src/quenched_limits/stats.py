@@ -5,11 +5,8 @@ ensemble of initial points; the stored per-sample summaries (checkpointed
 sums, path extrema, iterated-logarithm envelopes) feed the CLT, LIL and
 functional-CLT tests without keeping the full trajectory matrix.
 
-The doubling family is iterated on sliding windows of an explicit random
-bit stream: in float64 arithmetic x -> 2x mod 1 exhausts its 53 mantissa
-bits after ~52 steps and every orbit collapses to 0, so long doubling
-orbits must be simulated on fresh bits (exact in distribution for
-Lebesgue-random initial points).
+The doubling family is iterated on sliding windows of a random bit stream
+(maps._doubling_orbit_values), since float64 orbits collapse to 0.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ import numpy as np
 
 from .decomp import sample_from_density
 from .kstest import ks_statistic, ks_pvalue, ks_2samp, normal_cdf
-from .maps import FiberMap, Observable, apply
+from .maps import FiberMap, Observable, _doubling_orbit_values, apply
 from .omega import ParamSequence
 from .transfer import bin_average, equivariant_density, matrices_along, pushforward
 
@@ -30,10 +27,8 @@ LIL_MIN_N = 16
 
 @dataclass
 class BirkhoffEnsemble:
-    family: str
     n_steps: int
     n_samples: int
-    sampling: str                      # "equivariant" or "lebesgue"
     record_ns: np.ndarray              # checkpointed times, ends at n_steps
     S_records: np.ndarray              # [len(record_ns), n_samples]
     path_max: np.ndarray               # max_k S_k including S_0 = 0
@@ -64,20 +59,6 @@ class BirkhoffEnsemble:
 def _dyadic_records(n_steps: int) -> np.ndarray:
     ks = [2 ** j for j in range(2, n_steps.bit_length()) if 2 ** j < n_steps]
     return np.array(sorted(set(ks + [n_steps])))
-
-
-def _doubling_orbit_values(n_samples: int, n_steps: int, rng: np.random.Generator):
-    """Yield x_k arrays for k = 1..n_steps from i.i.d. random bit streams."""
-    n_words = (n_steps + 54) // 64 + 2
-    words = rng.integers(0, 2 ** 64, size=(n_samples, n_words), dtype=np.uint64)
-    scale = 2.0 ** -53
-    for k in range(1, n_steps + 1):
-        wi, off = divmod(k, 64)
-        if off == 0:
-            chunk = words[:, wi]
-        else:
-            chunk = (words[:, wi] << np.uint64(off)) | (words[:, wi + 1] >> np.uint64(64 - off))
-        yield (chunk >> np.uint64(11)).astype(np.float64) * scale
 
 
 def birkhoff_ensemble(seq: ParamSequence, phi: Observable, n_steps: int,
@@ -142,8 +123,7 @@ def birkhoff_ensemble(seq: ParamSequence, phi: Observable, n_steps: int,
         if ri < record_ns.size and k == record_ns[ri]:
             S_records[ri] = S
             ri += 1
-    return BirkhoffEnsemble(seq.family, n_steps, n_samples, sampling_mode,
-                            record_ns, S_records, path_max, path_min,
+    return BirkhoffEnsemble(n_steps, n_samples, record_ns, S_records, path_max, path_min,
                             lil_max_c1, lil_min_c1)
 
 

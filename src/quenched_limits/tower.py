@@ -26,17 +26,14 @@ CAP_DEFAULT = 10 ** 6
 
 @dataclass
 class ReturnRecord:
-    x: float
     R: int | None              # None when the cap was hit
     capped: bool
 
 
 @dataclass
 class ReturnPartition:
-    omega: ParamSequence
     cells: list            # (lo, hi, R, image_ok)
     depth_cap: int
-    refine_tol: float
     residual_mass: float   # Lebesgue mass of {R > depth_cap} plus merged slivers
 
     def masses(self) -> dict[int, float]:
@@ -77,7 +74,7 @@ def return_time(seq: ParamSequence, x: float, cap: int = CAP_DEFAULT) -> ReturnR
     if cap < 1:
         raise ValueError("cap must be >= 1")
     n, _ = _first_hits(seq, x, 0, 1, cap)
-    return ReturnRecord(x, n, n is None)
+    return ReturnRecord(n, n is None)
 
 
 def return_times_vec(seq: ParamSequence, xs: np.ndarray, cap: int = CAP_DEFAULT) -> np.ndarray:
@@ -111,16 +108,16 @@ def build_partition(seq: ParamSequence, depth_cap: int, refine_tol: float = 1e-1
     The boundary of {R > n} is the base point whose orbit sits exactly at
     1/2 at time n; it is found by pulling 1/2 back through the left-branch
     inverses of the fiber maps at steps n-1, ..., 1 and then through the
-    right branch at step 0.
+    right branch at step 0.  All n are pulled back together, one array
+    inverse per step k; the boundary of n = k + 1 joins at step k.
     """
     if depth_cap < 1:
         raise ValueError("depth_cap must be >= 1")
-    boundaries = [1.0]   # b_0
-    for n in range(1, depth_cap + 1):
-        w = 0.5
-        for k in range(n - 1, 0, -1):
-            w = left_branch_inverse(fiber_map(seq, k), w)
-        boundaries.append((w + 1.0) / 2.0)   # right branch inverse of w
+    w = np.empty(0)      # w[i] belongs to n = depth_cap - i
+    for k in range(depth_cap - 1, 0, -1):
+        w = left_branch_inverse(fiber_map(seq, k), np.append(w, 0.5))
+    w = np.append(w, 0.5)[::-1]
+    boundaries = [1.0] + ((w + 1.0) / 2.0).tolist()   # right branch inverse of w
     cells = []
     residual = boundaries[depth_cap] - BASE_LO
     for n in range(1, depth_cap + 1):
@@ -130,20 +127,15 @@ def build_partition(seq: ParamSequence, depth_cap: int, refine_tol: float = 1e-1
             continue
         cells.append((lo, hi, n, _image_ok(seq, lo, hi, n, refine_tol)))
     cells.sort(key=lambda c: c[0])
-    return ReturnPartition(seq, cells, depth_cap, refine_tol, residual)
+    return ReturnPartition(cells, depth_cap, residual)
 
 
 def _image_ok(seq: ParamSequence, lo: float, hi: float, R: int, tol: float) -> bool:
     """Does f^R map (lo, hi) onto the base up to tol at both ends?"""
-    def f_R(x):
-        return orbit(seq, x, R)[-1]
-
-    width = hi - lo
-    low_ok = any(f_R(lo + width * 10.0 ** -j) <= BASE_LO + max(tol, 1e-9)
-                 for j in range(1, 13))
-    high_ok = any(f_R(hi - width * 10.0 ** -j) >= 1.0 - max(tol, 1e-6)
-                  for j in range(1, 13))
-    return low_ok and high_ok
+    offsets = (hi - lo) * np.array([10.0 ** -j for j in range(1, 13)])
+    low_ok = np.any(orbit(seq, lo + offsets, R) <= BASE_LO + max(tol, 1e-9))
+    high_ok = np.any(orbit(seq, hi - offsets, R) >= 1.0 - max(tol, 1e-6))
+    return bool(low_ok and high_ok)
 
 
 def exact_tail(family: str, alpha: float, n_max: int) -> np.ndarray:
@@ -246,15 +238,14 @@ def separation_time(seq: ParamSequence, x: float, y: float, cap: int = 64,
     return math.inf
 
 
-def induced_jacobian(seq: ParamSequence, x: float, R: int) -> float:
-    """Product of the fiber-map derivatives along the first R orbit steps."""
-    jac = 1.0
-    y = x
+def induced_jacobian(seq: ParamSequence, x, R: int):
+    """(f^R x, product of the derivatives along the first R steps); scalars or arrays."""
+    y, jac = x, 1.0
     for k in range(R):
         fmap = fiber_map(seq, k)
-        jac *= derivative(fmap, y)
+        jac = jac * derivative(fmap, y)
         y = apply(fmap, y)
-    return jac
+    return y, jac
 
 
 def distortion_check(seq: ParamSequence, partition: ReturnPartition,
@@ -281,10 +272,8 @@ def distortion_check(seq: ParamSequence, partition: ReturnPartition,
         x, y = lo + (hi - lo) * rng.random(2)
         if x == y:
             continue
-        jr = induced_jacobian(seq, x, R) / induced_jacobian(seq, y, R)
-        dev = abs(jr - 1.0)
-        fx = orbit(seq, x, R)[-1]
-        fy = orbit(seq, y, R)[-1]
+        (fx, fy), (jx, jy) = induced_jacobian(seq, np.array([x, y]), R)
+        dev = abs(jx / jy - 1.0)
         expansion = abs(fx - fy) / abs(x - y)
         min_expansion = min(min_expansion, expansion)
         beta_hat = max(beta_hat, 1.0 / expansion)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maps import FiberMap, Observable, apply, fiber_map
+from .maps import FiberMap, Observable, apply
 from .omega import ParamSequence, make_sequence
 
 MASS_FLOOR = 1e-12
@@ -96,16 +96,14 @@ def matrices_along(seq: ParamSequence, k_lo: int, k_hi: int, n_bins: int,
                    subsamples: int = 64):
     """Yield the Ulam matrices of the fiber maps at steps k_lo .. k_hi-1.
 
-    Caches a single matrix when the parameter sequence is degenerate
-    (constant parameter), which covers the deterministic baselines.
+    A step whose parameter equals the previous one reuses its matrix, so a
+    constant-parameter sequence builds a single matrix.
     """
-    if seq.alpha_min == seq.alpha_max:
-        M = ulam_matrix(FiberMap(seq.family, seq.alpha_min), n_bins, subsamples)
-        for _ in range(k_lo, k_hi):
-            yield M
-        return
-    for k in range(k_lo, k_hi):
-        yield ulam_matrix(fiber_map(seq, k), n_bins, subsamples)
+    M, last = None, None
+    for alpha in seq.params(k_lo, k_hi).tolist():
+        if alpha != last:
+            M, last = ulam_matrix(FiberMap(seq.family, alpha), n_bins, subsamples), alpha
+        yield M
 
 
 def equivariant_density(seq: ParamSequence, n_bins: int, pullback_depth: int,

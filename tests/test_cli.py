@@ -180,6 +180,7 @@ def test_help_lists_every_config_key(capsys):
         main(["--help"])
     assert exc.value.code == 0
     text = capsys.readouterr().out
+    assert "{tail,partition,density,decay,decompose,couple,clt,lil,fclt,rate}" in text
     for f in fields(ExperimentConfig):
         assert f"--{f.name} " in text
 

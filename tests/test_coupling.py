@@ -72,6 +72,15 @@ def test_estimate_l0_doubling():
     assert tab["warnings"] == []
 
 
+def test_estimate_l0_doubling_past_float_precision():
+    # a float64 doubling orbit collapses to 0 after ~52 steps; on bit
+    # streams every eps[l], l >= 1, stays at 1/2
+    tab = coupling.estimate_l0("doubling", (0.1, 0.1), [1], 64, 2000)
+    assert tab["suggested_l0"] == 1
+    assert tab["warnings"] == []
+    assert np.all(np.abs(tab["eps"][1:] - 0.5) <= 0.05)
+
+
 def test_estimate_l0_lsv_positive():
     tab = coupling.estimate_l0("lsv", (0.05, 0.15), [1, 2], 8, 20000)
     assert tab["suggested_l0"] is not None

@@ -25,6 +25,8 @@ ENSEMBLE = GRID + ["--n_steps", "64", "--n_samples", "200"]
 CONFIGS = {
     "tail": LSV + ["--n_max", "16", "--samples", "2000", "--cap", "10000"],
     "partition": LSV + ["--depth_cap", "12"],
+    # deep cells take the most left-branch inverse levels
+    "partition-deep": LSV + ["--depth_cap", "40"],
     "density": LSV + GRID,
     "decay": LSV + GRID + ["--n_max", "8"],
     "decompose": LSV + GRID + ["--n_seeds", "2"],

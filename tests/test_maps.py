@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quenched_limits.maps import (FiberMap, Observable, apply, derivative,
                                   fiber_map, get_observable,
@@ -83,11 +83,56 @@ def test_left_branch_inverse_doubling():
 def test_orbit_composition_order():
     # orbit must apply f_{w0} first, then f_{w1}, ...
     seq = make_sequence(9, "lsv", (0.05, 0.4))
-    pts = orbit(seq, 0.3, 4)
     x = 0.3
+    assert orbit(seq, x, 0) == x
     for k in range(4):
         x = apply(fiber_map(seq, k), x)
-        assert pts[k + 1] == x
+        assert orbit(seq, 0.3, k + 1) == x
+
+
+def scalar_left_branch_inverse(fmap, t):
+    """Scalar bisection, one point at a time: the oracle for the array version."""
+    if fmap.family == "doubling":
+        return 0.5 * t
+    lo, hi = 0.0, 0.5
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if apply(fmap, mid) < t:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-16 * max(lo, 1e-300):
+            break
+    return 0.5 * (lo + hi)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(st.just(None), st.floats(min_value=0.01, max_value=0.99)),
+       st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                          st.floats(min_value=0.0, max_value=1.0)), max_size=40))
+def test_left_branch_inverse_array_matches_scalar(alpha, ts):
+    # alpha None stands for the doubling map
+    f = FiberMap("doubling", 0.0) if alpha is None else FiberMap("lsv", alpha)
+    ys = left_branch_inverse(f, np.array(ts))
+    assert ys.shape == (len(ts),)
+    for t, y in zip(ts, ys):
+        oracle = scalar_left_branch_inverse(f, t)
+        assert y == oracle
+        assert left_branch_inverse(f, t) == oracle
+
+
+def test_orbit_array_matches_per_point_walk():
+    seq = make_sequence(9, "lsv", (0.05, 0.4))
+    xs = np.linspace(0.0, 1.0, 29)
+    for n in (0, 1, 7):
+        # scalar reference: one apply per step and point
+        walked = []
+        for x in xs:
+            y = x
+            for alpha in seq.params(0, n):
+                y = apply(FiberMap(seq.family, alpha), y)
+            walked.append(y)
+        assert orbit(seq, xs, n).tolist() == walked
 
 
 def test_observable_registry():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quenched_limits import stats
+from quenched_limits import maps, stats
 from quenched_limits.kstest import ks_statistic, normal_cdf
 from quenched_limits.maps import get_observable
 from quenched_limits.omega import make_sequence
@@ -27,7 +27,7 @@ def test_dyadic_records():
 
 def test_doubling_values_uniform():
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
-    it = stats._doubling_orbit_values(20000, 3, rng)
+    it = maps._doubling_orbit_values(20000, 3, rng)
     for _ in range(3):
         xs = next(it)
         d = ks_statistic(xs, lambda t: t)
@@ -38,7 +38,7 @@ def test_doubling_values_uniform():
 def test_doubling_values_follow_doubling_map():
     # consecutive values satisfy x_{k+1} = 2 x_k mod 1 up to the dropped bit
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(1)))
-    it = stats._doubling_orbit_values(1000, 2, rng)
+    it = maps._doubling_orbit_values(1000, 2, rng)
     x1 = next(it)
     x2 = next(it)
     err = np.abs(np.mod(2.0 * x1, 1.0) - x2)

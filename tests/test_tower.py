@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from quenched_limits import tower
-from quenched_limits.maps import FiberMap, apply, orbit
+from quenched_limits.maps import FiberMap, apply, derivative, left_branch_inverse, orbit
 from quenched_limits.omega import make_sequence
 
 
@@ -48,7 +48,7 @@ def test_nth_return_additive():
     x = 0.77
     r1 = tower.return_time(seq, x).R
     assert tower.nth_return(seq, x, 1) == r1
-    y = orbit(seq, x, r1)[-1]
+    y = orbit(seq, x, r1)
     assert y >= 0.5
     r2 = tower.return_time(seq.shift(r1), y).R
     assert tower.nth_return(seq, x, 2) == r1 + r2
@@ -92,8 +92,8 @@ def test_partition_image_onto():
     seq = lsv_seq(6)
     part = tower.build_partition(seq, 15)
     for lo, hi, R, _ in part.cells[:6]:
-        y_lo = orbit(seq, lo + (hi - lo) * 1e-9, R)[-1]
-        y_hi = orbit(seq, hi - (hi - lo) * 1e-9, R)[-1]
+        y_lo = orbit(seq, lo + (hi - lo) * 1e-9, R)
+        y_hi = orbit(seq, hi - (hi - lo) * 1e-9, R)
         assert y_lo <= 0.5 + 1e-6
         assert y_hi >= 1.0 - 1e-5
 
@@ -154,7 +154,41 @@ def test_separation_monotone_in_distance():
 def test_induced_jacobian_doubling():
     seq = doubling_seq()
     rec = tower.return_time(seq, 0.6)
-    assert tower.induced_jacobian(seq, 0.6, rec.R) == pytest.approx(2.0 ** rec.R)
+    y, jac = tower.induced_jacobian(seq, 0.6, rec.R)
+    assert jac == pytest.approx(2.0 ** rec.R)
+    assert y == orbit(seq, 0.6, rec.R) >= 0.5
+
+
+def test_induced_jacobian_array_matches_per_point_walks():
+    seq = lsv_seq(5)
+    xs = np.linspace(0.5, 1.0, 17)
+    for R in (1, 4, 9):
+        ys, jacs = tower.induced_jacobian(seq, xs, R)
+        for x, y, jac in zip(xs, ys, jacs):
+            # scalar reference: one walk for the Jacobian, one for the image
+            j, z = 1.0, x
+            for k in range(R):
+                fmap = FiberMap(seq.family, seq.param(k))
+                j *= derivative(fmap, z)
+                z = apply(fmap, z)
+            assert jac == j
+            w = x
+            for alpha in seq.params(0, R):
+                w = apply(FiberMap(seq.family, alpha), w)
+            assert y == w
+
+
+def test_build_partition_inverts_once_per_level(monkeypatch):
+    calls = []
+
+    def counting(fmap, t):
+        calls.append(np.size(t))
+        return left_branch_inverse(fmap, t)
+
+    monkeypatch.setattr(tower, "left_branch_inverse", counting)
+    tower.build_partition(lsv_seq(3), 24)
+    # level k pulls back the boundaries of every n > k at once
+    assert calls == list(range(1, 24))
 
 
 def test_distortion_check_doubling_is_exact():
