@@ -30,7 +30,7 @@ from . import stats as stats_mod
 from . import tower as tower_mod
 from . import transfer as transfer_mod
 from .maps import get_observable
-from .omega import FAMILIES, make_sequence
+from .omega import make_sequence
 from .util import fit_loglinear, fit_loglog, fmt17, sha256_of, write_csv, write_json
 
 # same-cell pairs sampled for the distortion diagnostics in partition.json
@@ -92,12 +92,10 @@ class ExperimentConfig:
         return (self.alpha_min, self.alpha_max)
 
     def validate(self):
-        if self.family not in FAMILIES:
-            raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.alpha_min > self.alpha_max:
-            raise ConfigError("alpha_min must be <= alpha_max")
-        if self.family == "lsv" and not (0.0 < self.alpha_min and self.alpha_max < 1.0):
-            raise ConfigError("lsv parameters must lie in (0, 1)")
+        try:
+            self.sequence()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         positive_ints = ("n_seeds", "n_bins", "depth_cap", "n_steps", "n_samples",
                          "samples", "cap", "l0", "pairs", "subsamples")
         for name in positive_ints:

@@ -1,9 +1,8 @@
 """Kolmogorov-Smirnov statistics; the Kolmogorov law comes from scipy.special.
 
-One-sample statistic against an arbitrary CDF, two-sample statistic, and
-asymptotic p-values from the Kolmogorov survival function.  scipy.special is
-imported inside the functions that need it, so importing the package stays
-cheap.
+One-sample statistic against an arbitrary CDF and its asymptotic p-value
+from the Kolmogorov survival function.  scipy.special is imported inside
+the functions that need it, so importing the package stays cheap.
 """
 
 from __future__ import annotations
@@ -31,19 +30,6 @@ def ks_pvalue(d: float, n: int) -> float:
     sqn = math.sqrt(n)
     lam = (sqn + 0.12 + 0.11 / sqn) * d
     return float(kolmogorov(lam))
-
-
-def ks_2samp(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """Two-sample KS distance and asymptotic p-value."""
-    from scipy.special import kolmogorov
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    grid = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, grid, side="right") / a.size
-    cdf_b = np.searchsorted(b, grid, side="right") / b.size
-    d = float(np.max(np.abs(cdf_a - cdf_b)))
-    n_eff = a.size * b.size / (a.size + b.size)
-    return d, float(kolmogorov(math.sqrt(n_eff) * d))
 
 
 def normal_cdf(x: np.ndarray, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:

@@ -63,8 +63,9 @@ def left_branch_inverse(fmap: FiberMap, t):
     """The unique y in [0, 1/2) with f(y) = t, located by bisection.
 
     Accepts scalars or arrays.  The LSV left branch has no closed-form
-    inverse; each entry bisects its own bracket (at most 200 halvings, to
-    relative machine precision), so it gets the same bits alone or in an array.
+    inverse; each entry bisects its own bracket (at most 200 halvings) until
+    its midpoint rounds to one of the bracket ends, after which every halving
+    would repeat it, so it gets the same bits alone or in an array.
     """
     t = np.asarray(t, dtype=float)
     if fmap.family == "doubling":
@@ -73,13 +74,14 @@ def left_branch_inverse(fmap: FiberMap, t):
         tt = t.ravel()
         lo, hi, act = np.zeros(tt.size), np.full(tt.size, 0.5), np.arange(tt.size)
         for _ in range(200):
+            mid = 0.5 * (lo[act] + hi[act])
+            moving = (lo[act] < mid) & (mid < hi[act])
+            act, mid = act[moving], mid[moving]
             if act.size == 0:
                 break
-            mid = 0.5 * (lo[act] + hi[act])
             below = apply(fmap, mid) < tt[act]
             lo[act[below]] = mid[below]
             hi[act[~below]] = mid[~below]
-            act = act[hi[act] - lo[act] > 1e-16 * np.maximum(lo[act], 1e-300)]
         y = (0.5 * (lo + hi)).reshape(t.shape)
     return float(y) if y.ndim == 0 else y
 

@@ -8,6 +8,7 @@ Shifting the sequence is O(1); every parameter is a pure function of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,6 +69,8 @@ def make_sequence(master_seed: int, family: str, bounds: tuple[float, float]) ->
     alpha_min, alpha_max = float(bounds[0]), float(bounds[1])
     if family not in FAMILIES:
         raise ValueError(f"unknown map family {family!r}; choose from {FAMILIES}")
+    if not (math.isfinite(alpha_min) and math.isfinite(alpha_max)):
+        raise ValueError(f"alpha bounds must be finite, got ({alpha_min}, {alpha_max})")
     if alpha_min > alpha_max:
         raise ValueError(f"empty parameter interval: alpha_min={alpha_min} > alpha_max={alpha_max}")
     if family == "lsv" and not (0.0 < alpha_min and alpha_max < 1.0):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import sample_from_density
-from .kstest import ks_statistic, ks_pvalue, ks_2samp, normal_cdf
+from .kstest import ks_statistic, ks_pvalue, normal_cdf
 from .maps import FiberMap, Observable, _doubling_orbit_values, apply
 from .omega import ParamSequence
 from .transfer import bin_average, equivariant_density, matrices_along, pushforward
@@ -199,30 +199,14 @@ def qlil_envelope(ens: BirkhoffEnsemble, sigma2: float) -> dict:
 _ROW_BLOCK = 64
 
 
-def _skip_draws(bit_gen: np.random.Philox, n: int) -> None:
-    """Advance bit_gen past n 64-bit draws, as n calls of random_raw would.
-
-    Philox makes its draws four per counter step: the draws still buffered
-    are taken one by one, whole counter steps are skipped with advance, and
-    the rest start a fresh block.  advance also clears a buffered 32-bit
-    half, which the Brownian sampler never draws.
-    """
-    head = min(n, 4 - bit_gen.state["buffer_pos"])
-    bit_gen.random_raw(head)
-    q, r = divmod(n - head, 4)
-    if q:
-        bit_gen.advance(q)
-    bit_gen.random_raw(r)
-
-
 def _reduce_chunk(z: np.ndarray, out: np.ndarray, functional: str, scale: float,
-                  c: float, uniforms: np.random.Generator | None) -> None:
+                  c: float, rng: np.random.Generator) -> None:
     """Write the functional of each row of standard normals z into out.
 
     Works _ROW_BLOCK rows at a time and overwrites z.  Each row becomes the
     path w = cumsum(scale * z); for sup, the maximum on step k is
     0.5 * (a + b + sqrt((b - a)^2 - c log u)) with a = w_{k-1} (w_0 = 0),
-    b = w_k and u drawn row-major from uniforms.  0.5 * max equals max of
+    b = w_k and u drawn row-major from rng.  0.5 * max equals max of
     0.5 * (...) because halving is exact and monotone.
     """
     if functional == "sup":
@@ -239,7 +223,7 @@ def _reduce_chunk(z: np.ndarray, out: np.ndarray, functional: str, scale: float,
             np.max(np.abs(w, out=w), axis=1, out=row_out)
         else:
             u, t = u_buf[:len(w)], t_buf[:len(w)]
-            uniforms.random(out=u)
+            rng.random(out=u)
             np.multiply(c, np.log(u, out=u), out=u)
             t[:, 0] = w[:, 0]                              # b - a with a = 0
             np.subtract(w[:, 1:], w[:, :-1], out=t[:, 1:])
@@ -258,46 +242,24 @@ def brownian_functional_samples(functional: str, sigma: float, n_paths: int,
 
     For the running sup the per-step maximum is drawn exactly from the
     Brownian-bridge reflection law, removing the discrete-grid bias that a
-    plain max over grid points would carry.
+    plain max over grid points would carry; sup_abs is that grid max.
 
     Stream layout: paths come in chunks of ``chunk`` rows, and for each chunk
     of m paths the Philox stream holds its m * n_steps standard normals
-    (row-major), then, for sup only, its m * n_steps uniforms, one 64-bit
-    draw each.  That layout lets the uniforms be drawn from a copy of the
-    state while the caller's thread skips past them and draws the next
-    chunk's normals: one worker thread reduces chunk i as chunk i + 1 is
-    drawn, and the samples equal those of drawing the stream in order.
+    (row-major), then, for sup only, its m * n_steps uniforms.
     """
     if functional not in ("sup", "sup_abs", "terminal"):
         raise ValueError(f"unknown functional {functional!r}")
-    out = np.empty(n_paths)
-    if n_paths == 0:
-        return out
-    from concurrent.futures import ThreadPoolExecutor
-
-    bit_gen = np.random.Philox(np.random.SeedSequence((rng_seed, 0xB2)))
-    rng = np.random.Generator(bit_gen)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((rng_seed, 0xB2))))
     dt = 1.0 / n_steps
     scale = sigma * math.sqrt(dt)
     c = 2.0 * sigma * sigma * dt
-    buffers = np.empty((2, min(chunk, n_paths), n_steps))
-    pending = None
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        for i, lo in enumerate(range(0, n_paths, chunk)):
-            # the worker last used this buffer for chunk i - 2, already done
-            z = buffers[i % 2, :min(chunk, n_paths - lo)]
-            rng.standard_normal(out=z)
-            uniforms = None
-            if functional == "sup":
-                fork = np.random.Philox()
-                fork.state = bit_gen.state
-                uniforms = np.random.Generator(fork)
-                _skip_draws(bit_gen, z.size)
-            if pending is not None:
-                pending.result()
-            pending = worker.submit(_reduce_chunk, z, out[lo:lo + len(z)], functional,
-                                    scale, c, uniforms)
-        pending.result()
+    out = np.empty(n_paths)
+    buffer = np.empty((min(chunk, n_paths), n_steps))
+    for lo in range(0, n_paths, chunk):
+        z = buffer[:min(chunk, n_paths - lo)]
+        rng.standard_normal(out=z)
+        _reduce_chunk(z, out[lo:lo + len(z)], functional, scale, c, rng)
     return out
 
 
@@ -305,6 +267,33 @@ def brownian_sup_cdf(a: np.ndarray, sigma: float = 1.0) -> np.ndarray:
     """Reflection principle: P(sup_{[0,1]} sigma B <= a) = 2 Phi(a/sigma) - 1."""
     a = np.asarray(a, dtype=float)
     return np.clip(2.0 * normal_cdf(a / sigma) - 1.0, 0.0, 1.0)
+
+
+# Odd numbers 2k + 1 and signs (-1)^k of the terms kept in each series of
+# brownian_sup_abs_cdf; either series is below 1e-16 of 1 after them on its
+# side of a / sigma = 1.
+_ODD = np.arange(1.0, 17.0, 2.0)
+_SIGN = np.resize([1.0, -1.0], _ODD.size)
+
+
+def _sup_abs_theta(x: np.ndarray) -> np.ndarray:
+    """(4/pi) sum_k (-1)^k/(2k+1) exp(-(2k+1)^2 pi^2 / (8 x^2)), fast for small x."""
+    # x -> 0 sends the exponent to -inf, and exp to 0
+    with np.errstate(divide="ignore", over="ignore"):
+        terms = np.exp(-(_ODD * math.pi) ** 2 / (8.0 * x[..., None] ** 2))
+    return (4.0 / math.pi) * np.sum(_SIGN / _ODD * terms, axis=-1)
+
+
+def _sup_abs_image(x: np.ndarray) -> np.ndarray:
+    """1 - 4 sum_k (-1)^k (1 - Phi((2k+1) x)), fast for large x."""
+    return 1.0 - 4.0 * np.sum(_SIGN * normal_cdf(-_ODD * x[..., None]), axis=-1)
+
+
+def brownian_sup_abs_cdf(a: np.ndarray, sigma: float = 1.0) -> np.ndarray:
+    """Erdos-Kac: P(sup_{[0,1]} |sigma B| <= a), from the theta series below
+    a / sigma = 1 and the image sum above it."""
+    x = np.maximum(np.asarray(a, dtype=float) / sigma, 0.0)
+    return np.clip(np.where(x < 1.0, _sup_abs_theta(x), _sup_abs_image(x)), 0.0, 1.0)
 
 
 def brownian_oracle_self_test(n_paths: int = 10 ** 5, n_steps: int = 2 ** 10,
@@ -328,13 +317,12 @@ def empirical_functional(ens: BirkhoffEnsemble, sigma2: float,
     raise ValueError(f"unknown functional {functional!r}")
 
 
-def qfclt_paths(ens: BirkhoffEnsemble, sigma2: float, functional: str,
-                brownian_paths: int = 10 ** 5, brownian_steps: int = 2 ** 10,
-                rng_seed: int = 17) -> dict:
-    """Compare a path functional of S^{n,w} with the same functional of sigma B.
+def qfclt_paths(ens: BirkhoffEnsemble, sigma2: float, functional: str) -> dict:
+    """One-sample KS of a path functional of S^{n,w} against its law for sigma B.
 
     The piecewise-linear path attains its extrema at the nodes S_k / sqrt n,
-    so the stored path extrema determine the sup functionals exactly.  The
+    so the stored path extrema determine the sup functionals exactly; their
+    laws are closed-form (brownian_sup_cdf, brownian_sup_abs_cdf).  The
     terminal functional reduces to the CLT statistic (bit for bit).
     """
     if sigma2 <= 0:
@@ -344,11 +332,10 @@ def qfclt_paths(ens: BirkhoffEnsemble, sigma2: float, functional: str,
         res["functional"] = "terminal"
         return res
     emp = empirical_functional(ens, sigma2, functional)
-    ref = brownian_functional_samples(functional, math.sqrt(sigma2),
-                                      brownian_paths, brownian_steps, rng_seed)
-    d, p = ks_2samp(emp, ref)
-    return {"functional": functional, "ks_distance": d, "p_value": p,
-            "n_samples": emp.size, "brownian_paths": brownian_paths}
+    law = brownian_sup_cdf if functional == "sup" else brownian_sup_abs_cdf
+    d = ks_statistic(emp, lambda a: law(a, math.sqrt(sigma2)))
+    return {"functional": functional, "ks_distance": d, "p_value": ks_pvalue(d, emp.size),
+            "n_samples": emp.size}
 
 
 @dataclass(frozen=True)

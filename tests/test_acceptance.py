@@ -147,7 +147,7 @@ def test_criterion_07_qclt(doubling_ensemble, lsv_ensemble, lsv_sigma2):
 
 def test_criterion_08_qfclt(doubling_ensemble):
     self_test = stats.brownian_oracle_self_test(n_paths=10 ** 5)
-    res = stats.qfclt_paths(doubling_ensemble, 0.5, "sup", brownian_paths=10 ** 5)
+    res = stats.qfclt_paths(doubling_ensemble, 0.5, "sup")
     ok = res["ks_distance"] < 0.05 and self_test["ks_distance"] < 0.01
     report(8, "quenched functional CLT (sup)", ok,
            f"KS {res['ks_distance']:.4f}, Brownian self-test "

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import quenched_limits
-from quenched_limits.cli import ConfigError, ExperimentConfig, load_config, main
+from quenched_limits import cli
+from quenched_limits.cli import (ConfigError, ExperimentConfig, NumericError, load_config,
+                                 main)
 from quenched_limits.util import sha256_of
 
 
@@ -163,6 +165,27 @@ def test_empty_fit_window_exits_2(tmp_path):
     assert list(out.iterdir()) == []
 
 
+def test_nan_alpha_bounds_exit_2(tmp_path, capsys):
+    out = tmp_path / "t"
+    code = main(["tail", "--family", "doubling", "--alpha_min", "nan",
+                 "--alpha_max", "nan", "--n_max", "8", "--samples", "100",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exc", [NumericError("no variance"), FloatingPointError("overflow")])
+def test_numeric_failure_exits_3(tmp_path, exc, monkeypatch, capsys):
+    def fail(cfg):
+        raise exc
+    monkeypatch.setitem(cli.HANDLERS, "rate", fail)
+    out = tmp_path / "r"
+    assert main(["rate", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure:")
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [["tail", "--out", "t", "--n_ma", "8"],
                                   ["tail", "--out", "t", "--seed"], ["tail"], []],
                          ids=["prefix", "no-value", "no-out", "no-subcommand"])
@@ -194,7 +217,7 @@ def test_cli_import_loads_no_scipy():
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
     scipy_modules, futures_loaded = out.stdout.splitlines()
     assert scipy_modules == "[]"
-    # the Brownian sampler imports its worker pool only when it runs
+    # nor a thread pool
     assert futures_loaded == "False"
 
 

@@ -36,7 +36,7 @@ CONFIGS = {
     "couple": LSV + ["--l0", "2", "--n_max", "16", "--pairs", "100", "--cap", "10000"],
     "clt": LSV + ENSEMBLE,
     "lil": LSV + ENSEMBLE,
-    # sup: the Brownian reference sample and the reflection-law self-test
+    # sup: the reflection-law KS and the sampler's self-test
     "fclt": ["--family", "doubling", "--alpha_min", "0", "--alpha_max", "0"] + ENSEMBLE,
     "fclt-supabs": LSV + ENSEMBLE + ["--functional", "sup_abs"],
 }

@@ -76,25 +76,6 @@ def test_pvalue_sane_under_null():
     assert np.mean(pvals < 0.5) == pytest.approx(0.5, abs=0.15)
 
 
-def test_two_sample_matches_scipy():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal(400)
-    b = rng.standard_normal(600) + 0.2
-    d, p = kstest.ks_2samp(a, b)
-    ref = scipy.stats.ks_2samp(a, b, method="asymp")
-    assert d == pytest.approx(ref.statistic, abs=1e-12)
-    assert p == pytest.approx(ref.pvalue, rel=0.2)
-
-
-def test_two_sample_detects_shift():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal(2000)
-    b = rng.standard_normal(2000) + 1.0
-    d, p = kstest.ks_2samp(a, b)
-    assert d > 0.3
-    assert p < 1e-10
-
-
 def test_empty_sample_rejected():
     with pytest.raises(ValueError):
         kstest.ks_statistic(np.array([]), lambda t: t)

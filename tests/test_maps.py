@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quenched_limits import maps
 from quenched_limits.maps import (FiberMap, Observable, apply, derivative,
                                   fiber_map, get_observable,
                                   left_branch_inverse, orbit)
@@ -119,6 +120,22 @@ def test_left_branch_inverse_array_matches_scalar(alpha, ts):
         oracle = scalar_left_branch_inverse(f, t)
         assert y == oracle
         assert left_branch_inverse(f, t) == oracle
+
+
+def test_scalar_inverse_stops_once_its_bracket_stalls(monkeypatch):
+    # halving [0, 1/2] down to adjacent floats near y >= 2^-11 takes about 63
+    # steps; a rule that stops only once lo == hi makes all 200
+    rng = np.random.default_rng(5)
+    evaluations = []
+
+    def counting_apply(fmap, x):
+        evaluations[-1] += 1
+        return apply(fmap, x)
+    monkeypatch.setattr(maps, "apply", counting_apply)
+    for alpha, t in zip(rng.uniform(0.01, 0.99, 100), rng.uniform(1e-3, 1.0, 100)):
+        evaluations.append(0)
+        left_branch_inverse(FiberMap("lsv", alpha), t)
+    assert max(evaluations) <= 64
 
 
 def test_orbit_array_matches_per_point_walk():

@@ -73,6 +73,10 @@ def test_family_validation():
         make_sequence(1, "lsv", (0.3, 0.2))
     with pytest.raises(ValueError):
         make_sequence(1, "lsv", (0.0, 1.0))
+    # NaN would pass every comparison above
+    for bounds in [(math.nan, math.nan), (0.0, math.inf), (-math.inf, 0.0)]:
+        with pytest.raises(ValueError, match="finite"):
+            make_sequence(1, "doubling", bounds)
 
 
 def test_frozen():
