@@ -203,6 +203,32 @@ def test_brownian_worker_error_reaches_caller(monkeypatch):
         stats.brownian_functional_samples("sup", 1.0, 100, 8, 1, 16)
 
 
+@pytest.mark.parametrize("buffer_pos", range(5))
+@pytest.mark.parametrize("n", range(10))
+def test_skip_draws_equals_drawing(buffer_pos, n):
+    # A chunk's sup uniforms start wherever its normals left the Philox
+    # buffer (four draws per counter step; buffer_pos of them used).
+    # _reduce_chunk draws them in 64-row blocks; they must equal drawing them
+    # at once, and the next chunk's normals must start where that would.
+    rows, n_steps, scale, c = 30 * n, 5, 0.4, 0.32
+    drawn = np.random.Philox(2024)
+    drawn.random_raw(5)
+    state = drawn.state
+    state["buffer_pos"] = buffer_pos
+    drawn.state = state
+    blocked = np.random.Philox()
+    blocked.state = drawn.state
+    z = np.random.default_rng(n).standard_normal((rows, n_steps))
+    w = np.cumsum(z * scale, axis=1)
+    a = np.concatenate([np.zeros((rows, 1)), w[:, :-1]], axis=1)
+    u = np.random.Generator(drawn).random((rows, n_steps))
+    want = (0.5 * (a + w + np.sqrt((w - a) ** 2 - c * np.log(u)))).max(axis=1)
+    got = np.empty(rows)
+    stats._reduce_chunk(z, got, "sup", scale, c, np.random.Generator(blocked))
+    assert got.tobytes() == want.tobytes()
+    assert blocked.random_raw(9).tolist() == drawn.random_raw(9).tolist()
+
+
 def test_qfclt_terminal_equals_qclt():
     ens = small_doubling_ensemble(256, 2000)
     a = stats.qfclt_paths(ens, 0.5, "terminal")
