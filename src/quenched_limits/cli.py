@@ -248,7 +248,7 @@ def _ensemble_and_sigma(cfg: ExperimentConfig):
                                          cfg.depth, cfg.subsamples)
     ens = stats_mod.birkhoff_ensemble(cfg.sequence(), cfg.phi(), cfg.n_steps,
                                       cfg.n_samples, cfg.sampling, cfg.n_bins,
-                                      cfg.depth, min(cfg.subsamples, 32))
+                                      cfg.depth, cfg.subsamples)
     return ens, s2, se
 
 

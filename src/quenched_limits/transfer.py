@@ -9,10 +9,19 @@ The dual operator is never formed: the dual of psi against h is pushed as
 the signed mass psi * h.  The equivariant density h_w is obtained by pushing
 Lebesgue forward through the fiber maps of the recent past (finite
 pullback), which is the direct discretization of its construction.
+
+Ulam builds share their per-grid work.  The stratified points of each
+(n_bins, subsamples) grid are cached read-only.  On an even grid 1/2 is a bin
+edge and both families map the right half x >= 1/2 by 2x - 1, whatever alpha
+is, so those rows' triplets are cached per grid and only the left half goes
+through the fiber map.  Both branches are increasing, so the keys
+row * n_bins + col come out sorted and are counted by a run-length pass;
+unsorted keys (the bin straddling 1/2 on an odd grid) go through np.unique.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,9 +48,13 @@ def bin_average(fn, n_bins: int, subsamples: int = 16) -> np.ndarray:
     return np.asarray(fn(pts)).reshape(n_bins, subsamples).mean(axis=1)
 
 
+@functools.lru_cache(maxsize=8)
 def _stratified_points(n_bins: int, subsamples: int) -> np.ndarray:
+    """The subsamples midpoints of each bin, bin-major; cached read-only per grid."""
     offs = (np.arange(subsamples) + 0.5) / subsamples
-    return ((np.arange(n_bins)[:, None] + offs[None, :]) / n_bins).ravel()
+    pts = ((np.arange(n_bins)[:, None] + offs[None, :]) / n_bins).ravel()
+    pts.flags.writeable = False
+    return pts
 
 
 @dataclass(frozen=True)
@@ -57,23 +70,57 @@ class UlamMatrix:
     n_bins: int
 
 
+def _triplets(images: np.ndarray, row0: int, n_bins: int, subsamples: int):
+    """(rows, cols, weights) of consecutive rows from row0 on, given their points' images."""
+    j = nearest_bin(images, n_bins).reshape(-1, subsamples)
+    i = np.arange(row0, row0 + j.shape[0], dtype=np.int64)
+    keys = (i[:, None] * n_bins + j).ravel()
+    steps = np.diff(keys)
+    if np.all(steps >= 0):
+        # sorted keys: each run of equal keys is one triplet
+        starts = np.flatnonzero(np.concatenate(([True], steps != 0)))
+        keys, counts = keys[starts], np.diff(np.append(starts, keys.size))
+    else:
+        keys, counts = np.unique(keys, return_counts=True)
+    # The weight of c hits is 1/subsamples added c times in sequence, not
+    # c/subsamples: the two differ in the last bit for non-dyadic counts.
+    weights = np.cumsum(np.full(subsamples, 1.0 / subsamples))[counts - 1]
+    return keys // n_bins, keys % n_bins, weights
+
+
+@functools.lru_cache(maxsize=8)
+def _right_half(n_bins: int, subsamples: int):
+    """Read-only triplets of the rows x >= 1/2 of an even grid, mapped by 2x - 1."""
+    half = n_bins // 2
+    x = _stratified_points(n_bins, subsamples)[half * subsamples:]
+    out = _triplets(2.0 * x - 1.0, half, n_bins, subsamples)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def ulam_matrix(fmap: FiberMap, n_bins: int, subsamples: int = 64) -> UlamMatrix:
     """Row-stochastic bin-to-bin transition fractions under one fiber map.
 
     M[i, j] estimates Leb(bin_i intersect f^-1 bin_j) / Leb(bin_i) by
     stratified midpoint subsampling of bin i.  Row sums are exactly 1 when
     subsamples is a power of two (dyadic weights add exactly).
+
+    On an even grid only the left half x < 1/2 is mapped; the rows of the
+    right half, where every fiber map is 2x - 1, come from a per-grid cache.
+    An odd grid maps all its points.  Distinct (row, col) keys are counted by
+    a run-length pass when they come out sorted, as they do for increasing
+    branches, and by np.unique otherwise; either way the triplets are the
+    same bits as one np.unique over the whole grid.
     """
     if n_bins < 2 or subsamples < 1:
         raise ValueError("need n_bins >= 2 and subsamples >= 1")
     pts = _stratified_points(n_bins, subsamples)
-    j = nearest_bin(apply(fmap, pts), n_bins)
-    i = np.repeat(np.arange(n_bins, dtype=np.int64), subsamples)
-    keys, counts = np.unique(i * n_bins + j, return_counts=True)
-    # The weight of c hits is 1/subsamples added c times in sequence, not
-    # c/subsamples: the two differ in the last bit for non-dyadic counts.
-    weights = np.cumsum(np.full(subsamples, 1.0 / subsamples))[counts - 1]
-    return UlamMatrix(keys // n_bins, keys % n_bins, weights, n_bins)
+    if n_bins % 2:
+        return UlamMatrix(*_triplets(apply(fmap, pts), 0, n_bins, subsamples), n_bins)
+    left = _triplets(apply(fmap, pts[:n_bins // 2 * subsamples]), 0, n_bins, subsamples)
+    right = _right_half(n_bins, subsamples)
+    return UlamMatrix(*(np.concatenate(pair) for pair in zip(left, right)), n_bins)
 
 
 def pushforward(M: UlamMatrix, mass: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quenched_limits import transfer
 from quenched_limits.maps import FiberMap, apply
@@ -49,6 +49,69 @@ def test_ulam_matches_scipy_csr_oracle(family, alpha, n_bins, subsamples, seed):
     defect = transfer.row_stochasticity_defect(M)
     assert defect == np.max(np.abs(ref @ np.ones(n_bins) - 1.0))
     assert defect == pytest.approx(np.max(np.abs(ref.sum(axis=1) - 1.0)), abs=1e-15)
+
+
+def full_grid_ulam(f, n_bins, subsamples):
+    """The whole-grid np.unique build that ulam_matrix replaced, kept verbatim."""
+    offs = (np.arange(subsamples) + 0.5) / subsamples
+    pts = ((np.arange(n_bins)[:, None] + offs[None, :]) / n_bins).ravel()
+    j = transfer.nearest_bin(f(pts), n_bins)
+    i = np.repeat(np.arange(n_bins, dtype=np.int64), subsamples)
+    keys, counts = np.unique(i * n_bins + j, return_counts=True)
+    weights = np.cumsum(np.full(subsamples, 1.0 / subsamples))[counts - 1]
+    return keys // n_bins, keys % n_bins, weights
+
+
+def assert_same_triplets(M, ref):
+    for got, want in zip((M.rows, M.cols, M.weights), ref):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=120, deadline=None)
+@given(family=st.sampled_from(["doubling", "lsv"]), alpha=st.floats(0.01, 0.99),
+       n_bins=st.integers(2, 600), subsamples=st.integers(1, 70))
+@example(family="lsv", alpha=0.1, n_bins=4096, subsamples=32)
+@example(family="lsv", alpha=0.3, n_bins=4095, subsamples=8)
+def test_ulam_triplets_equal_full_grid_oracle(family, alpha, n_bins, subsamples):
+    # the cached right half and the run-length pass change no bit
+    fmap = FiberMap(family, alpha)
+    ref = full_grid_ulam(lambda x: apply(fmap, x), n_bins, subsamples)
+    assert_same_triplets(transfer.ulam_matrix(fmap, n_bins, subsamples), ref)
+
+
+@pytest.mark.parametrize("n_bins", [6, 7])
+def test_ulam_unsorted_keys_fall_back_to_np_unique(monkeypatch, n_bins):
+    # a decreasing left branch leaves each left row's keys unsorted
+    def folded(fmap, x):
+        return np.where(x < 0.5, 1.0 - 2.0 * x, 2.0 * x - 1.0)
+
+    monkeypatch.setattr(transfer, "apply", folded)
+    ref = full_grid_ulam(lambda x: folded(None, x), n_bins, 5)
+    calls, unique = [], np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
+    assert_same_triplets(transfer.ulam_matrix(FiberMap("lsv", 0.3), n_bins, 5), ref)
+    assert len(calls) == 1
+
+
+def test_ulam_sorted_keys_skip_np_unique(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called on sorted keys")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    for fam, a in (("doubling", 0.0), ("lsv", 0.12)):
+        transfer.ulam_matrix(FiberMap(fam, a), 4096, 32)
+
+
+def test_grid_cache_is_read_only_and_shared_with_bin_average():
+    pts = transfer._stratified_points(8, 4)
+    assert pts is transfer._stratified_points(8, 4)
+    for a in (pts, *transfer._right_half(8, 4)):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    seen = []
+    transfer.bin_average(lambda x: seen.append(x) or x, 8, 4)
+    assert seen[0] is pts
 
 
 def test_row_stochastic():
