@@ -5,6 +5,13 @@ alternate between the components, each evaluated at the correctly shifted
 driving sequence.  T is the first tau_i at which both components sit in the
 base simultaneously; T_n restarts the recursion (from the first component,
 by construction) at the moved pair.
+
+Both components of a pair always sit at the same tower time t: the mover's
+l0 returns and the other component's catch-up run through the same maps
+f_{w_t}, f_{w_{t+1}}, ...  Every pair therefore takes step t with the same
+fiber map, and _match_pairs moves all pairs in lockstep, one array apply
+per tower time.  apply gives the same bits for a point and for an array,
+so this is exact: each pair gets the values a pair-by-pair loop would.
 """
 
 from __future__ import annotations
@@ -14,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import _doubling_orbit_values, apply, fiber_map, orbit
+from .maps import _doubling_orbit_values, apply, fiber_map
 from .omega import ParamSequence, make_sequence
-from .tower import BASE_LO, CAP_DEFAULT, _first_hits
+from .tower import BASE_LO, CAP_DEFAULT, _fraction_above
 
 ALPHA_EXP_DEFAULT = 0.1
 
@@ -31,6 +38,56 @@ class CouplingTrace:
     capped: bool
 
 
+def _match_pairs(seq: ParamSequence, pts: np.ndarray, l0: int, cap: int,
+                 max_alternations: int, max_T: int):
+    """The alternating recursion for the pairs pts[i] = (x, x'), all in lockstep.
+
+    Returns (pair, tau, k, capped): every tau_i > 0 in time order with its
+    pair index and k, the number of simultaneous returns up to it when tau
+    is one (tau = T_k) and 0 otherwise, and per pair whether a leg ran cap
+    steps without entering the base.  A pair stops once it caps, records
+    max_T simultaneous returns or runs max_alternations alternations.
+    """
+    n = pts.shape[0]
+    capped = np.zeros(n, dtype=bool)
+    pair = np.arange(n if max_alternations > 0 else 0)
+    pos = np.asarray(pts, dtype=float)[pair]   # (x, x') per active pair
+    first = np.ones(pair.size, dtype=bool)     # is x the moving component?
+    hits = np.zeros(pair.size, dtype=np.int64)   # mover's base entries this alternation
+    leg = np.zeros(pair.size, dtype=np.int64)    # mover's steps since its last entry
+    n_alt = np.zeros(pair.size, dtype=np.int64)
+    n_T = np.zeros(pair.size, dtype=np.int64)
+    done = np.zeros(pair.size, dtype=bool)
+    events = [(np.zeros(0, dtype=np.int64),) * 3]
+    t = 0
+    while True:
+        out = leg >= cap   # a leg ran cap steps without entering the base
+        capped[pair[out]] = True
+        keep = ~(out | done)
+        if not keep.all():
+            pair, pos, first, hits, leg, n_alt, n_T = (
+                a[keep] for a in (pair, pos, first, hits, leg, n_alt, n_T))
+        if pair.size == 0:
+            break
+        pos = apply(fiber_map(seq, t), pos)
+        t += 1
+        in_base = pos >= BASE_LO
+        entered = np.where(first, in_base[:, 0], in_base[:, 1])
+        hits += entered
+        leg = np.where(entered, 0, leg + 1)
+        ends = hits == l0
+        both = ends & in_base[:, 0] & in_base[:, 1]
+        n_T += both
+        n_alt += ends
+        if ends.any():
+            events.append((pair[ends], np.full(np.count_nonzero(ends), t),
+                           np.where(both, n_T, 0)[ends]))
+        hits[ends] = 0
+        first = np.where(ends, both | ~first, first)   # T restarts from x
+        done = (both & (n_T >= max_T)) | (n_alt >= max_alternations)
+    return (*(np.concatenate(col) for col in zip(*events)), capped)
+
+
 def match_pair(seq: ParamSequence, x: float, x_prime: float, l0: int,
                cap: int = CAP_DEFAULT, max_alternations: int = 512,
                max_T: int = 64) -> CouplingTrace:
@@ -39,28 +96,10 @@ def match_pair(seq: ParamSequence, x: float, x_prime: float, l0: int,
         raise ValueError("both points must start in the base [1/2, 1]")
     if l0 < 1:
         raise ValueError("l0 must be >= 1")
-    taus = [0]
-    Ts: list[int] = []
-    px, py = x, x_prime
-    t = 0
-    use_first = True   # each T-segment starts from the x component
-    for _ in range(max_alternations):
-        mover, other = (px, py) if use_first else (py, px)
-        r, landed = _first_hits(seq, mover, t, l0, cap)
-        if r is None:
-            return CouplingTrace(x, x_prime, l0, taus, Ts, True)
-        other = orbit(seq.shift(t), other, r)
-        px, py = (landed, other) if use_first else (other, landed)
-        t += r
-        taus.append(t)
-        if px >= BASE_LO and py >= BASE_LO:
-            Ts.append(t)
-            if len(Ts) >= max_T:
-                break
-            use_first = True   # recursion restarts at the moved pair
-        else:
-            use_first = not use_first
-    return CouplingTrace(x, x_prime, l0, taus, Ts, False)
+    _, tau, k, capped = _match_pairs(seq, np.array([[x, x_prime]]), l0, cap,
+                                     max_alternations, max_T)
+    return CouplingTrace(x, x_prime, l0, [0] + tau.tolist(), tau[k > 0].tolist(),
+                         bool(capped[0]))
 
 
 def estimate_l0(family: str, bounds: tuple[float, float], seeds: list[int],
@@ -130,20 +169,15 @@ def coupling_tail(family: str, bounds: tuple[float, float], seeds: list[int],
         seq = make_sequence(seed, family, bounds)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xC9))))
         pts = BASE_LO + 0.5 * rng.random((pair_samples, 2))
-        # T_k per pair, inf when not reached before the horizon
-        Tk = np.full((pair_samples, k_max + 1), np.inf)
-        Tk[:, 0] = 0.0
-        for pi in range(pair_samples):
-            tr = match_pair(seq, pts[pi, 0], pts[pi, 1], l0, cap=cap,
-                            max_T=k_max, max_alternations=8 * (n_max + 4))
-            if tr.capped:
-                capped_pairs += 1
-                continue
-            for k, T in enumerate(tr.Ts, start=1):
-                if k <= k_max:
-                    Tk[pi, k] = T
-        per_seed[si] = np.array([np.mean(Tk[:, k_of_n[i]] > n)
-                                 for i, n in enumerate(ns)])
+        pair, tau, k, capped = _match_pairs(seq, pts, l0, cap, 8 * (n_max + 4), k_max)
+        # T_k per pair; n_max + 1 stands for not reached, and for every k of a capped pair
+        Tk = np.full((pair_samples, k_max), n_max + 1)
+        sim = k > 0
+        Tk[pair[sim], k[sim] - 1] = tau[sim]
+        Tk[capped] = n_max + 1
+        capped_pairs += int(np.count_nonzero(capped))
+        above = np.array([_fraction_above(Tk[:, j], n_max) for j in range(k_max)])
+        per_seed[si] = above[k_of_n - 1, ns]
     tail = per_seed.mean(axis=0)
     if len(seeds) > 1:
         se = per_seed.std(axis=0, ddof=1) / math.sqrt(len(seeds))

@@ -159,6 +159,15 @@ def exact_tail(family: str, alpha: float, n_max: int) -> np.ndarray:
     return tail
 
 
+def _fraction_above(values: np.ndarray, n_max: int) -> np.ndarray:
+    """np.mean(values > n) for n = 0 .. n_max, from one count of the integer values >= 0.
+
+    The counts are exact integers, so each entry equals np.mean's sum / size.
+    """
+    counts = np.bincount(np.minimum(values, n_max + 1), minlength=n_max + 2)
+    return (values.size - np.cumsum(counts[:n_max + 1])) / values.size
+
+
 @dataclass
 class TailCurve:
     n: np.ndarray
@@ -189,7 +198,7 @@ def tail_curve(family: str, bounds: tuple[float, float], seeds: list[int],
         xs = BASE_LO + 0.5 * rng.random(samples_per_omega)
         R = return_times_vec(seq, xs, cap)
         capped_total += int(np.sum(R > cap))
-        per_seed[si] = np.array([np.mean(R > n) for n in ns])
+        per_seed[si] = _fraction_above(R, n_max)
     tail = per_seed.mean(axis=0)
     n_eff = len(seeds) * samples_per_omega
     if len(seeds) > 1:

@@ -128,6 +128,30 @@ def test_tail_curve_consistent_with_exact():
     assert tc.tail[0] == 1.0
 
 
+@pytest.mark.parametrize("size", [1, 7, 1000, 250000])
+def test_fraction_above_equals_mean_per_n(size):
+    # return times as return_times_vec gives them: 1 .. cap, and cap + 1 when capped
+    cap = 30
+    rng = np.random.default_rng(size)
+    R = np.minimum(rng.geometric(0.15, size), cap + 1)
+    R[0] = cap + 1
+    for n_max in (2, 10, cap, cap + 1, 80):   # up to n far beyond max R
+        old = np.array([np.mean(R > n) for n in range(n_max + 1)])
+        assert tower._fraction_above(R, n_max).tobytes() == old.tobytes()
+
+
+def test_tail_curve_with_capped_returns_matches_mean_loop():
+    tc = tower.tail_curve("lsv", (0.85, 0.95), [2, 5], 40, 3000, cap=25)
+    per_seed = []
+    for seed in (2, 5):
+        seq = make_sequence(seed, "lsv", (0.85, 0.95))
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xA11))))
+        R = tower.return_times_vec(seq, 0.5 + 0.5 * rng.random(3000), 25)
+        per_seed.append([np.mean(R > n) for n in range(41)])
+    assert tc.capped_fraction > 0.0
+    assert tc.tail.tobytes() == np.mean(per_seed, axis=0).tobytes()
+
+
 def test_gcd_check():
     part = tower.build_partition(doubling_seq(), 12)
     assert tower.gcd_check(part, 0.01) == 1
