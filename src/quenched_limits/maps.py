@@ -38,14 +38,14 @@ def apply(fmap: FiberMap, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise ValueError("point outside [0, 1]")
-    if fmap.family == "doubling":
-        y = np.where(x < 0.5, 2.0 * x, 2.0 * x - 1.0)
-    else:
-        a = fmap.alpha
-        left = x * (1.0 + 2.0 ** a * x ** a)
-        y = np.where(x < 0.5, left, 2.0 * x - 1.0)
-    y = np.clip(y, 0.0, 1.0)
+    y = np.clip(np.where(x < 0.5, _left_branch(fmap, x), 2.0 * x - 1.0), 0.0, 1.0)
     return float(y) if y.ndim == 0 else y
+
+
+def _left_branch(fmap: FiberMap, x: np.ndarray) -> np.ndarray:
+    """fmap's left branch on an array: apply's bits on [0, 1/2), with no check or clip."""
+    a = fmap.alpha
+    return 2.0 * x if fmap.family == "doubling" else x * (1.0 + 2.0 ** a * x ** a)
 
 
 def derivative(fmap: FiberMap, x):
@@ -65,24 +65,27 @@ def left_branch_inverse(fmap: FiberMap, t):
     Accepts scalars or arrays.  The LSV left branch has no closed-form
     inverse; each entry bisects its own bracket (at most 200 halvings) until
     its midpoint rounds to one of the bracket ends, after which every halving
-    would repeat it, so it gets the same bits alone or in an array.
+    would repeat it, so it gets the same bits alone or in an array.  Every
+    midpoint lies in (0, 1/2), so it is mapped by the left branch alone.
     """
     t = np.asarray(t, dtype=float)
     if fmap.family == "doubling":
         y = 0.5 * t
     else:
-        tt = t.ravel()
+        tt, y = t.ravel(), np.empty(t.shape)
         lo, hi, act = np.zeros(tt.size), np.full(tt.size, 0.5), np.arange(tt.size)
         for _ in range(200):
-            mid = 0.5 * (lo[act] + hi[act])
-            moving = (lo[act] < mid) & (mid < hi[act])
-            act, mid = act[moving], mid[moving]
-            if act.size == 0:
-                break
-            below = apply(fmap, mid) < tt[act]
-            lo[act[below]] = mid[below]
-            hi[act[~below]] = mid[~below]
-        y = (0.5 * (lo + hi)).reshape(t.shape)
+            mid = 0.5 * (lo + hi)
+            moving = (lo < mid) & (mid < hi)
+            if np.count_nonzero(moving) < act.size:   # stalled entries keep their midpoint
+                y.flat[act[~moving]] = mid[~moving]
+                act, tt, lo, hi, mid = (a[moving] for a in (act, tt, lo, hi, mid))
+                if act.size == 0:
+                    break
+            below = _left_branch(fmap, mid) < tt
+            np.copyto(lo, mid, where=below)
+            np.copyto(hi, mid, where=~below)
+        y.flat[act] = 0.5 * (lo + hi)
     return float(y) if y.ndim == 0 else y
 
 

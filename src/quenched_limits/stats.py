@@ -136,11 +136,11 @@ def variance_growth(ens: BirkhoffEnsemble, n_boot: int = 200,
     """
     if not (0.0 < ci_level < 1.0):
         raise ValueError("ci_level must be in (0, 1)")
+    if ens.n_samples < 2:
+        raise ValueError("a sample variance needs n_samples >= 2")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((rng_seed, 0xB007))))
     ns = ens.record_ns
-    v = np.empty(ns.size)
-    lo = np.empty(ns.size)
-    hi = np.empty(ns.size)
+    v, lo, hi = np.empty((3, ns.size))
     tail = 0.5 * (1.0 - ci_level)
     idx = rng.integers(0, ens.n_samples, size=(n_boot, ens.n_samples))
     for i, n in enumerate(ns):

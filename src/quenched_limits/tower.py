@@ -1,8 +1,8 @@
 """Induced return-time structure on the base interval [1/2, 1].
 
-First returns of the composed maps to Lambda = [1/2, 1], the return-time
-partition, tail statistics, separation times, and empirical distortion /
-expansion checks for the induced map.
+First returns to Lambda = [1/2, 1], each one from a single first-entry
+walk, the return-time partition, tail statistics, separation times, and
+empirical distortion / expansion checks for the induced map.
 
 For both map families the orbit of a base point stays in [0, 1/2) between
 returns and every branch involved is increasing, so {R = n} is a single
@@ -48,23 +48,25 @@ def _check_base(x: float):
         raise ValueError(f"point {x} outside the base [1/2, 1]")
 
 
-def _first_hits(seq: ParamSequence, x: float, t0: int, l: int, cap: int):
-    """Step x from tower time t0 until its l-th entry to the base.
+def _first_entries(seq: ParamSequence, xs: np.ndarray, t0: int, cap: int):
+    """Step every point of xs from tower time t0 to its first entry to the base.
 
-    Returns (steps, landing point), or (None, last point) once a single leg
-    runs cap steps without entering.  x itself is not checked against the
-    base, so a point still in its excursion can be advanced too.
+    Step t makes one fiber_map(seq, t) call and one array apply over the
+    points not yet back; apply gives the same bits for a point and an array.
+    Returns (steps, points): each point's step count, or -1 once it runs cap
+    steps without entering, and where it stopped.
     """
-    y = x
-    steps = 0
-    for _ in range(l):
-        for _step in range(cap):
-            y = apply(fiber_map(seq, t0 + steps), y)
-            steps += 1
-            if y >= BASE_LO:
-                break
-        else:
-            return None, y
+    y = np.array(xs, dtype=float)
+    steps = np.full(y.shape, -1, dtype=np.int64)
+    active = np.arange(y.size)
+    for n in range(1, cap + 1):
+        if active.size == 0:
+            break
+        z = apply(fiber_map(seq, t0 + n - 1), y[active])
+        y[active] = z
+        returned = z >= BASE_LO
+        steps[active[returned]] = n
+        active = active[~returned]
     return steps, y
 
 
@@ -73,33 +75,28 @@ def return_time(seq: ParamSequence, x: float, cap: int = CAP_DEFAULT) -> ReturnR
     _check_base(x)
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    n, _ = _first_hits(seq, x, 0, 1, cap)
-    return ReturnRecord(n, n is None)
+    n = int(_first_entries(seq, [x], 0, cap)[0][0])
+    return ReturnRecord(None if n < 0 else n, n < 0)
 
 
 def return_times_vec(seq: ParamSequence, xs: np.ndarray, cap: int = CAP_DEFAULT) -> np.ndarray:
     """Vectorized first-return times; capped points get cap + 1."""
-    xs = np.asarray(xs, dtype=float)
-    R = np.full(xs.shape, cap + 1, dtype=np.int64)
-    y = xs.copy()
-    active = np.arange(xs.size)
-    for n in range(1, cap + 1):
-        if active.size == 0:
-            break
-        fmap = fiber_map(seq, n - 1)
-        y[active] = apply(fmap, y[active])
-        returned = y[active] >= BASE_LO
-        R[active[returned]] = n
-        active = active[~returned]
-    return R
+    R = _first_entries(seq, xs, 0, cap)[0]
+    return np.where(R < 0, cap + 1, R)
 
 
 def nth_return(seq: ParamSequence, x: float, n: int, cap: int = CAP_DEFAULT):
-    """Cumulative n-th return time R^n (R^0 = 0); None once any leg caps."""
+    """Cumulative n-th return time R^n (R^0 = 0), one walk per leg; None once a leg caps."""
     _check_base(x)
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _first_hits(seq, x, 0, n, cap)[0]
+    t, y = 0, [x]
+    for _ in range(n):
+        r, y = _first_entries(seq, y, t, cap)
+        if r[0] < 0:
+            return None
+        t += int(r[0])
+    return t
 
 
 def build_partition(seq: ParamSequence, depth_cap: int, refine_tol: float = 1e-12) -> ReturnPartition:
@@ -226,24 +223,22 @@ def separation_time(seq: ParamSequence, x: float, y: float, cap: int = 64,
 
     Cells of the return partition are labeled by the return-time value (one
     interval per value for these families), so separation is detected by the
-    first disagreement of the successive return times.  math.inf when the
-    pair does not separate within cap returns or a return runs past
-    return_cap steps.
+    first disagreement of the successive return times, which the pair takes
+    as one 2-point first-entry walk each.  math.inf when the pair does not
+    separate within cap returns or a return runs past return_cap steps.
     """
     _check_base(x)
     _check_base(y)
     if x == y:
         return math.inf
-    t = 0
-    px, py = x, y
+    t, pts = 0, [x, y]
     for n in range(cap):
-        rx, px = _first_hits(seq, px, t, 1, return_cap)
-        ry, py = _first_hits(seq, py, t, 1, return_cap)
-        if rx is None or ry is None:
+        r, pts = _first_entries(seq, pts, t, return_cap)
+        if r.min() < 0:
             return math.inf
-        if rx != ry:
+        if r[0] != r[1]:
             return n
-        t += rx
+        t += int(r[0])
     return math.inf
 
 

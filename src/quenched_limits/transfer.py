@@ -14,8 +14,8 @@ Ulam builds share their per-grid work.  The stratified points of each
 (n_bins, subsamples) grid are cached read-only.  On an even grid 1/2 is a bin
 edge and both families map the right half x >= 1/2 by 2x - 1, whatever alpha
 is, so those rows' triplets are cached per grid and only the left half goes
-through the fiber map.  Both branches are increasing, so the keys
-row * n_bins + col come out sorted and are counted by a run-length pass;
+through the fiber map's left branch.  Both branches are increasing, so the
+keys row * n_bins + col come out sorted and are counted by a run-length pass;
 unsorted keys (the bin straddling 1/2 on an odd grid) go through np.unique.
 """
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maps import FiberMap, Observable, apply
+from .maps import FiberMap, Observable, _left_branch, apply
 from .omega import ParamSequence, make_sequence
 
 MASS_FLOOR = 1e-12
@@ -106,19 +106,20 @@ def ulam_matrix(fmap: FiberMap, n_bins: int, subsamples: int = 64) -> UlamMatrix
     stratified midpoint subsampling of bin i.  Row sums are exactly 1 when
     subsamples is a power of two (dyadic weights add exactly).
 
-    On an even grid only the left half x < 1/2 is mapped; the rows of the
-    right half, where every fiber map is 2x - 1, come from a per-grid cache.
-    An odd grid maps all its points.  Distinct (row, col) keys are counted by
-    a run-length pass when they come out sorted, as they do for increasing
-    branches, and by np.unique otherwise; either way the triplets are the
-    same bits as one np.unique over the whole grid.
+    On an even grid only the left half x < 1/2 is mapped, by the left branch
+    alone; the rows of the right half, where every fiber map is 2x - 1, come
+    from a per-grid cache.  An odd grid maps all its points.  Distinct
+    (row, col) keys are counted by a run-length pass when they come out
+    sorted, as they do for increasing branches, and by np.unique otherwise;
+    either way the triplets are the same bits as one np.unique over the
+    whole grid.
     """
     if n_bins < 2 or subsamples < 1:
         raise ValueError("need n_bins >= 2 and subsamples >= 1")
     pts = _stratified_points(n_bins, subsamples)
     if n_bins % 2:
         return UlamMatrix(*_triplets(apply(fmap, pts), 0, n_bins, subsamples), n_bins)
-    left = _triplets(apply(fmap, pts[:n_bins // 2 * subsamples]), 0, n_bins, subsamples)
+    left = _triplets(_left_branch(fmap, pts[:n_bins // 2 * subsamples]), 0, n_bins, subsamples)
     right = _right_half(n_bins, subsamples)
     return UlamMatrix(*(np.concatenate(pair) for pair in zip(left, right)), n_bins)
 

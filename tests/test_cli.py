@@ -155,6 +155,17 @@ def test_clt_subcommand_small(tmp_path):
     assert "verdict" in res
 
 
+def test_clt_single_sample_exits_2(tmp_path, capsys):
+    # one sample has no sample variance: a config error, not a csv of nan
+    out = tmp_path / "clt"
+    code = main(["clt", "--family", "doubling", "--alpha_min", "0", "--alpha_max", "0",
+                 "--n_steps", "16", "--n_samples", "1", "--n_bins", "64", "--depth", "2",
+                 "--subsamples", "4", "--out", str(out)])
+    assert code == 2
+    assert "n_samples >= 2" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_empty_fit_window_exits_2(tmp_path):
     # the library ValueError from the fit reaches main as a config error
     out = tmp_path / "t"

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from quenched_limits import coupling, tower
 from quenched_limits.maps import FiberMap, apply, orbit
 from quenched_limits.omega import make_sequence
+from test_tower import scalar_first_hits
 
 
 def advance(seq, x, steps):
@@ -28,7 +29,7 @@ def scalar_match_pair(seq, x, x_prime, l0, cap=tower.CAP_DEFAULT,
     use_first = True   # each T-segment starts from the x component
     for _ in range(max_alternations):
         mover, other = (px, py) if use_first else (py, px)
-        r, landed = tower._first_hits(seq, mover, t, l0, cap)
+        r, landed = scalar_first_hits(seq, mover, t, l0, cap)
         if r is None:
             return taus, Ts, True
         other = orbit(seq.shift(t), other, r)

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quenched_limits import tower
-from quenched_limits.maps import FiberMap, apply, derivative, left_branch_inverse, orbit
+from quenched_limits.maps import (FiberMap, apply, derivative, fiber_map, left_branch_inverse,
+                                  orbit)
 from quenched_limits.omega import make_sequence
 
 
@@ -34,13 +36,83 @@ def test_return_time_domain():
         tower.return_time(seq, 0.3)
 
 
+def scalar_first_hits(seq, x, t0, l, cap):
+    """The scalar l-fold walk that the array first-entry walk replaced: the oracle.
+
+    Steps x from tower time t0 until its l-th entry to the base and returns
+    (steps, landing point), or (None, last point) once a single leg runs cap
+    steps without entering.
+    """
+    y = x
+    steps = 0
+    for _ in range(l):
+        for _step in range(cap):
+            y = apply(fiber_map(seq, t0 + steps), y)
+            steps += 1
+            if y >= tower.BASE_LO:
+                break
+        else:
+            return None, y
+    return steps, y
+
+
+def scalar_separation_time(seq, x, y, cap, return_cap):
+    """separation_time as it was: one scalar walk per end and return."""
+    if x == y:
+        return math.inf
+    t, px, py = 0, x, y
+    for n in range(cap):
+        rx, px = scalar_first_hits(seq, px, t, 1, return_cap)
+        ry, py = scalar_first_hits(seq, py, t, 1, return_cap)
+        if rx is None or ry is None:
+            return math.inf
+        if rx != ry:
+            return n
+        t += rx
+    return math.inf
+
+
 def test_return_times_vec_matches_scalar():
     seq = lsv_seq(4)
     rng = np.random.default_rng(0)
     xs = 0.5 + 0.5 * rng.random(50)
     vec = tower.return_times_vec(seq, xs, cap=10 ** 5)
     for x, r in zip(xs, vec):
-        assert tower.return_time(seq, float(x), cap=10 ** 5).R == r
+        assert scalar_first_hits(seq, float(x), 0, 1, 10 ** 5)[0] == r
+
+
+@st.composite
+def sequences(draw):
+    if draw(st.booleans()):
+        return make_sequence(draw(st.integers(0, 99)), "doubling", (0.0, 0.0))
+    lo = draw(st.floats(0.01, 0.89))
+    return make_sequence(draw(st.integers(0, 99)), "lsv", (lo, lo + 0.1))
+
+
+base_points = st.floats(min_value=0.5, max_value=1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seq=sequences(), xs=st.lists(base_points, min_size=1, max_size=8),
+       l=st.integers(0, 6), cap=st.integers(1, 30))
+def test_return_times_match_scalar_oracle(seq, xs, l, cap):
+    # caps of at most 30 steps make some legs cap, in either family
+    vec = tower.return_times_vec(seq, np.array(xs), cap)
+    for x, r in zip(xs, vec):
+        want = scalar_first_hits(seq, x, 0, 1, cap)[0]
+        assert r == (cap + 1 if want is None else want)
+        assert tower.return_time(seq, x, cap).R == want
+        assert tower.nth_return(seq, x, l, cap) == scalar_first_hits(seq, x, 0, l, cap)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seq=sequences(), x=base_points, gap=st.sampled_from([0.0, 1e-12, 1e-8, 1e-4, 0.1]),
+       swap=st.booleans(), cap=st.integers(1, 64), return_cap=st.integers(1, 30))
+def test_separation_time_matches_scalar_oracle(seq, x, gap, swap, cap, return_cap):
+    # either end may be the larger, so either may be the one whose return caps
+    x, y = (min(x + gap, 1.0), x) if swap else (x, min(x + gap, 1.0))
+    assert (tower.separation_time(seq, x, y, cap, return_cap)
+            == scalar_separation_time(seq, x, y, cap, return_cap))
 
 
 def test_nth_return_additive():

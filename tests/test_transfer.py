@@ -87,6 +87,7 @@ def test_ulam_unsorted_keys_fall_back_to_np_unique(monkeypatch, n_bins):
         return np.where(x < 0.5, 1.0 - 2.0 * x, 2.0 * x - 1.0)
 
     monkeypatch.setattr(transfer, "apply", folded)
+    monkeypatch.setattr(transfer, "_left_branch", folded)
     ref = full_grid_ulam(lambda x: folded(None, x), n_bins, 5)
     calls, unique = [], np.unique
     monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
