@@ -3,9 +3,10 @@
 Config files are flat ``key=value`` text (``#`` comments allowed); any key
 can be overridden on the command line as ``--key value``, and ``--help``
 lists the keys.  Each ``run_<subcommand>`` only computes and returns its
-artifacts; ``run`` writes them, then the manifest, once the handler has
-returned, so a run that exits 2 or 3 writes no artifact, and a run that
-exits non-zero writes no manifest (exit 4 may leave what it wrote).
+artifacts; ``run`` makes the output directory and writes them, then the
+manifest, once the handler has returned, so a run that exits 2 or 3 makes
+no output directory, and a run that exits non-zero writes no manifest
+(exit 4 may leave what it wrote).
 Floats are serialized with 17 significant digits and every reduction runs
 in a fixed order, so identical configs produce byte-identical CSV/JSON output.
 
@@ -308,8 +309,8 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir: str | Path) -> int:
     t0 = time.perf_counter()
     out = Path(out_dir)
     try:
-        out.mkdir(parents=True, exist_ok=True)
         artifacts = HANDLERS[subcommand](cfg)
+        out.mkdir(parents=True, exist_ok=True)
         for name, content in artifacts.items():
             if name.endswith(".csv"):
                 write_csv(out / name, *content)
@@ -362,9 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args, extra = _build_parser().parse_known_args(argv)
-        if extra:
-            raise ConfigError(f"unknown arguments {extra}")
+        args = _build_parser().parse_args(argv)
         overrides = [(f.name, getattr(args, f.name)) for f in fields(ExperimentConfig)
                      if hasattr(args, f.name)]
         cfg = load_config(args.config, overrides)

@@ -134,26 +134,25 @@ def sigma_squared(family: str, bounds: tuple[float, float], seeds: list[int],
 
 
 def coboundary_test(family: str, bounds: tuple[float, float], seeds: list[int],
-                    phi: Observable, K_trunc: int = K_TRUNC_DEFAULT,
-                    n_bins: int = N_BINS_DEFAULT, depth: int = DEPTH_DEFAULT,
-                    subsamples: int = 64, orbit_samples: int = 4096,
-                    sigma2_floor: float = SIGMA2_FLOOR) -> dict:
+                    phi: Observable, n_bins: int = N_BINS_DEFAULT,
+                    depth: int = DEPTH_DEFAULT, subsamples: int = 64) -> dict:
     """Degenerate-vs-nondegenerate verdict for the limiting variance.
 
-    Degenerate when the sigma^2 estimate is below both 3 standard errors and
-    the absolute grid-noise floor; in that case the pointwise coboundary
-    identity is additionally checked on points sampled from mu_w.
+    Degenerate when the sigma^2 estimate (series truncated at
+    K_TRUNC_DEFAULT) is below both 3 standard errors and the absolute
+    grid-noise floor SIGMA2_FLOOR; in that case the pointwise coboundary
+    identity is additionally checked on 4096 points sampled from mu_w.
     """
-    s2, se, decomps = sigma_squared(family, bounds, seeds, phi, K_trunc, n_bins, depth,
-                                    subsamples)
-    degenerate = s2 < max(3.0 * se, sigma2_floor)
+    s2, se, decomps = sigma_squared(family, bounds, seeds, phi, K_TRUNC_DEFAULT, n_bins,
+                                    depth, subsamples)
+    degenerate = s2 < max(3.0 * se, SIGMA2_FLOOR)
     out = {"verdict": "degenerate" if degenerate else "nondegenerate",
            "sigma2": s2, "sigma2_se": se, "pointwise_residual": None}
     if degenerate:
         seq = make_sequence(seeds[0], family, bounds)
         d = decomps[0]
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seeds[0], 0xC0B))))
-        xs = sample_from_density(d.h, orbit_samples, rng)
+        xs = sample_from_density(d.h, 4096, rng)
         fx = apply(fiber_map(seq, 0), xs)
         mean1 = float(d.h_next @ bin_average(phi, n_bins))
         resid = (phi(fx) - mean1

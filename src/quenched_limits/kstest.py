@@ -32,6 +32,7 @@ def ks_pvalue(d: float, n: int) -> float:
     return float(kolmogorov(lam))
 
 
-def normal_cdf(x: np.ndarray, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
+def normal_cdf(x: np.ndarray) -> np.ndarray:
+    """The standard normal CDF."""
     from scipy.special import ndtr
-    return ndtr((np.asarray(x) - mu) / sigma)
+    return ndtr(x)

@@ -7,7 +7,9 @@ Two families are implemented:
   The branch point 1/2 belongs to the right branch, so the right branch is a
   bijection [1/2, 1] -> [0, 1].
 * ``doubling`` -- f(x) = 2x mod 1, the uniformly expanding baseline with
-  analytically known statistics (its parameter is ignored).
+  analytically known statistics.  It is the lsv map at alpha = 0, which a
+  doubling FiberMap must have: the formulas read only alpha, and at 0 they
+  give 2x and 2 bit for bit (x ** 0.0 and 2.0 ** 0.0 are exactly 1).
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ class FiberMap:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if self.family == "doubling" and self.alpha != 0.0:
+            raise ValueError(f"the doubling map is lsv at alpha 0, got alpha {self.alpha}")
 
     def __call__(self, x):
         return apply(self, x)
@@ -45,31 +49,29 @@ def apply(fmap: FiberMap, x):
 def _left_branch(fmap: FiberMap, x: np.ndarray) -> np.ndarray:
     """fmap's left branch on an array: apply's bits on [0, 1/2), with no check or clip."""
     a = fmap.alpha
-    return 2.0 * x if fmap.family == "doubling" else x * (1.0 + 2.0 ** a * x ** a)
+    return x * (1.0 + 2.0 ** a * x ** a)
 
 
 def derivative(fmap: FiberMap, x):
     """f'(x); at the branch point 1/2 the left-branch value is taken."""
     x = np.asarray(x, dtype=float)
-    if fmap.family == "doubling":
-        d = np.full_like(x, 2.0)
-    else:
-        a = fmap.alpha
-        d = np.where(x <= 0.5, 1.0 + 2.0 ** a * (1.0 + a) * x ** a, 2.0)
+    a = fmap.alpha
+    d = np.where(x <= 0.5, 1.0 + 2.0 ** a * (1.0 + a) * x ** a, 2.0)
     return float(d) if d.ndim == 0 else d
 
 
 def left_branch_inverse(fmap: FiberMap, t):
     """The unique y in [0, 1/2) with f(y) = t, located by bisection.
 
-    Accepts scalars or arrays.  The LSV left branch has no closed-form
+    Accepts scalars or arrays.  At alpha = 0 the left branch is 2x and the
+    inverse is t / 2.  Otherwise the LSV left branch has no closed-form
     inverse; each entry bisects its own bracket (at most 200 halvings) until
     its midpoint rounds to one of the bracket ends, after which every halving
     would repeat it, so it gets the same bits alone or in an array.  Every
     midpoint lies in (0, 1/2), so it is mapped by the left branch alone.
     """
     t = np.asarray(t, dtype=float)
-    if fmap.family == "doubling":
+    if fmap.alpha == 0.0:
         y = 0.5 * t
     else:
         tt, y = t.ravel(), np.empty(t.shape)

@@ -4,6 +4,9 @@ A ParamSequence realizes the Bernoulli base: an infinite bi-directional
 sequence of map parameters, lazily materialized from a 64-bit master seed.
 Shifting the sequence is O(1); every parameter is a pure function of
 (master_seed, signed index), so concurrent readers always agree bit for bit.
+
+The doubling map is the LSV map at alpha = 0, so a doubling sequence is the
+constant 0.0 whatever bounds it was given; make_sequence still checks them.
 """
 
 from __future__ import annotations
@@ -75,4 +78,6 @@ def make_sequence(master_seed: int, family: str, bounds: tuple[float, float]) ->
         raise ValueError(f"empty parameter interval: alpha_min={alpha_min} > alpha_max={alpha_max}")
     if family == "lsv" and not (0.0 < alpha_min and alpha_max < 1.0):
         raise ValueError("lsv family needs 0 < alpha_min <= alpha_max < 1")
+    if family == "doubling":
+        alpha_min = alpha_max = 0.0
     return ParamSequence(int(master_seed), family, alpha_min, alpha_max)

@@ -128,7 +128,7 @@ def birkhoff_ensemble(seq: ParamSequence, phi: Observable, n_steps: int,
 
 
 def variance_growth(ens: BirkhoffEnsemble, n_boot: int = 200,
-                    rng_seed: int = 1, ci_level: float = 0.95) -> dict:
+                    ci_level: float = 0.95) -> dict:
     """Per-checkpoint sample variance of S_n over n, with bootstrap CIs.
 
     ci_level is per checkpoint; joint statements over many checkpoints
@@ -138,7 +138,7 @@ def variance_growth(ens: BirkhoffEnsemble, n_boot: int = 200,
         raise ValueError("ci_level must be in (0, 1)")
     if ens.n_samples < 2:
         raise ValueError("a sample variance needs n_samples >= 2")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((rng_seed, 0xB007))))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((1, 0xB007))))
     ns = ens.record_ns
     v, lo, hi = np.empty((3, ns.size))
     tail = 0.5 * (1.0 - ci_level)
@@ -162,9 +162,9 @@ def qclt_test(ens: BirkhoffEnsemble, sigma2: float) -> dict:
 
 
 def qclt_null_calibration(n_samples: int, n_steps: int = 256, reps: int = 100,
-                          level: float = 0.01, rng_seed: int = 7) -> dict:
+                          level: float = 0.01) -> dict:
     """Rejection rate of the KS test on injected i.i.d. Gaussian increments."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((rng_seed, 0xCA1))))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((7, 0xCA1))))
     rejections = 0
     for _ in range(reps):
         z = rng.standard_normal((n_samples, n_steps)).sum(axis=1) / math.sqrt(n_steps)
@@ -199,56 +199,51 @@ def qlil_envelope(ens: BirkhoffEnsemble, sigma2: float) -> dict:
 _ROW_BLOCK = 64
 
 
-def _reduce_chunk(z: np.ndarray, out: np.ndarray, functional: str, scale: float,
-                  c: float, rng: np.random.Generator) -> None:
-    """Write the functional of each row of standard normals z into out.
+def _reduce_chunk(z: np.ndarray, out: np.ndarray, scale: float, c: float,
+                  rng: np.random.Generator) -> None:
+    """Write the running sup of each row of standard normals z into out.
 
     Works _ROW_BLOCK rows at a time and overwrites z.  Each row becomes the
-    path w = cumsum(scale * z); for sup, the maximum on step k is
+    path w = cumsum(scale * z); the maximum on step k is
     0.5 * (a + b + sqrt((b - a)^2 - c log u)) with a = w_{k-1} (w_0 = 0),
     b = w_k and u drawn row-major from rng.  0.5 * max equals max of
     0.5 * (...) because halving is exact and monotone.
     """
-    if functional == "sup":
-        u_buf = np.empty((min(_ROW_BLOCK, len(z)), z.shape[1]))
-        t_buf = np.empty_like(u_buf)
+    u_buf = np.empty((min(_ROW_BLOCK, len(z)), z.shape[1]))
+    t_buf = np.empty_like(u_buf)
     for r in range(0, len(z), _ROW_BLOCK):
         w = z[r:r + _ROW_BLOCK]
         row_out = out[r:r + _ROW_BLOCK]
         w *= scale
         np.cumsum(w, axis=1, out=w)
-        if functional == "terminal":
-            row_out[:] = w[:, -1]
-        elif functional == "sup_abs":
-            np.max(np.abs(w, out=w), axis=1, out=row_out)
-        else:
-            u, t = u_buf[:len(w)], t_buf[:len(w)]
-            rng.random(out=u)
-            np.multiply(c, np.log(u, out=u), out=u)
-            t[:, 0] = w[:, 0]                              # b - a with a = 0
-            np.subtract(w[:, 1:], w[:, :-1], out=t[:, 1:])
-            np.subtract(np.square(t, out=t), u, out=t)
-            np.sqrt(t, out=t)
-            np.add(0.0, w[:, 0], out=u[:, 0])              # a + b with a = 0
-            np.add(w[:, :-1], w[:, 1:], out=u[:, 1:])
-            np.max(np.add(u, t, out=u), axis=1, out=row_out)
-            row_out *= 0.5
+        u, t = u_buf[:len(w)], t_buf[:len(w)]
+        rng.random(out=u)
+        np.multiply(c, np.log(u, out=u), out=u)
+        t[:, 0] = w[:, 0]                              # b - a with a = 0
+        np.subtract(w[:, 1:], w[:, :-1], out=t[:, 1:])
+        np.subtract(np.square(t, out=t), u, out=t)
+        np.sqrt(t, out=t)
+        np.add(0.0, w[:, 0], out=u[:, 0])              # a + b with a = 0
+        np.add(w[:, :-1], w[:, 1:], out=u[:, 1:])
+        np.max(np.add(u, t, out=u), axis=1, out=row_out)
+        row_out *= 0.5
 
 
 def brownian_functional_samples(functional: str, sigma: float, n_paths: int,
                                 n_steps: int = 2 ** 10, rng_seed: int = 11,
                                 chunk: int = 4096) -> np.ndarray:
-    """Monte Carlo samples of a path functional of sigma * B on [0, 1].
+    """Monte Carlo samples of the running sup of sigma * B on [0, 1].
 
-    For the running sup the per-step maximum is drawn exactly from the
-    Brownian-bridge reflection law, removing the discrete-grid bias that a
-    plain max over grid points would carry; sup_abs is that grid max.
+    functional must be "sup", the only functional sampled.  The per-step
+    maximum is drawn exactly from the Brownian-bridge reflection law,
+    removing the discrete-grid bias that a plain max over grid points would
+    carry.
 
     Stream layout: paths come in chunks of ``chunk`` rows, and for each chunk
     of m paths the Philox stream holds its m * n_steps standard normals
-    (row-major), then, for sup only, its m * n_steps uniforms.
+    (row-major), then its m * n_steps uniforms.
     """
-    if functional not in ("sup", "sup_abs", "terminal"):
+    if functional != "sup":
         raise ValueError(f"unknown functional {functional!r}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((rng_seed, 0xB2))))
     dt = 1.0 / n_steps
@@ -259,7 +254,7 @@ def brownian_functional_samples(functional: str, sigma: float, n_paths: int,
     for lo in range(0, n_paths, chunk):
         z = buffer[:min(chunk, n_paths - lo)]
         rng.standard_normal(out=z)
-        _reduce_chunk(z, out[lo:lo + len(z)], functional, scale, c, rng)
+        _reduce_chunk(z, out[lo:lo + len(z)], scale, c, rng)
     return out
 
 
@@ -296,10 +291,9 @@ def brownian_sup_abs_cdf(a: np.ndarray, sigma: float = 1.0) -> np.ndarray:
     return np.clip(np.where(x < 1.0, _sup_abs_theta(x), _sup_abs_image(x)), 0.0, 1.0)
 
 
-def brownian_oracle_self_test(n_paths: int = 10 ** 5, n_steps: int = 2 ** 10,
-                              rng_seed: int = 13) -> dict:
-    """KS of simulated Brownian sup samples against the reflection-law CDF."""
-    sup = brownian_functional_samples("sup", 1.0, n_paths, n_steps, rng_seed)
+def brownian_oracle_self_test(n_paths: int = 10 ** 5) -> dict:
+    """KS of simulated Brownian sup samples (1024 steps) against the reflection-law CDF."""
+    sup = brownian_functional_samples("sup", 1.0, n_paths, 2 ** 10, 13)
     d = ks_statistic(sup, brownian_sup_cdf)
     return {"ks_distance": d, "n_paths": n_paths}
 

@@ -144,12 +144,9 @@ def exact_tail(family: str, alpha: float, n_max: int) -> np.ndarray:
     """
     tail = np.empty(n_max + 1)
     tail[0] = 1.0
-    if family == "doubling":
-        tail[1:] = 0.5 ** np.arange(1, n_max + 1)
-        return tail
     fmap = FiberMap(family, alpha)
     z = 0.5
-    tail[1] = z
+    tail[1:2] = z   # a slice, empty when n_max is 0
     for n in range(2, n_max + 1):
         z = left_branch_inverse(fmap, z)
         tail[n] = z

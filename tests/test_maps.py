@@ -52,6 +52,44 @@ def test_doubling_period_two():
     assert apply(d, y) == pytest.approx(x, abs=1e-15)
 
 
+# The doubling formulas that the lsv formulas replace at alpha = 0, kept as oracles.
+def old_doubling_apply(x):
+    return np.clip(np.where(x < 0.5, 2.0 * x, 2.0 * x - 1.0), 0.0, 1.0)
+
+
+def old_doubling_left_branch(x):
+    return 2.0 * x
+
+
+def old_doubling_derivative(x):
+    return np.full_like(x, 2.0)
+
+
+EDGE_POINTS = [0.0, 5e-324, 2.0 ** -1060, 2.0 ** -1022, math.nextafter(0.5, 0.0), 0.5,
+               math.nextafter(1.0, 0.0), 1.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(EDGE_POINTS), st.floats(0.0, 1.0)), max_size=30))
+def test_doubling_is_lsv_at_zero_bit_for_bit(xs):
+    d = FiberMap("doubling", 0.0)
+    arr = np.array(xs, dtype=float)
+    for x in [arr, *(np.array(v) for v in xs)]:   # the array, then each 0-d point
+        for got, want in ((apply(d, x), old_doubling_apply(x)),
+                          (maps._left_branch(d, x), old_doubling_left_branch(x)),
+                          (derivative(d, x), old_doubling_derivative(x))):
+            assert np.ndim(got) == x.ndim
+            assert np.asarray(got, dtype=float).tobytes() == np.asarray(want).tobytes()
+
+
+def test_doubling_needs_alpha_zero():
+    with pytest.raises(ValueError, match="alpha 0"):
+        FiberMap("doubling", 0.3)
+    # the closed-form inverse belongs to alpha = 0, whatever the family is called
+    ts = np.linspace(0.0, 1.0, 17)
+    assert left_branch_inverse(FiberMap("lsv", 0.0), ts).tobytes() == (0.5 * ts).tobytes()
+
+
 def test_domain_check():
     f = FiberMap("lsv", 0.2)
     with pytest.raises(ValueError):

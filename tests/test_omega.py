@@ -37,6 +37,16 @@ def test_degenerate_bounds_constant():
     assert set(seq.params(-10, 10).tolist()) == {0.0}
 
 
+def test_doubling_sequence_is_zero_whatever_its_bounds():
+    # doubling is the lsv map at alpha = 0: checked bounds are then ignored
+    seq = make_sequence(1, "doubling", (0.05, 0.15))
+    assert (seq.alpha_min, seq.alpha_max) == (0.0, 0.0)
+    assert seq.params(-32, 64).tolist() == [0.0] * 96
+    assert seq.param(5) == 0.0
+    with pytest.raises(ValueError, match="empty"):
+        make_sequence(1, "doubling", (0.15, 0.05))
+
+
 @given(st.integers(min_value=-100, max_value=100),
        st.integers(min_value=-100, max_value=100),
        st.integers(min_value=-50, max_value=50))

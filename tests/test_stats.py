@@ -19,6 +19,22 @@ def small_doubling_ensemble(n_steps=256, n_samples=3000):
                                    n_samples, "equivariant", 2 ** 10, 8, 32)
 
 
+def test_doubling_ensemble_builds_two_ulam_matrices(monkeypatch):
+    # a doubling sequence is constant whatever its bounds, so the density
+    # chain and the centering chain each build one matrix
+    from quenched_limits import transfer
+
+    builds, build = [], transfer.ulam_matrix
+    monkeypatch.setattr(transfer, "ulam_matrix",
+                        lambda *a, **k: builds.append(a) or build(*a, **k))
+    phi = get_observable("cos2pi")
+    args = (phi, 64, 20, "equivariant", 2 ** 6, 8, 4)
+    ens = stats.birkhoff_ensemble(make_sequence(1, "doubling", (0.05, 0.15)), *args)
+    assert len(builds) == 2
+    ref = stats.birkhoff_ensemble(make_sequence(1, "doubling", (0.0, 0.0)), *args)
+    assert ens.S_records.tobytes() == ref.S_records.tobytes()
+
+
 def test_dyadic_records():
     recs = stats._dyadic_records(1024)
     assert recs.tolist() == [4, 8, 16, 32, 64, 128, 256, 512, 1024]
@@ -134,11 +150,11 @@ def test_sup_abs_theta_and_image_forms_agree(x):
 
 @pytest.mark.parametrize("n_steps", [64, 256])
 def test_brownian_sup_abs_cdf_matches_grid_sampler(n_steps):
-    # The sampler's sup_abs is the max over n grid points, which falls short
+    # The oracle's sup_abs is the max over n grid points, which falls short
     # of the continuous sup by about beta / sqrt(n) with beta = -zeta(1/2) /
     # sqrt(2 pi) (Siegmund's discrete-monitoring correction).
     beta = -scipy.special.zeta(0.5) / math.sqrt(2.0 * math.pi)
-    grid_max = stats.brownian_functional_samples("sup_abs", 1.0, 10 ** 5, n_steps)
+    grid_max = whole_chunk_brownian("sup_abs", 1.0, 10 ** 5, n_steps, 11, 4096)
     d = ks_statistic(grid_max, lambda a: stats.brownian_sup_abs_cdf(
         a + beta / math.sqrt(n_steps)))
     assert d < 0.01
@@ -149,14 +165,11 @@ def test_brownian_oracle_self_test():
     assert res["ks_distance"] < 0.01
 
 
-def test_brownian_terminal_law():
-    s = stats.brownian_functional_samples("terminal", 2.0, 50000, 256)
-    d = ks_statistic(s / 2.0, normal_cdf)
-    assert d < 0.01
-
-
 def whole_chunk_brownian(functional, sigma, n_paths, n_steps, rng_seed, chunk):
-    """The sampler as first written: one thread, whole-chunk temporaries."""
+    """The sampler as first written: one thread, whole-chunk temporaries.
+
+    Besides sup it still draws sup_abs, the max of |w| over the grid nodes.
+    """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((rng_seed, 0xB2))))
     dt = 1.0 / n_steps
     out = np.empty(n_paths)
@@ -165,9 +178,7 @@ def whole_chunk_brownian(functional, sigma, n_paths, n_steps, rng_seed, chunk):
         m = min(chunk, n_paths - done)
         inc = rng.standard_normal((m, n_steps)) * (sigma * math.sqrt(dt))
         w = np.cumsum(inc, axis=1)
-        if functional == "terminal":
-            out[done:done + m] = w[:, -1]
-        elif functional == "sup_abs":
+        if functional == "sup_abs":
             out[done:done + m] = np.max(np.abs(w), axis=1)
         else:
             a = np.concatenate([np.zeros((m, 1)), w[:, :-1]], axis=1)
@@ -182,25 +193,20 @@ def whole_chunk_brownian(functional, sigma, n_paths, n_steps, rng_seed, chunk):
 
 # chunks below, between multiples of and above the 64-row block
 @settings(max_examples=150, deadline=None)
-@given(functional=st.sampled_from(["sup", "sup_abs", "terminal"]),
-       n_paths=st.integers(0, 300), n_steps=st.integers(1, 40),
+@given(n_paths=st.integers(0, 300), n_steps=st.integers(1, 40),
        chunk=st.integers(1, 70), sigma=st.floats(0.1, 3.0),
        rng_seed=st.integers(0, 2 ** 32 - 1))
-def test_brownian_samples_equal_whole_chunk_oracle(functional, n_paths, n_steps, chunk,
-                                                    sigma, rng_seed):
-    got = stats.brownian_functional_samples(functional, sigma, n_paths, n_steps,
-                                            rng_seed, chunk)
-    want = whole_chunk_brownian(functional, sigma, n_paths, n_steps, rng_seed, chunk)
+def test_brownian_samples_equal_whole_chunk_oracle(n_paths, n_steps, chunk, sigma, rng_seed):
+    got = stats.brownian_functional_samples("sup", sigma, n_paths, n_steps, rng_seed, chunk)
+    want = whole_chunk_brownian("sup", sigma, n_paths, n_steps, rng_seed, chunk)
     assert got.shape == (n_paths,)
     assert got.tobytes() == want.tobytes()
 
 
-def test_brownian_worker_error_reaches_caller(monkeypatch):
-    def fail(*args):
-        raise FloatingPointError("worker")
-    monkeypatch.setattr(stats, "_reduce_chunk", fail)
-    with pytest.raises(FloatingPointError, match="worker"):
-        stats.brownian_functional_samples("sup", 1.0, 100, 8, 1, 16)
+@pytest.mark.parametrize("functional", ["sup_abs", "terminal"])
+def test_brownian_sampler_draws_only_sup(functional):
+    with pytest.raises(ValueError, match="unknown functional"):
+        stats.brownian_functional_samples(functional, 1.0, 10)
 
 
 @pytest.mark.parametrize("buffer_pos", range(5))
@@ -224,7 +230,7 @@ def test_skip_draws_equals_drawing(buffer_pos, n):
     u = np.random.Generator(drawn).random((rows, n_steps))
     want = (0.5 * (a + w + np.sqrt((w - a) ** 2 - c * np.log(u)))).max(axis=1)
     got = np.empty(rows)
-    stats._reduce_chunk(z, got, "sup", scale, c, np.random.Generator(blocked))
+    stats._reduce_chunk(z, got, scale, c, np.random.Generator(blocked))
     assert got.tobytes() == want.tobytes()
     assert blocked.random_raw(9).tolist() == drawn.random_raw(9).tolist()
 

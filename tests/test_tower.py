@@ -175,6 +175,15 @@ def test_exact_tail_doubling():
     assert t == pytest.approx(0.5 ** np.arange(13))
 
 
+def test_exact_tail_doubling_equals_closed_form_past_underflow():
+    # chained t / 2 inverses give the closed form 0.5 ** n bit for bit, through
+    # the subnormals (n > 1022) and down to 0 (n = 1075 on)
+    t = tower.exact_tail("doubling", 0.0, 1100)
+    assert t.tobytes() == (0.5 ** np.arange(1101)).tobytes()
+    assert t[1074] == 5e-324 and t[1075] == 0.0
+    assert tower.exact_tail("doubling", 0.0, 0).tolist() == [1.0]
+
+
 def test_exact_tail_lsv_boundary_relation():
     # successive tail values are left-branch preimages of 1/2: f(z_{n+1}) = z_n
     alpha = 0.2

@@ -31,7 +31,7 @@ def test_ulam_matches_scipy_csr_oracle(family, alpha, n_bins, subsamples, seed):
     # the summed-duplicates CSR build the triplets replace, products bit for bit
     import scipy.sparse as sp
 
-    fmap = FiberMap(family, alpha)
+    fmap = FiberMap(family, 0.0 if family == "doubling" else alpha)   # doubling is lsv at 0
     pts = transfer._stratified_points(n_bins, subsamples)
     j = np.minimum((apply(fmap, pts) * n_bins).astype(np.int64), n_bins - 1)
     i = np.repeat(np.arange(n_bins), subsamples)
@@ -75,7 +75,7 @@ def assert_same_triplets(M, ref):
 @example(family="lsv", alpha=0.3, n_bins=4095, subsamples=8)
 def test_ulam_triplets_equal_full_grid_oracle(family, alpha, n_bins, subsamples):
     # the cached right half and the run-length pass change no bit
-    fmap = FiberMap(family, alpha)
+    fmap = FiberMap(family, 0.0 if family == "doubling" else alpha)   # doubling is lsv at 0
     ref = full_grid_ulam(lambda x: apply(fmap, x), n_bins, subsamples)
     assert_same_triplets(transfer.ulam_matrix(fmap, n_bins, subsamples), ref)
 
