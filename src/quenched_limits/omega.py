@@ -53,6 +53,8 @@ class ParamSequence:
     origin_offset: int = 0
 
     def param(self, i: int) -> float:
+        if self.alpha_min == self.alpha_max:
+            return self.alpha_min          # what alpha_min + 0.0 * u gives
         u = _raw_uniform(self.master_seed, zigzag(i + self.origin_offset))
         return self.alpha_min + (self.alpha_max - self.alpha_min) * u
 

@@ -61,6 +61,24 @@ def _dyadic_records(n_steps: int) -> np.ndarray:
     return np.array(sorted(set(ks + [n_steps])))
 
 
+def _centering_means(seq: ParamSequence, phi_bar: np.ndarray, h: np.ndarray,
+                     n_steps: int, n_bins: int, subsamples: int) -> np.ndarray:
+    """phi_bar against the fiber-0 masses h and their pushes, steps 0..n_steps."""
+    means = np.empty(n_steps + 1)
+    means[0] = float(h @ phi_bar)
+    mass, last, fixed = h, None, False
+    for k, M in enumerate(matrices_along(seq, 0, n_steps, n_bins, subsamples), start=1):
+        if fixed and M is last:
+            # mass is a bitwise fixed point of M, so pushing it again returns it
+            means[k] = means[k - 1]
+            continue
+        pushed = pushforward(M, mass)
+        fixed = M is last and np.array_equal(pushed, mass)
+        mass, last = pushed, M
+        means[k] = float(mass @ phi_bar)
+    return means
+
+
 def birkhoff_ensemble(seq: ParamSequence, phi: Observable, n_steps: int,
                       n_samples: int, sampling_mode: str = "equivariant",
                       n_bins: int = 2 ** 12, depth: int = 32,
@@ -81,12 +99,7 @@ def birkhoff_ensemble(seq: ParamSequence, phi: Observable, n_steps: int,
 
     phi_bar = bin_average(phi, n_bins)
     h = equivariant_density(seq, n_bins, depth, subsamples)
-    means = np.empty(n_steps + 1)
-    means[0] = float(h @ phi_bar)
-    mass = h
-    for k, M in enumerate(matrices_along(seq, 0, n_steps, n_bins, subsamples), start=1):
-        mass = pushforward(M, mass)
-        means[k] = float(mass @ phi_bar)
+    means = _centering_means(seq, phi_bar, h, n_steps, n_bins, subsamples)
 
     use_bits = seq.family == "doubling"
     if use_bits:
@@ -127,12 +140,24 @@ def birkhoff_ensemble(seq: ParamSequence, phi: Observable, n_steps: int,
                             lil_max_c1, lil_min_c1)
 
 
+# Values per temporary in the row-blocked bootstrap and null calibration:
+# 512 KB of doubles, whatever the number of rows.
+_BLOCK_VALUES = 2 ** 16
+
+
+def _block_rows(row_len: int) -> int:
+    return max(1, _BLOCK_VALUES // row_len)
+
+
 def variance_growth(ens: BirkhoffEnsemble, n_boot: int = 200,
                     ci_level: float = 0.95) -> dict:
     """Per-checkpoint sample variance of S_n over n, with bootstrap CIs.
 
+    One set of n_boot resamples of the sample indices serves every
+    checkpoint, so the CIs of different checkpoints are correlated.
     ci_level is per checkpoint; joint statements over many checkpoints
-    should widen it accordingly.
+    should widen it accordingly.  The resamples are drawn and reduced a
+    block of rows at a time.
     """
     if not (0.0 < ci_level < 1.0):
         raise ValueError("ci_level must be in (0, 1)")
@@ -140,14 +165,16 @@ def variance_growth(ens: BirkhoffEnsemble, n_boot: int = 200,
         raise ValueError("a sample variance needs n_samples >= 2")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((1, 0xB007))))
     ns = ens.record_ns
-    v, lo, hi = np.empty((3, ns.size))
+    v = ens.S_records.var(axis=1, ddof=1) / ns
+    boots = np.empty((ns.size, n_boot))
+    rows = _block_rows(ens.n_samples)
+    for r in range(0, n_boot, rows):
+        # the blocks' indices are the rows of one (n_boot, n_samples) draw
+        idx = rng.integers(0, ens.n_samples, size=(min(rows, n_boot - r), ens.n_samples))
+        for i, n in enumerate(ns):
+            boots[i, r:r + len(idx)] = ens.S_records[i][idx].var(axis=1, ddof=1) / n
     tail = 0.5 * (1.0 - ci_level)
-    idx = rng.integers(0, ens.n_samples, size=(n_boot, ens.n_samples))
-    for i, n in enumerate(ns):
-        s = ens.S_records[i]
-        v[i] = s.var(ddof=1) / n
-        boots = s[idx].var(axis=1, ddof=1) / n
-        lo[i], hi[i] = np.quantile(boots, [tail, 1.0 - tail])
+    lo, hi = np.quantile(boots, [tail, 1.0 - tail], axis=1)
     return {"n": ns, "var_over_n": v, "ci_lo": lo, "ci_hi": hi}
 
 
@@ -165,9 +192,15 @@ def qclt_null_calibration(n_samples: int, n_steps: int = 256, reps: int = 100,
                           level: float = 0.01) -> dict:
     """Rejection rate of the KS test on injected i.i.d. Gaussian increments."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((7, 0xCA1))))
+    rows = _block_rows(n_steps)
+    sums = np.empty(n_samples)
     rejections = 0
     for _ in range(reps):
-        z = rng.standard_normal((n_samples, n_steps)).sum(axis=1) / math.sqrt(n_steps)
+        # row blocks of the (n_samples, n_steps) normal matrix, in stream order
+        for r in range(0, n_samples, rows):
+            block = sums[r:r + rows]
+            rng.standard_normal((len(block), n_steps)).sum(axis=1, out=block)
+        z = sums / math.sqrt(n_steps)
         d = ks_statistic(z, normal_cdf)
         if ks_pvalue(d, n_samples) < level:
             rejections += 1

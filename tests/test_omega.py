@@ -47,6 +47,25 @@ def test_doubling_sequence_is_zero_whatever_its_bounds():
         make_sequence(1, "doubling", (0.15, 0.05))
 
 
+@given(alpha=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+       family=st.sampled_from(["lsv", "doubling"]),
+       seed=st.integers(0, 2 ** 32 - 1), offset=st.integers(-10 ** 6, 10 ** 6),
+       indices=st.lists(st.integers(-10 ** 9, 10 ** 9), min_size=1, max_size=20))
+def test_constant_sequence_param_skips_the_draw(alpha, family, seed, offset, indices):
+    # alpha_min + 0.0 * u is alpha_min bit for bit, so no uniform is drawn
+    import quenched_limits.omega as omega
+
+    def no_draw(*args):
+        raise AssertionError("constant sequence drew a uniform")
+
+    want = alpha + (alpha - alpha) * omega._raw_uniform(seed, 0)
+    seq = ParamSequence(seed, family, alpha, alpha, offset)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(omega, "_raw_uniform", no_draw)
+        got = [seq.param(i) for i in indices]
+    assert {np.float64(g).tobytes() for g in got} == {np.float64(want).tobytes()}
+
+
 @given(st.integers(min_value=-100, max_value=100),
        st.integers(min_value=-100, max_value=100),
        st.integers(min_value=-50, max_value=50))

@@ -101,6 +101,135 @@ def test_null_calibration():
     assert cal["rejection_rate"] <= 0.05
 
 
+def whole_matrix_variance_growth(ens, n_boot=200, ci_level=0.95):
+    """The bootstrap as first written: one (n_boot, n_samples) index matrix."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((1, 0xB007))))
+    ns = ens.record_ns
+    v, lo, hi = np.empty((3, ns.size))
+    tail = 0.5 * (1.0 - ci_level)
+    idx = rng.integers(0, ens.n_samples, size=(n_boot, ens.n_samples))
+    for i, n in enumerate(ns):
+        s = ens.S_records[i]
+        v[i] = s.var(ddof=1) / n
+        boots = s[idx].var(axis=1, ddof=1) / n
+        lo[i], hi[i] = np.quantile(boots, [tail, 1.0 - tail])
+    return {"n": ns, "var_over_n": v, "ci_lo": lo, "ci_hi": hi}
+
+
+def random_ensemble(n_steps, n_samples, seed):
+    """An ensemble whose checkpoint sums are Gaussian with variance n / 2."""
+    ns = stats._dyadic_records(n_steps)
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((ns.size, n_samples)) * np.sqrt(0.5 * ns)[:, None]
+    zeros = np.zeros(n_samples)
+    return stats.BirkhoffEnsemble(n_steps, n_samples, ns, S, zeros, zeros, zeros, zeros)
+
+
+# n_boot off the multiples of the block rows; budgets of one row, a few rows
+# and the default
+@settings(max_examples=60, deadline=None)
+@given(n_samples=st.integers(2, 3000), n_boot=st.sampled_from([1, 7, 200, 401]),
+       ci_level=st.floats(0.01, 0.99), n_steps=st.integers(1, 300),
+       block_values=st.sampled_from([1, 997, stats._BLOCK_VALUES]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_variance_growth_equals_whole_matrix_oracle(n_samples, n_boot, ci_level, n_steps,
+                                                    block_values, seed):
+    ens = random_ensemble(n_steps, n_samples, seed)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(stats, "_BLOCK_VALUES", block_values)
+        got = stats.variance_growth(ens, n_boot, ci_level)
+    want = whole_matrix_variance_growth(ens, n_boot, ci_level)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].shape == want[key].shape
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+def test_variance_growth_memory_does_not_grow_with_n_boot():
+    # one (200, 20000) index matrix and its gathers would take 92.6 MB
+    import tracemalloc
+
+    ens = random_ensemble(20, 20000, 0)
+    assert ens.record_ns.size == 4
+    tracemalloc.start()
+    try:
+        stats.variance_growth(ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def whole_matrix_null_calibration(n_samples, n_steps, reps, level, seen):
+    """The null calibration as first written, one normal matrix per repetition."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((7, 0xCA1))))
+    rejections = 0
+    for _ in range(reps):
+        z = rng.standard_normal((n_samples, n_steps)).sum(axis=1) / math.sqrt(n_steps)
+        seen.append(z)
+        d = ks_statistic(z, normal_cdf)
+        if stats.ks_pvalue(d, n_samples) < level:
+            rejections += 1
+    return {"rejection_rate": rejections / reps, "reps": reps, "level": level}
+
+
+@pytest.mark.parametrize("block_values", [None, 100])
+@pytest.mark.parametrize("n_samples, n_steps", [(2000, 64), (333, 17), (10000, 256)])
+def test_null_calibration_equals_whole_matrix_oracle(monkeypatch, n_samples, n_steps,
+                                                     block_values):
+    if block_values is not None:
+        monkeypatch.setattr(stats, "_BLOCK_VALUES", block_values)
+    seen = []
+    monkeypatch.setattr(stats, "ks_statistic",
+                        lambda z, cdf: seen.append(z.copy()) or ks_statistic(z, cdf))
+    got = stats.qclt_null_calibration(n_samples, n_steps, reps=3, level=0.5)
+    want_z = []
+    want = whole_matrix_null_calibration(n_samples, n_steps, 3, 0.5, want_z)
+    assert got == want
+    assert [z.tobytes() for z in seen] == [z.tobytes() for z in want_z]
+
+
+def chained_means(seq, phi_bar, h, n_steps, n_bins, subsamples):
+    """The centering chain as first written: one push per step."""
+    from quenched_limits import transfer
+
+    means = np.empty(n_steps + 1)
+    means[0] = float(h @ phi_bar)
+    mass = h
+    for k, M in enumerate(transfer.matrices_along(seq, 0, n_steps, n_bins, subsamples),
+                          start=1):
+        mass = transfer.pushforward(M, mass)
+        means[k] = float(mass @ phi_bar)
+    return means
+
+
+# doubling reaches a bitwise fixed point; varying lsv builds a new matrix per
+# step, so the fixed-point check never runs; constant lsv reuses one matrix
+# but its masses keep moving for many steps
+@pytest.mark.parametrize("family, bounds, n_steps", [
+    ("doubling", (0.0, 0.0), 4096), ("lsv", (0.05, 0.15), 40), ("lsv", (0.1, 0.1), 64)])
+def test_centering_means_equal_pushing_every_step(monkeypatch, family, bounds, n_steps):
+    from quenched_limits import transfer
+
+    n_bins, depth, subsamples = 2 ** 10, 8, 32
+    seq = make_sequence(1, family, bounds)
+    phi_bar = transfer.bin_average(get_observable("cos2pi"), n_bins)
+    h = transfer.equivariant_density(seq, n_bins, depth, subsamples)
+    want = chained_means(seq, phi_bar, h, n_steps, n_bins, subsamples)
+    pushes, checks = [], []
+    push, equal = stats.pushforward, np.array_equal
+    monkeypatch.setattr(stats, "pushforward", lambda *a: pushes.append(1) or push(*a))
+    monkeypatch.setattr(np, "array_equal", lambda *a: checks.append(1) or equal(*a))
+    got = stats._centering_means(seq, phi_bar, h, n_steps, n_bins, subsamples)
+    monkeypatch.undo()
+    assert got.tobytes() == want.tobytes()
+    if family == "doubling":
+        assert len(pushes) < 10
+    else:
+        assert len(pushes) == n_steps
+        assert len(checks) == (0 if bounds[0] != bounds[1] else n_steps - 1)
+
+
 def test_qlil_envelope_orders():
     ens = small_doubling_ensemble(2048, 2000)
     env = stats.qlil_envelope(ens, 0.5)
