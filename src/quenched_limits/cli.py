@@ -95,6 +95,7 @@ class ExperimentConfig:
     def validate(self):
         try:
             self.sequence()
+            self.phi()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         positive_ints = ("n_seeds", "n_bins", "depth_cap", "n_steps", "n_samples",
@@ -114,6 +115,9 @@ class ExperimentConfig:
             raise ConfigError("gamma must be in (0, 1]")
         if self.n_max < 2:
             raise ConfigError("n_max must be >= 2")
+        for name in ("refine_tol", "window_lo", "window_hi"):
+            if not 0.0 <= getattr(self, name) < math.inf:   # NaN fails too
+                raise ConfigError(f"{name} must be finite and >= 0")
 
     def as_dict(self) -> dict:
         out = {}
@@ -187,16 +191,13 @@ def run_tail(cfg: ExperimentConfig) -> dict:
 def run_partition(cfg: ExperimentConfig) -> dict:
     seq = cfg.sequence()
     part = tower_mod.build_partition(seq, cfg.depth_cap, cfg.refine_tol)
-    los = np.array([c[0] for c in part.cells])
-    his = np.array([c[1] for c in part.cells])
-    rs = np.array([c[2] for c in part.cells])
-    oks = np.array([int(c[3]) for c in part.cells])
     info = {"residual_mass": part.residual_mass, "depth_cap": part.depth_cap,
             "gcd": tower_mod.gcd_check(part, cfg.mass_floor),
-            "n_cells": len(part.cells),
+            "n_cells": part.R.size,
             "distortion": tower_mod.distortion_check(seq, part, DISTORTION_PAIRS,
                                                      rng_seed=cfg.seed)}
-    return {"partition.csv": (["lo", "hi", "R", "image_ok"], [los, his, rs, oks]),
+    return {"partition.csv": (["lo", "hi", "R", "image_ok"],
+                              [part.lo, part.hi, part.R, part.image_ok.astype(int)]),
             "partition.json": info}
 
 

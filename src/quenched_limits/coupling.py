@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import _doubling_orbit_values, apply, fiber_map
+from .maps import _doubling_orbit_values, _iterates, apply, fiber_map
 from .omega import ParamSequence, make_sequence
 from .tower import BASE_LO, CAP_DEFAULT, _fraction_above
 
@@ -30,12 +30,8 @@ ALPHA_EXP_DEFAULT = 0.1
 
 @dataclass
 class CouplingTrace:
-    x: float
-    x_prime: float
-    l0: int
     taus: list[int]
     Ts: list[int]
-    capped: bool
 
 
 def _match_pairs(seq: ParamSequence, pts: np.ndarray, l0: int, cap: int,
@@ -89,17 +85,14 @@ def _match_pairs(seq: ParamSequence, pts: np.ndarray, l0: int, cap: int,
 
 
 def match_pair(seq: ParamSequence, x: float, x_prime: float, l0: int,
-               cap: int = CAP_DEFAULT, max_alternations: int = 512,
-               max_T: int = 64) -> CouplingTrace:
-    """Run the alternating recursion and record tau_i and simultaneous T_n."""
+               cap: int = CAP_DEFAULT, max_T: int = 64) -> CouplingTrace:
+    """Run the alternating recursion (at most 512 alternations) and record tau_i and T_n."""
     if not (BASE_LO <= x <= 1.0 and BASE_LO <= x_prime <= 1.0):
         raise ValueError("both points must start in the base [1/2, 1]")
     if l0 < 1:
         raise ValueError("l0 must be >= 1")
-    _, tau, k, capped = _match_pairs(seq, np.array([[x, x_prime]]), l0, cap,
-                                     max_alternations, max_T)
-    return CouplingTrace(x, x_prime, l0, [0] + tau.tolist(), tau[k > 0].tolist(),
-                         bool(capped[0]))
+    _, tau, k, _ = _match_pairs(seq, np.array([[x, x_prime]]), l0, cap, 512, max_T)
+    return CouplingTrace([0] + tau.tolist(), tau[k > 0].tolist())
 
 
 def estimate_l0(family: str, bounds: tuple[float, float], seeds: list[int],
@@ -121,12 +114,10 @@ def estimate_l0(family: str, bounds: tuple[float, float], seeds: list[int],
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0x10))))
         occ[si, 0] = 1.0
         if family == "doubling":
-            for l, y in enumerate(_doubling_orbit_values(samples, l_max, rng), start=1):
-                occ[si, l] = np.mean(y >= BASE_LO)
-            continue
-        y = BASE_LO + 0.5 * rng.random(samples)
-        for l in range(1, l_max + 1):
-            y = apply(fiber_map(seq, l - 1), y)
+            values = _doubling_orbit_values(samples, l_max, rng)
+        else:
+            values = _iterates(seq, BASE_LO + 0.5 * rng.random(samples), l_max)
+        for l, y in enumerate(values, start=1):
             occ[si, l] = np.mean(y >= BASE_LO)
     eps = occ.mean(axis=0)
     suggested = None
@@ -144,7 +135,6 @@ class CouplingTail:
     tail: np.ndarray
     std_err: np.ndarray
     capped_fraction: float
-    alpha_exp: float
 
 
 def coupling_tail(family: str, bounds: tuple[float, float], seeds: list[int],
@@ -183,4 +173,4 @@ def coupling_tail(family: str, bounds: tuple[float, float], seeds: list[int],
         se = per_seed.std(axis=0, ddof=1) / math.sqrt(len(seeds))
     else:
         se = np.sqrt(np.clip(tail * (1 - tail), 0, None) / pair_samples)
-    return CouplingTail(ns, tail, se, capped_pairs / total_pairs, alpha_exp)
+    return CouplingTail(ns, tail, se, capped_pairs / total_pairs)

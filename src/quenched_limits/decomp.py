@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .maps import Observable, apply, fiber_map
+from .maps import apply, fiber_map
 from .omega import ParamSequence, make_sequence
 from .transfer import (MASS_FLOOR, bin_average, matrices_along, nearest_bin, pull,
                        pushforward, uniform_density)
@@ -53,8 +54,8 @@ class Decomposition:
         }
 
 
-def _decompose(seq: ParamSequence, phi: Observable, K_trunc: int, n_bins: int,
-               depth: int, subsamples: int = 64) -> Decomposition:
+def _decompose(seq: ParamSequence, phi: Callable[[np.ndarray], np.ndarray], K_trunc: int,
+               n_bins: int, depth: int, subsamples: int = 64) -> Decomposition:
     """Single sweep through the past fibers building g_w, g_sw and psi_w.
 
     The density chain starts uniform at fiber -(K_trunc + depth); signed
@@ -108,15 +109,15 @@ def _decompose(seq: ParamSequence, phi: Observable, K_trunc: int, n_bins: int,
                          float(masked_fraction), warnings)
 
 
-def martingale_psi(seq: ParamSequence, phi: Observable, K_trunc: int = K_TRUNC_DEFAULT,
-                   n_bins: int = N_BINS_DEFAULT, depth: int = DEPTH_DEFAULT,
-                   subsamples: int = 64) -> Decomposition:
+def martingale_psi(seq: ParamSequence, phi: Callable[[np.ndarray], np.ndarray],
+                   K_trunc: int = K_TRUNC_DEFAULT, n_bins: int = N_BINS_DEFAULT,
+                   depth: int = DEPTH_DEFAULT, subsamples: int = 64) -> Decomposition:
     """Full decomposition on fiber w (g, g at sw, psi, residual, variance)."""
     return _decompose(seq, phi, K_trunc, n_bins, depth, subsamples)
 
 
 def sigma_squared(family: str, bounds: tuple[float, float], seeds: list[int],
-                  phi: Observable, K_trunc: int = K_TRUNC_DEFAULT,
+                  phi: Callable[[np.ndarray], np.ndarray], K_trunc: int = K_TRUNC_DEFAULT,
                   n_bins: int = N_BINS_DEFAULT, depth: int = DEPTH_DEFAULT,
                   subsamples: int = 64) -> tuple[float, float, list[Decomposition]]:
     """Ensemble average of int psi^2 dmu_w over driving seeds.
@@ -134,7 +135,7 @@ def sigma_squared(family: str, bounds: tuple[float, float], seeds: list[int],
 
 
 def coboundary_test(family: str, bounds: tuple[float, float], seeds: list[int],
-                    phi: Observable, n_bins: int = N_BINS_DEFAULT,
+                    phi: Callable[[np.ndarray], np.ndarray], n_bins: int = N_BINS_DEFAULT,
                     depth: int = DEPTH_DEFAULT, subsamples: int = 64) -> dict:
     """Degenerate-vs-nondegenerate verdict for the limiting variance.
 

@@ -33,9 +33,6 @@ class FiberMap:
         if self.family == "doubling" and self.alpha != 0.0:
             raise ValueError(f"the doubling map is lsv at alpha 0, got alpha {self.alpha}")
 
-    def __call__(self, x):
-        return apply(self, x)
-
 
 def apply(fmap: FiberMap, x):
     """One application of the fiber map; accepts scalars or arrays."""
@@ -96,13 +93,20 @@ def fiber_map(seq: ParamSequence, k: int = 0) -> FiberMap:
     return FiberMap(seq.family, seq.param(k))
 
 
+def _iterates(seq: ParamSequence, x, n: int):
+    """Yield f^1 x, ..., f^n x, one apply per step, from one batch of parameters."""
+    for alpha in seq.params(0, n):
+        x = apply(FiberMap(seq.family, alpha), x)
+        yield x
+
+
 def orbit(seq: ParamSequence, x, n: int):
     """f^n(x) = f_{w_{n-1}} ... f_{w_0}(x); accepts scalars or arrays, like apply."""
     if n < 0:
         raise ValueError("n must be >= 0")
     y = np.asarray(x, dtype=float)
-    for alpha in seq.params(0, n):
-        y = apply(FiberMap(seq.family, alpha), y)
+    for y in _iterates(seq, y, n):
+        pass
     return float(y) if np.ndim(y) == 0 else y
 
 
@@ -125,19 +129,6 @@ def _doubling_orbit_values(n_samples: int, n_steps: int, rng: np.random.Generato
         yield (chunk >> np.uint64(11)).astype(np.float64) * scale
 
 
-@dataclass(frozen=True)
-class Observable:
-    """A Holder observable on [0,1] with its regularity certificate."""
-
-    name: str
-    fn: Callable[[np.ndarray], np.ndarray]
-    holder_exponent: float
-    holder_constant: float
-
-    def __call__(self, x):
-        return self.fn(np.asarray(x, dtype=float))
-
-
 def _cos2pi(x):
     return np.cos(2.0 * np.pi * x)
 
@@ -156,20 +147,18 @@ def _smooth_indicator(x):
     return ramp((x - 0.125) * 8.0) - ramp((x - 0.75) * 8.0)
 
 
-def get_observable(name: str, gamma: float = 0.5) -> Observable:
+def get_observable(name: str, gamma: float = 0.5) -> Callable[[np.ndarray], np.ndarray]:
     """Look up an observable by registry name.
 
-    ``holder_gamma`` takes the exponent from the gamma argument; the others
-    are Lipschitz.
+    ``holder_gamma`` is |x - 1/2|^gamma, Holder with the gamma argument as
+    exponent; the others are Lipschitz.
     """
-    if name == "cos2pi":
-        return Observable("cos2pi", _cos2pi, 1.0, 2.0 * np.pi)
     if name == "holder_gamma":
         if not (0.0 < gamma <= 1.0):
             raise ValueError("gamma must be in (0, 1]")
-        return Observable("holder_gamma", lambda x, g=gamma: np.abs(x - 0.5) ** g, gamma, 1.0)
-    if name == "smooth_indicator":
-        return Observable("smooth_indicator", _smooth_indicator, 1.0, 12.0)
-    if name == "coboundary_cos":
-        return Observable("coboundary_cos", _coboundary_cos, 1.0, 6.0 * np.pi)
-    raise ValueError(f"unknown observable {name!r}")
+        return lambda x, g=gamma: np.abs(x - 0.5) ** g
+    fns = {"cos2pi": _cos2pi, "smooth_indicator": _smooth_indicator,
+           "coboundary_cos": _coboundary_cos}
+    if name not in fns:
+        raise ValueError(f"unknown observable {name!r}")
+    return fns[name]

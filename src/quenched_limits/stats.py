@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .decomp import sample_from_density
 from .kstest import ks_statistic, ks_pvalue, normal_cdf
-from .maps import FiberMap, Observable, _doubling_orbit_values, apply
+from .maps import _doubling_orbit_values, _iterates
 from .omega import ParamSequence
 from .transfer import bin_average, equivariant_density, matrices_along, pushforward
 
@@ -79,8 +80,8 @@ def _centering_means(seq: ParamSequence, phi_bar: np.ndarray, h: np.ndarray,
     return means
 
 
-def birkhoff_ensemble(seq: ParamSequence, phi: Observable, n_steps: int,
-                      n_samples: int, sampling_mode: str = "equivariant",
+def birkhoff_ensemble(seq: ParamSequence, phi: Callable[[np.ndarray], np.ndarray],
+                      n_steps: int, n_samples: int, sampling_mode: str = "equivariant",
                       n_bins: int = 2 ** 12, depth: int = 32,
                       subsamples: int = 32) -> BirkhoffEnsemble:
     """Simulate partial sums of the fiberwise-centered observable.
@@ -101,16 +102,12 @@ def birkhoff_ensemble(seq: ParamSequence, phi: Observable, n_steps: int,
     h = equivariant_density(seq, n_bins, depth, subsamples)
     means = _centering_means(seq, phi_bar, h, n_steps, n_bins, subsamples)
 
-    use_bits = seq.family == "doubling"
-    if use_bits:
-        value_iter = _doubling_orbit_values(n_samples, n_steps, rng)
-        x = None
+    if seq.family == "doubling":
+        values = _doubling_orbit_values(n_samples, n_steps, rng)
+    elif sampling_mode == "equivariant":
+        values = _iterates(seq, sample_from_density(h, n_samples, rng), n_steps)
     else:
-        if sampling_mode == "equivariant":
-            x = sample_from_density(h, n_samples, rng)
-        else:
-            x = rng.random(n_samples)
-        params = seq.params(0, n_steps)
+        values = _iterates(seq, rng.random(n_samples), n_steps)
 
     S = np.zeros(n_samples)
     S_records = np.empty((record_ns.size, n_samples))
@@ -119,12 +116,7 @@ def birkhoff_ensemble(seq: ParamSequence, phi: Observable, n_steps: int,
     lil_max_c1 = np.full(n_samples, -np.inf)
     lil_min_c1 = np.full(n_samples, np.inf)
     ri = 0
-    for k in range(1, n_steps + 1):
-        if use_bits:
-            xk = next(value_iter)
-        else:
-            x = apply(FiberMap(seq.family, params[k - 1]), x)
-            xk = x
+    for k, xk in enumerate(values, start=1):
         S += phi(xk) - means[k]
         np.maximum(path_max, S, out=path_max)
         np.minimum(path_min, S, out=path_min)

@@ -27,20 +27,18 @@ CAP_DEFAULT = 10 ** 6
 @dataclass
 class ReturnRecord:
     R: int | None              # None when the cap was hit
-    capped: bool
 
 
 @dataclass
 class ReturnPartition:
-    cells: list            # (lo, hi, R, image_ok)
+    """The cells {R = n}, one entry per cell, in increasing lo."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    R: np.ndarray
+    image_ok: np.ndarray   # does f^R map the cell onto the base?
     depth_cap: int
     residual_mass: float   # Lebesgue mass of {R > depth_cap} plus merged slivers
-
-    def masses(self) -> dict[int, float]:
-        out: dict[int, float] = {}
-        for lo, hi, r, _ in self.cells:
-            out[r] = out.get(r, 0.0) + (hi - lo)
-        return out
 
 
 def _check_base(x: float):
@@ -76,7 +74,7 @@ def return_time(seq: ParamSequence, x: float, cap: int = CAP_DEFAULT) -> ReturnR
     if cap < 1:
         raise ValueError("cap must be >= 1")
     n = int(_first_entries(seq, [x], 0, cap)[0][0])
-    return ReturnRecord(None if n < 0 else n, n < 0)
+    return ReturnRecord(None if n < 0 else n)
 
 
 def return_times_vec(seq: ParamSequence, xs: np.ndarray, cap: int = CAP_DEFAULT) -> np.ndarray:
@@ -99,7 +97,8 @@ def nth_return(seq: ParamSequence, x: float, n: int, cap: int = CAP_DEFAULT):
     return t
 
 
-def build_partition(seq: ParamSequence, depth_cap: int, refine_tol: float = 1e-12) -> ReturnPartition:
+def build_partition(seq: ParamSequence, depth_cap: int,
+                    refine_tol: float = 1e-12) -> ReturnPartition:
     """Return-time cells {R = n}, n <= depth_cap, by boundary bisection.
 
     The boundary of {R > n} is the base point whose orbit sits exactly at
@@ -114,17 +113,18 @@ def build_partition(seq: ParamSequence, depth_cap: int, refine_tol: float = 1e-1
     for k in range(depth_cap - 1, 0, -1):
         w = left_branch_inverse(fiber_map(seq, k), np.append(w, 0.5))
     w = np.append(w, 0.5)[::-1]
-    boundaries = [1.0] + ((w + 1.0) / 2.0).tolist()   # right branch inverse of w
-    cells = []
-    residual = boundaries[depth_cap] - BASE_LO
+    b = np.append(1.0, (w + 1.0) / 2.0)   # right branch inverse of w
+    residual, kept = b[depth_cap] - BASE_LO, []
     for n in range(1, depth_cap + 1):
-        lo, hi = boundaries[n], boundaries[n - 1]
-        if hi - lo < refine_tol:
-            residual += hi - lo
-            continue
-        cells.append((lo, hi, n, _image_ok(seq, lo, hi, n, refine_tol)))
-    cells.sort(key=lambda c: c[0])
-    return ReturnPartition(cells, depth_cap, residual)
+        if b[n - 1] - b[n] < refine_tol:
+            residual += b[n - 1] - b[n]
+        else:
+            kept.append(n)
+    R = np.array(sorted(kept, key=b.__getitem__), dtype=np.int64)
+    lo, hi = b[R], b[R - 1]
+    image_ok = np.array([_image_ok(seq, *cell, refine_tol)
+                         for cell in zip(lo.tolist(), hi.tolist(), R.tolist())], dtype=bool)
+    return ReturnPartition(lo, hi, R, image_ok, depth_cap, float(residual))
 
 
 def _image_ok(seq: ParamSequence, lo: float, hi: float, R: int, tol: float) -> bool:
@@ -208,10 +208,10 @@ def tail_curve(family: str, bounds: tuple[float, float], seeds: list[int],
 
 def gcd_check(partition: ReturnPartition, mass_floor: float) -> int:
     """gcd of the return times whose cells carry mass above mass_floor."""
-    times = [r for r, m in partition.masses().items() if m > mass_floor]
+    times = partition.R[partition.hi - partition.lo > mass_floor].tolist()
     if not times:
         raise ValueError(f"no cell carries mass above {mass_floor}")
-    return math.gcd(*times) if len(times) > 1 else times[0]
+    return math.gcd(*times)
 
 
 def separation_time(seq: ParamSequence, x: float, y: float, cap: int = 64,
@@ -250,26 +250,25 @@ def induced_jacobian(seq: ParamSequence, x, R: int):
 
 
 def distortion_check(seq: ParamSequence, partition: ReturnPartition,
-                     pair_samples: int, beta: float = 0.5,
-                     rng_seed: int = 0) -> dict:
+                     pair_samples: int, rng_seed: int = 0) -> dict:
     """Sampled distortion and expansion diagnostics for the induced map.
 
     For same-cell pairs (x, y): the Jacobian-ratio deviation
     |J f^R(x)/J f^R(y) - 1| is compared against beta^s with s the
     separation time, and the one-return expansion |f^R x - f^R y| / |x - y|
-    is checked against 1/beta.
+    is checked against 1/beta, for beta = 1/2.
     """
+    beta = 0.5
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((rng_seed, 0xD157))))
-    cells = partition.cells
-    masses = np.array([hi - lo for lo, hi, _, _ in cells])
+    masses = partition.hi - partition.lo
     probs = masses / masses.sum()
     max_cf = 0.0
     min_expansion = math.inf
     beta_hat = 0.0
     violations = 0
     for _ in range(pair_samples):
-        ci = rng.choice(len(cells), p=probs)
-        lo, hi, R, _ = cells[ci]
+        ci = rng.choice(masses.size, p=probs)
+        lo, hi, R = partition.lo[ci], partition.hi[ci], partition.R[ci]
         x, y = lo + (hi - lo) * rng.random(2)
         if x == y:
             continue

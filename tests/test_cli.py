@@ -186,7 +186,25 @@ def test_nan_alpha_bounds_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("exc", [NumericError("no variance"), FloatingPointError("overflow")])
+# values that used to run with a silently different meaning: a NaN refine_tol
+# marked every cell's image as not onto, a negative or NaN fit window fell back
+# to the default window, and an unknown observable was never looked up
+@pytest.mark.parametrize("argv", [
+    ["partition", "--refine_tol", "nan", "--depth_cap", "8"],
+    ["tail", "--window_lo", "-5", "--n_max", "8", "--samples", "1000"],
+    ["tail", "--window_lo", "nan", "--n_max", "8", "--samples", "1000"],
+    ["tail", "--window_hi", "nan", "--n_max", "8", "--samples", "1000"],
+    ["tail", "--observable", "nope", "--n_max", "8", "--samples", "1000"],
+], ids=["refine_tol-nan", "window_lo-negative", "window_lo-nan", "window_hi-nan",
+        "unknown-observable"])
+def test_silently_wrong_config_values_exit_2(tmp_path, argv, capsys):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exc",[NumericError("no variance"), FloatingPointError("overflow")])
 def test_numeric_failure_exits_3(tmp_path, exc, monkeypatch, capsys):
     def fail(cfg):
         raise exc

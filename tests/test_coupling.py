@@ -123,8 +123,9 @@ def test_lockstep_kernel_matches_scalar_recursion(config):
         assert tau[mine & (k > 0)].tolist() == Ts
         assert k[mine & (k > 0)].tolist() == list(range(1, len(Ts) + 1))
         assert bool(capped[i]) == was_capped
-        tr = coupling.match_pair(seq, x, x_prime, l0, cap, max_alternations, max_T)
-        assert (tr.taus, tr.Ts, tr.capped) == (taus, Ts, was_capped)
+        # match_pair runs the same recursion with at most 512 alternations
+        tr = coupling.match_pair(seq, x, x_prime, l0, cap, max_T)
+        assert (tr.taus, tr.Ts) == scalar_match_pair(seq, x, x_prime, l0, cap, 512, max_T)[:2]
 
 
 @pytest.mark.parametrize("family, bounds, seeds, alpha_exp, n_max, pairs, cap", [
@@ -180,7 +181,8 @@ def test_taus_strictly_increasing():
     tr = coupling.match_pair(seq, 0.62, 0.81, 1, max_T=8)
     assert tr.taus[0] == 0
     assert all(b > a for a, b in zip(tr.taus, tr.taus[1:]))
-    assert not tr.capped
+    capped = coupling._match_pairs(seq, np.array([[0.62, 0.81]]), 1, tower.CAP_DEFAULT, 512, 8)[3]
+    assert not capped[0]
 
 
 def test_T_subset_of_taus_and_simultaneous():
@@ -189,8 +191,8 @@ def test_T_subset_of_taus_and_simultaneous():
     tr = coupling.match_pair(seq, 0.55, 0.93, 1, max_T=6)
     assert set(tr.Ts) <= set(tr.taus)
     for T in tr.Ts:
-        assert advance(seq, tr.x, T) >= 0.5
-        assert advance(seq, tr.x_prime, T) >= 0.5
+        assert advance(seq, 0.55, T) >= 0.5
+        assert advance(seq, 0.93, T) >= 0.5
 
 
 def test_first_tau_is_l0_return_of_x():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quenched_limits import maps
-from quenched_limits.maps import (FiberMap, Observable, apply, derivative,
+from quenched_limits.maps import (FiberMap, apply, derivative,
                                   fiber_map, get_observable,
                                   left_branch_inverse, orbit)
 from quenched_limits.omega import make_sequence
@@ -216,7 +216,10 @@ def test_coboundary_observable_is_exact_coboundary():
 @given(st.floats(min_value=0.0, max_value=1.0),
        st.floats(min_value=0.0, max_value=1.0))
 def test_holder_certificates(x, y):
-    for name in ("cos2pi", "smooth_indicator", "coboundary_cos"):
+    # name -> (Holder exponent, Holder constant); holder_gamma at its default gamma 0.5
+    certificates = {"cos2pi": (1.0, 2.0 * np.pi), "holder_gamma": (0.5, 1.0),
+                    "smooth_indicator": (1.0, 12.0), "coboundary_cos": (1.0, 6.0 * np.pi)}
+    for name, (exponent, constant) in certificates.items():
         phi = get_observable(name)
         lhs = abs(float(phi(x)) - float(phi(y)))
-        assert lhs <= phi.holder_constant * abs(x - y) ** phi.holder_exponent + 1e-12
+        assert lhs <= constant * abs(x - y) ** exponent + 1e-12

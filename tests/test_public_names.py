@@ -1,9 +1,16 @@
-"""Every public name of the package feeds something the package produces.
+"""Every public name and every dataclass field of the package feeds something it produces.
 
 A public top-level function, class or constant of ``src/quenched_limits``
 must be read somewhere besides its own definition: in the package itself,
-in the acceptance suite or in the benchmark.  Unit tests do not count, so a
-name that only its own unit test calls shows up here.
+in the acceptance suite or in the benchmark.  Every field of a package
+dataclass must be read as an attribute in the same places.  Unit tests do
+not count, so a name or field that only its own unit test reads shows up
+here.
+
+Both rules match by name, not by type: a field is taken as read when any
+attribute of that name is read, so a field that shares its name with a
+field of another class that is read (``masked_fraction``, ``alpha_exp``,
+``n``, ...) passes unseen and needs a check by hand.
 """
 
 import ast
@@ -49,6 +56,32 @@ def unused_public_names() -> list[str]:
     return unused
 
 
+def dataclass_fields(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, field) of every annotated field of a top-level @dataclass class."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            out += [(node.name, f.target.id) for f in node.body
+                    if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+    return out
+
+
+def attribute_reads(tree: ast.AST) -> set[str]:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields() -> list[str]:
+    reads = set()
+    for path in CALLERS:
+        reads |= attribute_reads(ast.parse(path.read_text(), str(path)))
+    return [f"{path.stem}.{cls}.{name}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for cls, name in dataclass_fields(ast.parse(path.read_text(), str(path)))
+            if name not in reads]
+
+
 def test_every_public_name_has_a_caller_outside_the_unit_tests():
     assert unused_public_names() == []
 
@@ -57,3 +90,16 @@ def test_the_rule_sees_definitions_and_reads():
     tree = ast.parse("A = 1\n_B = 2\ndef f(): return g\nclass C: pass\nx.h\n")
     assert public_definitions(tree) == ["A", "f", "C"]
     assert read_names(tree) == {"g", "x", "h"}
+
+
+def test_every_dataclass_field_is_read_outside_the_unit_tests():
+    assert unread_fields() == []
+
+
+def test_the_field_rule_sees_fields_and_attribute_reads():
+    tree = ast.parse("@dataclass(frozen=True)\nclass P:\n    a: int\n    b: float = 0.0\n"
+                     "    def f(self): return self.a\n"
+                     "class Q:\n    c: int\n"
+                     "x.d = y.e\n")
+    assert dataclass_fields(tree) == [("P", "a"), ("P", "b")]
+    assert attribute_reads(tree) == {"a", "e"}

@@ -25,9 +25,7 @@ def test_return_time_doubling_examples():
     # 0.75 -> 0.5: back in the base after one step
     assert tower.return_time(seq, 0.75).R == 1
     # 0.6 -> 0.2 -> 0.4 -> 0.8: three steps
-    rec = tower.return_time(seq, 0.6)
-    assert rec.R == 3
-    assert not rec.capped
+    assert tower.return_time(seq, 0.6).R == 3
 
 
 def test_return_time_domain():
@@ -130,7 +128,7 @@ def test_nth_return_additive():
 def test_partition_doubling_masses():
     # {R = n} for the doubling map has Lebesgue mass 2^-n-1 = |Lambda| 2^-n
     part = tower.build_partition(doubling_seq(), 10)
-    masses = part.masses()
+    masses = dict(zip(part.R.tolist(), (part.hi - part.lo).tolist()))
     lam = 0.5
     for n in range(1, 9):
         assert masses[n] == pytest.approx(lam * 0.5 ** n, abs=1e-12)
@@ -139,21 +137,18 @@ def test_partition_doubling_masses():
 
 def test_partition_cells_tile_base():
     part = tower.build_partition(lsv_seq(3), 25)
-    cells = part.cells
     # sorted, disjoint, covering (1/2 + residual, 1]
-    for (lo, hi, _, _) in cells:
-        assert lo < hi
-    for a, b in zip(cells, cells[1:]):
-        assert a[1] == pytest.approx(b[0], abs=1e-12)
-    assert cells[-1][1] == 1.0
-    covered = sum(hi - lo for lo, hi, _, _ in cells)
+    assert np.all(part.lo < part.hi)
+    assert part.hi[:-1] == pytest.approx(part.lo[1:], abs=1e-12)
+    assert part.hi[-1] == 1.0
+    covered = sum((part.hi - part.lo).tolist())
     assert covered + part.residual_mass == pytest.approx(0.5, abs=1e-9)
 
 
 def test_partition_cells_have_correct_return_time():
     seq = lsv_seq(5)
     part = tower.build_partition(seq, 20)
-    for lo, hi, R, ok in part.cells:
+    for lo, hi, R, ok in zip(part.lo, part.hi, part.R.tolist(), part.image_ok):
         mid = 0.5 * (lo + hi)
         assert tower.return_time(seq, mid).R == R
         assert ok
@@ -163,7 +158,7 @@ def test_partition_image_onto():
     # f^R maps each cell onto the full base (Markov property)
     seq = lsv_seq(6)
     part = tower.build_partition(seq, 15)
-    for lo, hi, R, _ in part.cells[:6]:
+    for lo, hi, R in zip(part.lo[:6], part.hi[:6], part.R[:6].tolist()):
         y_lo = orbit(seq, lo + (hi - lo) * 1e-9, R)
         y_hi = orbit(seq, hi - (hi - lo) * 1e-9, R)
         assert y_lo <= 0.5 + 1e-6
@@ -299,7 +294,7 @@ def test_build_partition_inverts_once_per_level(monkeypatch):
 def test_distortion_check_doubling_is_exact():
     seq = doubling_seq()
     part = tower.build_partition(seq, 12)
-    d = tower.distortion_check(seq, part, 200, beta=0.5)
+    d = tower.distortion_check(seq, part, 200)
     # piecewise-linear map: zero distortion, expansion exactly 2^R >= 2
     assert d["empirical_CF"] == 0.0
     assert d["min_expansion"] >= 2.0 - 1e-9
@@ -309,7 +304,8 @@ def test_distortion_check_doubling_is_exact():
 def test_distortion_check_lsv_bounded():
     seq = lsv_seq(9)
     part = tower.build_partition(seq, 20)
-    d = tower.distortion_check(seq, part, 200, beta=0.5)
+    d = tower.distortion_check(seq, part, 200)
+    assert d["beta"] == 0.5
     assert d["violations"] == 0
     assert np.isfinite(d["empirical_CF"])
     assert d["beta_hat"] <= 0.5 + 1e-12

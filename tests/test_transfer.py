@@ -105,13 +105,13 @@ def test_ulam_sorted_keys_skip_np_unique(monkeypatch):
 
 
 def test_grid_cache_is_read_only_and_shared_with_bin_average():
-    pts = transfer._stratified_points(8, 4)
-    assert pts is transfer._stratified_points(8, 4)
-    for a in (pts, *transfer._right_half(8, 4)):
+    pts = transfer._stratified_points(8, 16)
+    assert pts is transfer._stratified_points(8, 16)
+    for a in (pts, *transfer._right_half(8, 16)):
         with pytest.raises(ValueError):
             a[0] = 0
     seen = []
-    transfer.bin_average(lambda x: seen.append(x) or x, 8, 4)
+    transfer.bin_average(lambda x: seen.append(x) or x, 8)
     assert seen[0] is pts
 
 
@@ -145,7 +145,7 @@ def test_doubling_uniform_is_invariant():
 
 
 def test_bin_average_linear_function_exact():
-    g = transfer.bin_average(lambda x: x, 64, subsamples=16)
+    g = transfer.bin_average(lambda x: x, 64)
     assert g == pytest.approx((np.arange(64) + 0.5) / 64, abs=1e-15)
 
 
