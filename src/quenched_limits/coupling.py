@@ -23,7 +23,7 @@ import numpy as np
 
 from .maps import _doubling_orbit_values, _iterates, apply, fiber_map
 from .omega import ParamSequence, make_sequence
-from .tower import BASE_LO, CAP_DEFAULT, _fraction_above
+from .tower import BASE_LO, CAP_DEFAULT, _fraction_above, _value_counts
 
 ALPHA_EXP_DEFAULT = 0.1
 
@@ -166,7 +166,8 @@ def coupling_tail(family: str, bounds: tuple[float, float], seeds: list[int],
         Tk[pair[sim], k[sim] - 1] = tau[sim]
         Tk[capped] = n_max + 1
         capped_pairs += int(np.count_nonzero(capped))
-        above = np.array([_fraction_above(Tk[:, j], n_max) for j in range(k_max)])
+        above = np.array([_fraction_above(_value_counts(Tk[:, j], n_max))
+                          for j in range(k_max)])
         per_seed[si] = above[k_of_n - 1, ns]
     tail = per_seed.mean(axis=0)
     if len(seeds) > 1:

@@ -100,16 +100,6 @@ def _iterates(seq: ParamSequence, x, n: int):
         yield x
 
 
-def orbit(seq: ParamSequence, x, n: int):
-    """f^n(x) = f_{w_{n-1}} ... f_{w_0}(x); accepts scalars or arrays, like apply."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    y = np.asarray(x, dtype=float)
-    for y in _iterates(seq, y, n):
-        pass
-    return float(y) if np.ndim(y) == 0 else y
-
-
 def _doubling_orbit_values(n_samples: int, n_steps: int, rng: np.random.Generator):
     """Yield doubling x_k arrays for k = 1..n_steps from i.i.d. random bit streams.
 

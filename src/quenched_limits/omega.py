@@ -11,6 +11,7 @@ constant 0.0 whatever bounds it was given; make_sequence still checks them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -32,6 +33,9 @@ def zigzag(i: int) -> int:
     return 2 * i if i >= 0 else -2 * i - 1
 
 
+# A pure function of its key, so a memo hit returns the same float; walks
+# that start over from tower time 0 read the same parameters again.
+@functools.lru_cache(maxsize=2 ** 12)
 def _raw_uniform(master_seed: int, counter: int) -> float:
     """Counter-based uniform draw in [0, 1), keyed on (seed, counter)."""
     word = np.random.SeedSequence((master_seed, counter)).generate_state(1, np.uint64)[0]

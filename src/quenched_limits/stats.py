@@ -22,6 +22,7 @@ from .kstest import ks_statistic, ks_pvalue, normal_cdf
 from .maps import _doubling_orbit_values, _iterates
 from .omega import ParamSequence
 from .transfer import bin_average, equivariant_density, matrices_along, pushforward
+from .util import _BLOCK_VALUES
 
 LIL_MIN_N = 16
 
@@ -132,12 +133,8 @@ def birkhoff_ensemble(seq: ParamSequence, phi: Callable[[np.ndarray], np.ndarray
                             lil_max_c1, lil_min_c1)
 
 
-# Values per temporary in the row-blocked bootstrap and null calibration:
-# 512 KB of doubles, whatever the number of rows.
-_BLOCK_VALUES = 2 ** 16
-
-
 def _block_rows(row_len: int) -> int:
+    """Rows per block of the row-blocked bootstrap and null calibration."""
     return max(1, _BLOCK_VALUES // row_len)
 
 

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maps import FiberMap, apply, derivative, fiber_map, left_branch_inverse, orbit
+from .maps import FiberMap, _iterates, apply, derivative, fiber_map, left_branch_inverse
 from .omega import ParamSequence
+from .util import _BLOCK_VALUES
 
 BASE_LO = 0.5
 CAP_DEFAULT = 10 ** 6
@@ -109,6 +110,8 @@ def build_partition(seq: ParamSequence, depth_cap: int,
     """
     if depth_cap < 1:
         raise ValueError("depth_cap must be >= 1")
+    if not 0.0 <= refine_tol < math.inf:   # NaN fails too
+        raise ValueError(f"refine_tol must be finite and >= 0, got {refine_tol}")
     w = np.empty(0)      # w[i] belongs to n = depth_cap - i
     for k in range(depth_cap - 1, 0, -1):
         w = left_branch_inverse(fiber_map(seq, k), np.append(w, 0.5))
@@ -122,17 +125,27 @@ def build_partition(seq: ParamSequence, depth_cap: int,
             kept.append(n)
     R = np.array(sorted(kept, key=b.__getitem__), dtype=np.int64)
     lo, hi = b[R], b[R - 1]
-    image_ok = np.array([_image_ok(seq, *cell, refine_tol)
-                         for cell in zip(lo.tolist(), hi.tolist(), R.tolist())], dtype=bool)
+    image_ok = _image_ok(seq, lo, hi, R, refine_tol)
     return ReturnPartition(lo, hi, R, image_ok, depth_cap, float(residual))
 
 
-def _image_ok(seq: ParamSequence, lo: float, hi: float, R: int, tol: float) -> bool:
-    """Does f^R map (lo, hi) onto the base up to tol at both ends?"""
-    offsets = (hi - lo) * np.array([10.0 ** -j for j in range(1, 13)])
-    low_ok = np.any(orbit(seq, lo + offsets, R) <= BASE_LO + max(tol, 1e-9))
-    high_ok = np.any(orbit(seq, hi - offsets, R) >= 1.0 - max(tol, 1e-6))
-    return bool(low_ok and high_ok)
+def _image_ok(seq: ParamSequence, lo: np.ndarray, hi: np.ndarray, R: np.ndarray,
+              tol: float) -> np.ndarray:
+    """Does f^R map each cell (lo, hi) onto the base up to tol at both ends?
+
+    Twelve probes inside each end of every cell walk together, in one walk
+    up to the largest R, and each cell's probes are read at its own R;
+    apply gives a point the same bits in any array.
+    """
+    offsets = (hi - lo)[:, None] * np.array([10.0 ** -j for j in range(1, 13)])
+    probes = np.concatenate([lo[:, None] + offsets, hi[:, None] - offsets], axis=1)
+    at_R = np.empty_like(probes)
+    for n, y in enumerate(_iterates(seq, probes, int(R.max(initial=0))), start=1):
+        done = R == n
+        at_R[done] = y[done]
+    low_ok = np.any(at_R[:, :12] <= BASE_LO + max(tol, 1e-9), axis=1)
+    high_ok = np.any(at_R[:, 12:] >= 1.0 - max(tol, 1e-6), axis=1)
+    return low_ok & high_ok
 
 
 def exact_tail(family: str, alpha: float, n_max: int) -> np.ndarray:
@@ -153,13 +166,19 @@ def exact_tail(family: str, alpha: float, n_max: int) -> np.ndarray:
     return tail
 
 
-def _fraction_above(values: np.ndarray, n_max: int) -> np.ndarray:
-    """np.mean(values > n) for n = 0 .. n_max, from one count of the integer values >= 0.
+def _value_counts(values: np.ndarray, n_max: int) -> np.ndarray:
+    """Counts of the integer values >= 0 equal to 0 .. n_max, and above n_max last."""
+    return np.bincount(np.minimum(values, n_max + 1), minlength=n_max + 2)
 
-    The counts are exact integers, so each entry equals np.mean's sum / size.
+
+def _fraction_above(counts: np.ndarray) -> np.ndarray:
+    """np.mean(values > n) for n = 0 .. n_max, from the _value_counts of the values.
+
+    The counts are exact integers, so each entry equals np.mean's sum / size,
+    however many arrays the counts were added up from.
     """
-    counts = np.bincount(np.minimum(values, n_max + 1), minlength=n_max + 2)
-    return (values.size - np.cumsum(counts[:n_max + 1])) / values.size
+    size = counts.sum()
+    return (size - np.cumsum(counts[:-1])) / size
 
 
 @dataclass
@@ -177,7 +196,9 @@ def tail_curve(family: str, bounds: tuple[float, float], seeds: list[int],
     """Monte Carlo estimate of the annealed return-time tail.
 
     Base points are drawn uniformly on [1/2, 1] for each driving seed; the
-    curve is the pooled fraction of samples with R > n.
+    curve is the pooled fraction of samples with R > n.  They are drawn and
+    walked _BLOCK_VALUES at a time, one stream of draws per seed, so memory
+    does not grow with samples_per_omega.
     """
     from .omega import make_sequence
 
@@ -189,10 +210,13 @@ def tail_curve(family: str, bounds: tuple[float, float], seeds: list[int],
     for si, seed in enumerate(seeds):
         seq = make_sequence(seed, family, bounds)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xA11))))
-        xs = BASE_LO + 0.5 * rng.random(samples_per_omega)
-        R = return_times_vec(seq, xs, cap)
-        capped_total += int(np.sum(R > cap))
-        per_seed[si] = _fraction_above(R, n_max)
+        counts = np.zeros(n_max + 2, dtype=np.int64)
+        for start in range(0, samples_per_omega, _BLOCK_VALUES):
+            xs = BASE_LO + 0.5 * rng.random(min(_BLOCK_VALUES, samples_per_omega - start))
+            R = return_times_vec(seq, xs, cap)
+            capped_total += int(np.count_nonzero(R > cap))
+            counts += _value_counts(R, n_max)
+        per_seed[si] = _fraction_above(counts)
     tail = per_seed.mean(axis=0)
     n_eff = len(seeds) * samples_per_omega
     if len(seeds) > 1:

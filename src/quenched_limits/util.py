@@ -1,4 +1,5 @@
-"""Small shared helpers: power-law fits and deterministic serialization."""
+"""Small shared helpers: the block memory budget, power-law fits and
+deterministic serialization."""
 
 from __future__ import annotations
 
@@ -7,6 +8,11 @@ import json
 from pathlib import Path
 
 import numpy as np
+
+# Values per temporary in every blocked loop (the bootstrap, the null
+# calibration, the return-time tail): 512 KB of doubles, whatever the size
+# of the whole computation.
+_BLOCK_VALUES = 2 ** 16
 
 
 def fit_loglog(n: np.ndarray, y: np.ndarray, window: tuple[float, float]) -> dict:

@@ -186,6 +186,17 @@ def test_nan_alpha_bounds_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand", ["tail", "partition"])
+def test_negative_seed_exit_2_names_seed(tmp_path, subcommand, capsys):
+    # numpy's own "expected non-negative integer" used to name no key
+    out = tmp_path / "s"
+    code = main([subcommand, "--seed", "-1", "--n_max", "8", "--samples", "100",
+                 "--depth_cap", "8", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: seed must be >= 0")
+    assert not out.exists()
+
+
 # values that used to run with a silently different meaning: a NaN refine_tol
 # marked every cell's image as not onto, a negative or NaN fit window fell back
 # to the default window, and an unknown observable was never looked up

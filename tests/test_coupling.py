@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quenched_limits import coupling, tower
-from quenched_limits.maps import FiberMap, apply, orbit
+from quenched_limits.maps import FiberMap, apply
 from quenched_limits.omega import make_sequence
 from test_tower import scalar_first_hits
 
@@ -32,7 +32,7 @@ def scalar_match_pair(seq, x, x_prime, l0, cap=tower.CAP_DEFAULT,
         r, landed = scalar_first_hits(seq, mover, t, l0, cap)
         if r is None:
             return taus, Ts, True
-        other = orbit(seq.shift(t), other, r)
+        other = tower.induced_jacobian(seq.shift(t), other, r)[0]
         px, py = (landed, other) if use_first else (other, landed)
         t += r
         taus.append(t)

@@ -24,6 +24,9 @@ GRID = ["--n_bins", "128", "--depth", "6", "--k_trunc", "4", "--subsamples", "8"
 ENSEMBLE = GRID + ["--n_steps", "64", "--n_samples", "200"]
 CONFIGS = {
     "tail": LSV + ["--n_max", "16", "--samples", "2000", "--cap", "10000"],
+    # 150000 samples per seed: two full 65536-point blocks and a remainder
+    "tail-blocks": LSV + ["--n_seeds", "2", "--n_max", "16", "--samples", "150000",
+                          "--cap", "10000"],
     "partition": LSV + ["--depth_cap", "12"],
     # deep cells take the most left-branch inverse levels
     "partition-deep": LSV + ["--depth_cap", "40"],

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from quenched_limits import omega
 from quenched_limits.omega import ParamSequence, make_sequence, zigzag
 
 
@@ -24,6 +25,14 @@ def test_param_deterministic():
     a = [seq.param(i) for i in range(-5, 5)]
     b = [seq.param(i) for i in range(-5, 5)]
     assert a == b
+
+
+@given(seed=st.integers(0, 2 ** 64 - 1), counter=st.integers(0, 2 ** 40))
+def test_memoized_raw_uniform_equals_its_draw(seed, counter):
+    # the memo returns the SeedSequence draw bit for bit, on a miss and on a hit
+    want = omega._raw_uniform.__wrapped__(seed, counter)
+    for _ in range(2):
+        assert np.float64(omega._raw_uniform(seed, counter)).tobytes() == np.float64(want).tobytes()
 
 
 def test_param_bounds():
@@ -53,8 +62,6 @@ def test_doubling_sequence_is_zero_whatever_its_bounds():
        indices=st.lists(st.integers(-10 ** 9, 10 ** 9), min_size=1, max_size=20))
 def test_constant_sequence_param_skips_the_draw(alpha, family, seed, offset, indices):
     # alpha_min + 0.0 * u is alpha_min bit for bit, so no uniform is drawn
-    import quenched_limits.omega as omega
-
     def no_draw(*args):
         raise AssertionError("constant sequence drew a uniform")
 

@@ -1,14 +1,15 @@
 """Return times, the return-time partition, tails, separation, distortion."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quenched_limits import tower
-from quenched_limits.maps import (FiberMap, apply, derivative, fiber_map, left_branch_inverse,
-                                  orbit)
+from quenched_limits.maps import (FiberMap, _iterates, apply, derivative, fiber_map,
+                                  left_branch_inverse)
 from quenched_limits.omega import make_sequence
 
 
@@ -118,7 +119,7 @@ def test_nth_return_additive():
     x = 0.77
     r1 = tower.return_time(seq, x).R
     assert tower.nth_return(seq, x, 1) == r1
-    y = orbit(seq, x, r1)
+    y = tower.induced_jacobian(seq, x, r1)[0]
     assert y >= 0.5
     r2 = tower.return_time(seq.shift(r1), y).R
     assert tower.nth_return(seq, x, 2) == r1 + r2
@@ -159,10 +160,33 @@ def test_partition_image_onto():
     seq = lsv_seq(6)
     part = tower.build_partition(seq, 15)
     for lo, hi, R in zip(part.lo[:6], part.hi[:6], part.R[:6].tolist()):
-        y_lo = orbit(seq, lo + (hi - lo) * 1e-9, R)
-        y_hi = orbit(seq, hi - (hi - lo) * 1e-9, R)
+        (y_lo, y_hi), _ = tower.induced_jacobian(
+            seq, np.array([lo + (hi - lo) * 1e-9, hi - (hi - lo) * 1e-9]), R)
         assert y_lo <= 0.5 + 1e-6
         assert y_hi >= 1.0 - 1e-5
+
+
+def test_image_ok_matches_per_cell_walks():
+    # the one shared walk gives each cell the bits of its own walk to R
+    seq = lsv_seq(4, (0.3, 0.7))
+    part = tower.build_partition(seq, 30)
+    for tol in (1e-12, 1e-3, 0.2):
+        want = []
+        for lo, hi, R in zip(part.lo.tolist(), part.hi.tolist(), part.R.tolist()):
+            offsets = (hi - lo) * np.array([10.0 ** -j for j in range(1, 13)])
+            *_, y_lo = _iterates(seq, lo + offsets, R)
+            *_, y_hi = _iterates(seq, hi - offsets, R)
+            want.append(np.any(y_lo <= 0.5 + max(tol, 1e-9))
+                        and np.any(y_hi >= 1.0 - max(tol, 1e-6)))
+        assert tower._image_ok(seq, part.lo, part.hi, part.R, tol).tolist() == want
+    assert part.image_ok.all()
+
+
+@pytest.mark.parametrize("refine_tol", [math.nan, -1e-12, math.inf])
+def test_build_partition_rejects_bad_refine_tol(refine_tol):
+    # a NaN tolerance used to mark every cell's image as not onto the base
+    with pytest.raises(ValueError, match="refine_tol"):
+        tower.build_partition(lsv_seq(3), 8, refine_tol)
 
 
 def test_exact_tail_doubling():
@@ -213,10 +237,14 @@ def test_fraction_above_equals_mean_per_n(size):
     R[0] = cap + 1
     for n_max in (2, 10, cap, cap + 1, 80):   # up to n far beyond max R
         old = np.array([np.mean(R > n) for n in range(n_max + 1)])
-        assert tower._fraction_above(R, n_max).tobytes() == old.tobytes()
+        counts = tower._value_counts(R, n_max)
+        assert tower._fraction_above(counts).tobytes() == old.tobytes()
 
 
-def test_tail_curve_with_capped_returns_matches_mean_loop():
+# small blocks cross block edges and leave a remainder of the 3000 samples
+@pytest.mark.parametrize("block_values", [1, 7, 1000, tower._BLOCK_VALUES])
+def test_tail_curve_with_capped_returns_matches_mean_loop(block_values, monkeypatch):
+    monkeypatch.setattr(tower, "_BLOCK_VALUES", block_values)
     tc = tower.tail_curve("lsv", (0.85, 0.95), [2, 5], 40, 3000, cap=25)
     per_seed = []
     for seed in (2, 5):
@@ -226,6 +254,17 @@ def test_tail_curve_with_capped_returns_matches_mean_loop():
         per_seed.append([np.mean(R > n) for n in range(41)])
     assert tc.capped_fraction > 0.0
     assert tc.tail.tobytes() == np.mean(per_seed, axis=0).tobytes()
+
+
+def test_tail_curve_memory_does_not_grow_with_samples():
+    # a whole-array walk of 10^6 samples peaks above 60 MB
+    tracemalloc.start()
+    try:
+        tower.tail_curve("lsv", (0.2, 0.2), [1], 60, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_gcd_check():
@@ -256,7 +295,8 @@ def test_induced_jacobian_doubling():
     rec = tower.return_time(seq, 0.6)
     y, jac = tower.induced_jacobian(seq, 0.6, rec.R)
     assert jac == pytest.approx(2.0 ** rec.R)
-    assert y == orbit(seq, 0.6, rec.R) >= 0.5
+    *_, want = _iterates(seq, 0.6, rec.R)
+    assert y == want >= 0.5
 
 
 def test_induced_jacobian_array_matches_per_point_walks():
