@@ -98,8 +98,6 @@ class ExperimentConfig:
             self.phi()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         positive_ints = ("n_seeds", "n_bins", "depth_cap", "n_steps", "n_samples",
                          "samples", "cap", "l0", "pairs", "subsamples")
         for name in positive_ints:

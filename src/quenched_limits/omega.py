@@ -76,6 +76,8 @@ class ParamSequence:
 def make_sequence(master_seed: int, family: str, bounds: tuple[float, float]) -> ParamSequence:
     """Validate and construct a ParamSequence with origin at zero."""
     alpha_min, alpha_max = float(bounds[0]), float(bounds[1])
+    if master_seed < 0:
+        raise ValueError(f"seed must be >= 0, got {master_seed}")
     if family not in FAMILIES:
         raise ValueError(f"unknown map family {family!r}; choose from {FAMILIES}")
     if not (math.isfinite(alpha_min) and math.isfinite(alpha_max)):

@@ -134,7 +134,8 @@ def birkhoff_ensemble(seq: ParamSequence, phi: Callable[[np.ndarray], np.ndarray
 
 
 def _block_rows(row_len: int) -> int:
-    """Rows per block of the row-blocked bootstrap and null calibration."""
+    """Rows per block of the row-blocked bootstrap, null calibration and
+    Brownian sampler."""
     return max(1, _BLOCK_VALUES // row_len)
 
 
@@ -217,29 +218,38 @@ def qlil_envelope(ens: BirkhoffEnsemble, sigma2: float) -> dict:
     }
 
 
-# Rows of a chunk reduced at a time: 64 x 1024 doubles (512 KB) stay in L2.
-_ROW_BLOCK = 64
+def brownian_functional_samples(functional: str, sigma: float, n_paths: int,
+                                n_steps: int = 2 ** 10, rng_seed: int = 11) -> np.ndarray:
+    """Monte Carlo samples of the running sup of sigma * B on [0, 1].
 
-
-def _reduce_chunk(z: np.ndarray, out: np.ndarray, scale: float, c: float,
-                  rng: np.random.Generator) -> None:
-    """Write the running sup of each row of standard normals z into out.
-
-    Works _ROW_BLOCK rows at a time and overwrites z.  Each row becomes the
-    path w = cumsum(scale * z); the maximum on step k is
-    0.5 * (a + b + sqrt((b - a)^2 - c log u)) with a = w_{k-1} (w_0 = 0),
-    b = w_k and u drawn row-major from rng.  0.5 * max equals max of
+    functional must be "sup", the only functional sampled.  The per-step
+    maximum is drawn exactly from the Brownian-bridge reflection law,
+    removing the discrete-grid bias that a plain max over grid points would
+    carry: on step k it is 0.5 * (a + b + sqrt((b - a)^2 - c log u)) with
+    a = w_{k-1} (w_0 = 0), b = w_k and u uniform, where w = cumsum(scale * z)
+    is the path of the row of standard normals z.  0.5 * max equals max of
     0.5 * (...) because halving is exact and monotone.
+
+    Stream layout: paths come in blocks of _block_rows(n_steps) rows, and for
+    each block of m paths the Philox stream holds its m * n_steps standard
+    normals (row-major), then its m * n_steps uniforms.
     """
-    u_buf = np.empty((min(_ROW_BLOCK, len(z)), z.shape[1]))
-    t_buf = np.empty_like(u_buf)
-    for r in range(0, len(z), _ROW_BLOCK):
-        w = z[r:r + _ROW_BLOCK]
-        row_out = out[r:r + _ROW_BLOCK]
+    if functional != "sup":
+        raise ValueError(f"unknown functional {functional!r}")
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((rng_seed, 0xB2))))
+    dt = 1.0 / n_steps
+    scale = sigma * math.sqrt(dt)
+    c = 2.0 * sigma * sigma * dt
+    out = np.empty(n_paths)
+    rows = _block_rows(n_steps)
+    w_buf, u_buf, t_buf = np.empty((3, min(rows, n_paths), n_steps))
+    for r in range(0, n_paths, rows):
+        row_out = out[r:r + rows]
+        w, u, t = w_buf[:len(row_out)], u_buf[:len(row_out)], t_buf[:len(row_out)]
+        rng.standard_normal(out=w)
+        rng.random(out=u)
         w *= scale
         np.cumsum(w, axis=1, out=w)
-        u, t = u_buf[:len(w)], t_buf[:len(w)]
-        rng.random(out=u)
         np.multiply(c, np.log(u, out=u), out=u)
         t[:, 0] = w[:, 0]                              # b - a with a = 0
         np.subtract(w[:, 1:], w[:, :-1], out=t[:, 1:])
@@ -249,34 +259,6 @@ def _reduce_chunk(z: np.ndarray, out: np.ndarray, scale: float, c: float,
         np.add(w[:, :-1], w[:, 1:], out=u[:, 1:])
         np.max(np.add(u, t, out=u), axis=1, out=row_out)
         row_out *= 0.5
-
-
-def brownian_functional_samples(functional: str, sigma: float, n_paths: int,
-                                n_steps: int = 2 ** 10, rng_seed: int = 11,
-                                chunk: int = 4096) -> np.ndarray:
-    """Monte Carlo samples of the running sup of sigma * B on [0, 1].
-
-    functional must be "sup", the only functional sampled.  The per-step
-    maximum is drawn exactly from the Brownian-bridge reflection law,
-    removing the discrete-grid bias that a plain max over grid points would
-    carry.
-
-    Stream layout: paths come in chunks of ``chunk`` rows, and for each chunk
-    of m paths the Philox stream holds its m * n_steps standard normals
-    (row-major), then its m * n_steps uniforms.
-    """
-    if functional != "sup":
-        raise ValueError(f"unknown functional {functional!r}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((rng_seed, 0xB2))))
-    dt = 1.0 / n_steps
-    scale = sigma * math.sqrt(dt)
-    c = 2.0 * sigma * sigma * dt
-    out = np.empty(n_paths)
-    buffer = np.empty((min(chunk, n_paths), n_steps))
-    for lo in range(0, n_paths, chunk):
-        z = buffer[:min(chunk, n_paths - lo)]
-        rng.standard_normal(out=z)
-        _reduce_chunk(z, out[lo:lo + len(z)], scale, c, rng)
     return out
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .maps import FiberMap, _iterates, apply, derivative, fiber_map, left_branch_inverse
-from .omega import ParamSequence
+from .omega import ParamSequence, make_sequence
 from .util import _BLOCK_VALUES
 
 BASE_LO = 0.5
@@ -200,8 +200,6 @@ def tail_curve(family: str, bounds: tuple[float, float], seeds: list[int],
     walked _BLOCK_VALUES at a time, one stream of draws per seed, so memory
     does not grow with samples_per_omega.
     """
-    from .omega import make_sequence
-
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     ns = np.arange(0, n_max + 1)

@@ -170,12 +170,22 @@ def equivariant_density(seq: ParamSequence, n_bins: int, pullback_depth: int,
 
 def equivariance_residual(seq: ParamSequence, n_bins: int, pullback_depth: int,
                           subsamples: int = 64) -> float:
-    """L1 gap between push(h_w) and the independently pulled-back h_{shift w}."""
-    h = equivariant_density(seq, n_bins, pullback_depth, subsamples)
-    M0 = next(matrices_along(seq, 0, 1, n_bins, subsamples))
-    pushed = pushforward(M0, h)
-    h_next = equivariant_density(seq.shift(1), n_bins, pullback_depth, subsamples)
-    return float(np.abs(pushed - h_next).sum())
+    """L1 gap between push(h_w) and the independently pulled-back h_{shift w}.
+
+    One walk over the matrices of steps -depth .. 0: h takes steps
+    -depth .. -1 and h_{shift w} takes steps -depth+1 .. 0, the same pushes
+    as equivariant_density of w and of shift w.
+    """
+    if pullback_depth < 0:
+        raise ValueError("pullback_depth must be >= 0")
+    mats = matrices_along(seq, -pullback_depth, 1, n_bins, subsamples)
+    h = h_next = uniform_density(n_bins)
+    M = next(mats)
+    for M_next in mats:
+        h = pushforward(M, h)
+        h_next = pushforward(M_next, h_next)
+        M = M_next
+    return float(np.abs(pushforward(M, h) - h_next).sum())
 
 
 @dataclass

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 
 # Values per temporary in every blocked loop (the bootstrap, the null
-# calibration, the return-time tail): 512 KB of doubles, whatever the size
-# of the whole computation.
+# calibration, the Brownian sampler, the return-time tail): 512 KB of
+# doubles, whatever the size of the whole computation.
 _BLOCK_VALUES = 2 ** 16
 
 

@@ -4,8 +4,9 @@ since it carries wall time) each subcommand writes at a tiny config.
 The reruns check (criterion 12) only compares two runs of the same code;
 these pins catch silent numeric drift between versions.  Byte identity holds
 within one environment (Python, numpy, scipy versions).  After a deliberate
-numeric change, regenerate with ``PYTHONPATH=src python tests/test_golden.py``
-and say why in CHANGES.md.
+numeric change, re-pin the configs it moved with
+``PYTHONPATH=src python tests/test_golden.py [key ...]`` (every config when
+no key is given; each changed digest is printed) and say why in CHANGES.md.
 """
 
 import json
@@ -79,11 +80,23 @@ def test_json_matches_golden_pin(key, run_digests):
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
+    keys = sys.argv[1:] or sorted(CONFIGS)
+    unknown = [key for key in keys if key not in CONFIGS]
+    if unknown:
+        sys.exit(f"unknown config(s) {unknown}; choose from {sorted(CONFIGS)}")
     with tempfile.TemporaryDirectory() as tmp:
-        runs = {key: digests(key, Path(tmp) / key) for key in sorted(CONFIGS)}
+        runs = {key: digests(key, Path(tmp) / key) for key in keys}
     GOLDEN.mkdir(exist_ok=True)
     for suffix, path in PINS.items():
-        pins = {key: runs[key][suffix] for key in runs}
+        pins = json.loads(path.read_text()) if path.exists() else {}
+        for key in keys:
+            old, new = pins.get(key, {}), runs[key][suffix]
+            for name in sorted(old.keys() | new.keys()):
+                if old.get(name) != new.get(name):
+                    print(f"{key} {name}: {old.get(name)} -> {new.get(name)}")
+            pins[key] = new
+        pins = {key: pins[key] for key in pins if key in CONFIGS}
         path.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")

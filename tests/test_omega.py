@@ -115,6 +115,13 @@ def test_family_validation():
             make_sequence(1, "doubling", bounds)
 
 
+@pytest.mark.parametrize("family, bounds", [("lsv", (0.1, 0.2)), ("doubling", (0.0, 0.0))])
+def test_negative_seed_rejected(family, bounds):
+    # a doubling sequence draws nothing, so a negative seed never raised there
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        make_sequence(-1, family, bounds)
+
+
 def test_frozen():
     seq = make_sequence(1, "lsv", (0.1, 0.2))
     with pytest.raises(Exception):

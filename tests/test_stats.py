@@ -320,48 +320,40 @@ def whole_chunk_brownian(functional, sigma, n_paths, n_steps, rng_seed, chunk):
     return out
 
 
-# chunks below, between multiples of and above the 64-row block
+# budgets of one row, a few rows (off the multiples of n_steps) and the
+# default, which holds every path here in one block
 @settings(max_examples=150, deadline=None)
 @given(n_paths=st.integers(0, 300), n_steps=st.integers(1, 40),
-       chunk=st.integers(1, 70), sigma=st.floats(0.1, 3.0),
-       rng_seed=st.integers(0, 2 ** 32 - 1))
-def test_brownian_samples_equal_whole_chunk_oracle(n_paths, n_steps, chunk, sigma, rng_seed):
-    got = stats.brownian_functional_samples("sup", sigma, n_paths, n_steps, rng_seed, chunk)
+       block_values=st.sampled_from([1, 997, stats._BLOCK_VALUES]),
+       sigma=st.floats(0.1, 3.0), rng_seed=st.integers(0, 2 ** 32 - 1))
+def test_brownian_samples_equal_whole_chunk_oracle(n_paths, n_steps, block_values, sigma,
+                                                   rng_seed):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(stats, "_BLOCK_VALUES", block_values)
+        got = stats.brownian_functional_samples("sup", sigma, n_paths, n_steps, rng_seed)
+        chunk = stats._block_rows(n_steps)
     want = whole_chunk_brownian("sup", sigma, n_paths, n_steps, rng_seed, chunk)
     assert got.shape == (n_paths,)
     assert got.tobytes() == want.tobytes()
+
+
+def test_brownian_sampler_memory_does_not_grow_with_n_paths():
+    # one (30000, 1024) normal matrix would take 234 MiB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        stats.brownian_functional_samples("sup", 1.0, 30000, 2 ** 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 @pytest.mark.parametrize("functional", ["sup_abs", "terminal"])
 def test_brownian_sampler_draws_only_sup(functional):
     with pytest.raises(ValueError, match="unknown functional"):
         stats.brownian_functional_samples(functional, 1.0, 10)
-
-
-@pytest.mark.parametrize("buffer_pos", range(5))
-@pytest.mark.parametrize("n", range(10))
-def test_skip_draws_equals_drawing(buffer_pos, n):
-    # A chunk's sup uniforms start wherever its normals left the Philox
-    # buffer (four draws per counter step; buffer_pos of them used).
-    # _reduce_chunk draws them in 64-row blocks; they must equal drawing them
-    # at once, and the next chunk's normals must start where that would.
-    rows, n_steps, scale, c = 30 * n, 5, 0.4, 0.32
-    drawn = np.random.Philox(2024)
-    drawn.random_raw(5)
-    state = drawn.state
-    state["buffer_pos"] = buffer_pos
-    drawn.state = state
-    blocked = np.random.Philox()
-    blocked.state = drawn.state
-    z = np.random.default_rng(n).standard_normal((rows, n_steps))
-    w = np.cumsum(z * scale, axis=1)
-    a = np.concatenate([np.zeros((rows, 1)), w[:, :-1]], axis=1)
-    u = np.random.Generator(drawn).random((rows, n_steps))
-    want = (0.5 * (a + w + np.sqrt((w - a) ** 2 - c * np.log(u)))).max(axis=1)
-    got = np.empty(rows)
-    stats._reduce_chunk(z, got, scale, c, np.random.Generator(blocked))
-    assert got.tobytes() == want.tobytes()
-    assert blocked.random_raw(9).tolist() == drawn.random_raw(9).tolist()
 
 
 def test_qfclt_terminal_equals_qclt():

@@ -166,6 +166,41 @@ def test_equivariance_residual_decreases_with_depth():
     assert r16 < r4
 
 
+def two_walk_residual(seq, n_bins, depth, subsamples):
+    """The residual as first written: h_w and h_{shift w} pulled back apart."""
+    h = transfer.equivariant_density(seq, n_bins, depth, subsamples)
+    M0 = next(transfer.matrices_along(seq, 0, 1, n_bins, subsamples))
+    h_next = transfer.equivariant_density(seq.shift(1), n_bins, depth, subsamples)
+    return float(np.abs(transfer.pushforward(M0, h) - h_next).sum())
+
+
+@pytest.mark.parametrize("family, bounds, n_bins, depth, subsamples", [
+    ("lsv", (0.05, 0.15), 64, 0, 8),
+    ("lsv", (0.05, 0.15), 64, 1, 8),
+    ("lsv", (0.1, 0.3), 333, 7, 12),
+    ("doubling", (0.0, 0.0), 128, 5, 8),
+])
+def test_equivariance_residual_equals_two_walks(family, bounds, n_bins, depth, subsamples):
+    seq = make_sequence(4, family, bounds)
+    assert (transfer.equivariance_residual(seq, n_bins, depth, subsamples)
+            == two_walk_residual(seq, n_bins, depth, subsamples))
+
+
+@pytest.mark.parametrize("depth", [0, 1, 9])
+def test_equivariance_residual_builds_each_step_once(monkeypatch, depth):
+    builds = []
+    ulam = transfer.ulam_matrix
+    monkeypatch.setattr(transfer, "ulam_matrix",
+                        lambda *args: builds.append(args) or ulam(*args))
+    transfer.equivariance_residual(make_sequence(5, "lsv", (0.05, 0.15)), 64, depth, 8)
+    assert len(builds) == depth + 1
+
+
+def test_equivariance_residual_rejects_negative_depth():
+    with pytest.raises(ValueError, match="pullback_depth"):
+        transfer.equivariance_residual(make_sequence(5, "lsv", (0.05, 0.15)), 64, -1, 8)
+
+
 def test_dual_normalization():
     # P 1 = 1: the signed mass 1 * h_w pushes to the next fiber's chained
     # density h_sw itself, bit for bit, and almost no bin of h_sw is masked
