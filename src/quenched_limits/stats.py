@@ -244,22 +244,27 @@ def brownian_functional_samples(functional: str, sigma: float, n_paths: int,
     rows = _block_rows(n_steps)
     w_buf, u_buf, t_buf = np.empty((3, min(rows, n_paths), n_steps))
     for r in range(0, n_paths, rows):
-        row_out = out[r:r + rows]
-        w, u, t = w_buf[:len(row_out)], u_buf[:len(row_out)], t_buf[:len(row_out)]
-        rng.standard_normal(out=w)
-        rng.random(out=u)
-        w *= scale
-        np.cumsum(w, axis=1, out=w)
-        np.multiply(c, np.log(u, out=u), out=u)
-        t[:, 0] = w[:, 0]                              # b - a with a = 0
-        np.subtract(w[:, 1:], w[:, :-1], out=t[:, 1:])
-        np.subtract(np.square(t, out=t), u, out=t)
-        np.sqrt(t, out=t)
-        np.add(0.0, w[:, 0], out=u[:, 0])              # a + b with a = 0
-        np.add(w[:, :-1], w[:, 1:], out=u[:, 1:])
-        np.max(np.add(u, t, out=u), axis=1, out=row_out)
-        row_out *= 0.5
+        m = min(rows, n_paths - r)
+        _sup_block(rng, out[r:r + m], w_buf[:m], u_buf[:m], t_buf[:m], scale, c)
     return out
+
+
+def _sup_block(rng, row_out, w, u, t, scale, c):
+    """Draw one block's normals into w, then its uniforms into u, and write
+    each path's sup into row_out; w, u and t (scratch) have len(row_out) rows."""
+    rng.standard_normal(out=w)
+    rng.random(out=u)
+    w *= scale
+    np.cumsum(w, axis=1, out=w)
+    np.multiply(c, np.log(u, out=u), out=u)
+    t[:, 0] = w[:, 0]                              # b - a with a = 0
+    np.subtract(w[:, 1:], w[:, :-1], out=t[:, 1:])
+    np.subtract(np.square(t, out=t), u, out=t)
+    np.sqrt(t, out=t)
+    np.add(0.0, w[:, 0], out=u[:, 0])              # a + b with a = 0
+    np.add(w[:, :-1], w[:, 1:], out=u[:, 1:])
+    np.max(np.add(u, t, out=u), axis=1, out=row_out)
+    row_out *= 0.5
 
 
 def brownian_sup_cdf(a: np.ndarray, sigma: float = 1.0) -> np.ndarray:

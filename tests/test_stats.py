@@ -356,6 +356,33 @@ def test_brownian_sampler_draws_only_sup(functional):
         stats.brownian_functional_samples(functional, 1.0, 10)
 
 
+@pytest.mark.parametrize("buffer_pos", range(5))
+@pytest.mark.parametrize("n", range(10))
+def test_skip_draws_equals_drawing(buffer_pos, n):
+    # A block's normals start wherever the previous block's uniforms left the
+    # Philox buffer (four draws per counter step; buffer_pos of them used).
+    # _sup_block draws them, then its uniforms, into preallocated rows; that
+    # must equal drawing each matrix at once, and the next block's normals
+    # must start where that would.
+    rows, n_steps, scale, c = 30 * n, 5, 0.4, 0.32
+    drawn = np.random.Philox(2024)
+    drawn.random_raw(5)
+    state = drawn.state
+    state["buffer_pos"] = buffer_pos
+    drawn.state = state
+    blocked = np.random.Philox()
+    blocked.state = drawn.state
+    z = np.random.Generator(drawn).standard_normal((rows, n_steps))
+    u = np.random.Generator(drawn).random((rows, n_steps))
+    w = np.cumsum(z * scale, axis=1)
+    a = np.concatenate([np.zeros((rows, 1)), w[:, :-1]], axis=1)
+    want = (0.5 * (a + w + np.sqrt((w - a) ** 2 - c * np.log(u)))).max(axis=1)
+    got = np.empty(rows)
+    stats._sup_block(np.random.Generator(blocked), got, *np.empty((3, rows, n_steps)), scale, c)
+    assert got.tobytes() == want.tobytes()
+    assert blocked.random_raw(9).tolist() == drawn.random_raw(9).tolist()
+
+
 def test_qfclt_terminal_equals_qclt():
     ens = small_doubling_ensemble(256, 2000)
     a = stats.qfclt_paths(ens, 0.5, "terminal")
