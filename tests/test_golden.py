@@ -33,12 +33,18 @@ CONFIGS = {
     "partition-deep": LSV + ["--depth_cap", "40"],
     "density": LSV + GRID,
     "decay": LSV + GRID + ["--n_max", "8"],
+    "decay-seeds": LSV + GRID + ["--n_max", "8", "--n_seeds", "2"],
     "decompose": LSV + GRID + ["--n_seeds", "2"],
     # odd grid and non-dyadic subsamples: weights that do not add exactly
     "decompose-odd-grid": LSV + ["--n_bins", "333", "--depth", "6", "--k_trunc", "0",
                                  "--subsamples", "12", "--n_seeds", "2"],
     "couple": LSV + ["--l0", "2", "--n_max", "16", "--pairs", "100", "--cap", "10000"],
+    # two seeds: the pooled seed average and its standard error
+    "couple-doubling": ["--family", "doubling", "--alpha_min", "0", "--alpha_max", "0",
+                        "--seed", "3", "--n_seeds", "2", "--l0", "2", "--n_max", "16",
+                        "--pairs", "100", "--cap", "10000"],
     "clt": LSV + ENSEMBLE,
+    "clt-lebesgue": LSV + ENSEMBLE + ["--sampling", "lebesgue"],
     "lil": LSV + ENSEMBLE,
     # sup: the reflection-law KS and the sampler's self-test
     "fclt": ["--family", "doubling", "--alpha_min", "0", "--alpha_max", "0"] + ENSEMBLE,
