@@ -77,8 +77,6 @@ class ExperimentConfig:
     p: float = math.inf
     D: float = 10.0
     exponential: bool = False
-    tail_a: float = 1.0
-    tail_b: float = 1.0
 
     def seeds(self) -> list[int]:
         return [self.seed + i for i in range(self.n_seeds)]
@@ -293,7 +291,7 @@ def run_fclt(cfg: ExperimentConfig) -> dict:
 
 def run_rate(cfg: ExperimentConfig) -> dict:
     # an inadmissible (p, D) raises ValueError, which run reports as a config error
-    params = stats_mod.RateParams(cfg.p, cfg.D, cfg.exponential, cfg.tail_a, cfg.tail_b)
+    params = stats_mod.RateParams(cfg.p, cfg.D, cfg.exponential)
     return {"rate.json": stats_mod.asip_rate(params)}
 
 

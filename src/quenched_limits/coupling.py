@@ -16,14 +16,15 @@ so this is exact: each pair gets the values a pair-by-pair loop would.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .maps import _doubling_orbit_values, _iterates, apply, fiber_map
 from .omega import ParamSequence, make_sequence
-from .tower import BASE_LO, CAP_DEFAULT, _fraction_above, _value_counts
+from .tower import (BASE_LO, CAP_DEFAULT, TailCurve, _fraction_above, _pooled_tail,
+                    _value_counts)
+from .util import seed_mean
 
 ALPHA_EXP_DEFAULT = 0.1
 
@@ -108,6 +109,8 @@ def estimate_l0(family: str, bounds: tuple[float, float], seeds: list[int],
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     occ = np.zeros((len(seeds), l_max + 1))
     for si, seed in enumerate(seeds):
         seq = make_sequence(seed, family, bounds)
@@ -119,7 +122,7 @@ def estimate_l0(family: str, bounds: tuple[float, float], seeds: list[int],
             values = _iterates(seq, BASE_LO + 0.5 * rng.random(samples), l_max)
         for l, y in enumerate(values, start=1):
             occ[si, l] = np.mean(y >= BASE_LO)
-    eps = occ.mean(axis=0)
+    eps, _ = seed_mean(occ)
     suggested = None
     for l in range(1, l_max + 1):
         if np.all(eps[l:] > 0):
@@ -129,18 +132,10 @@ def estimate_l0(family: str, bounds: tuple[float, float], seeds: list[int],
     return {"suggested_l0": suggested, "eps": eps, "warnings": warnings}
 
 
-@dataclass
-class CouplingTail:
-    n: np.ndarray
-    tail: np.ndarray
-    std_err: np.ndarray
-    capped_fraction: float
-
-
 def coupling_tail(family: str, bounds: tuple[float, float], seeds: list[int],
                   l0: int, alpha_exp: float = ALPHA_EXP_DEFAULT,
                   n_max: int = 64, pair_samples: int = 1000,
-                  cap: int = CAP_DEFAULT) -> CouplingTail:
+                  cap: int = CAP_DEFAULT) -> TailCurve:
     """Monte Carlo tail of the simultaneous-return counting process.
 
     tail(n) estimates the pair-measure of {T_{floor(n^alpha_exp)} > n};
@@ -149,12 +144,15 @@ def coupling_tail(family: str, bounds: tuple[float, float], seeds: list[int],
     """
     if not (0.0 < alpha_exp < 1.0):
         raise ValueError("alpha_exp must be in (0, 1)")
+    if l0 < 1:
+        raise ValueError("l0 must be >= 1")
+    if pair_samples < 1:
+        raise ValueError("pair_samples must be >= 1")
     ns = np.arange(1, n_max + 1)
     k_of_n = np.maximum(np.floor(ns.astype(float) ** alpha_exp).astype(int), 1)
     k_max = int(k_of_n.max())
     per_seed = np.empty((len(seeds), n_max))
     capped_pairs = 0
-    total_pairs = len(seeds) * pair_samples
     for si, seed in enumerate(seeds):
         seq = make_sequence(seed, family, bounds)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xC9))))
@@ -169,9 +167,4 @@ def coupling_tail(family: str, bounds: tuple[float, float], seeds: list[int],
         above = np.array([_fraction_above(_value_counts(Tk[:, j], n_max))
                           for j in range(k_max)])
         per_seed[si] = above[k_of_n - 1, ns]
-    tail = per_seed.mean(axis=0)
-    if len(seeds) > 1:
-        se = per_seed.std(axis=0, ddof=1) / math.sqrt(len(seeds))
-    else:
-        se = np.sqrt(np.clip(tail * (1 - tail), 0, None) / pair_samples)
-    return CouplingTail(ns, tail, se, capped_pairs / total_pairs)
+    return _pooled_tail(ns, per_seed, pair_samples, capped_pairs)

@@ -9,7 +9,6 @@ reported residual measures how far the truncated grid version is from that.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,8 +16,9 @@ import numpy as np
 
 from .maps import apply, fiber_map
 from .omega import ParamSequence, make_sequence
-from .transfer import (MASS_FLOOR, bin_average, matrices_along, nearest_bin, pull,
-                       pushforward, uniform_density)
+from .transfer import (MASS_FLOOR, bin_average, equivariant_density, matrices_along,
+                       nearest_bin, pull, pushforward)
+from .util import seed_mean
 
 K_TRUNC_DEFAULT = 16
 N_BINS_DEFAULT = 2 ** 12
@@ -56,27 +56,26 @@ class Decomposition:
 
 def _decompose(seq: ParamSequence, phi: Callable[[np.ndarray], np.ndarray], K_trunc: int,
                n_bins: int, depth: int, subsamples: int = 64) -> Decomposition:
-    """Single sweep through the past fibers building g_w, g_sw and psi_w.
+    """Single sweep through the fibers -K_trunc .. 0 building g_w, g_sw and psi_w.
 
-    The density chain starts uniform at fiber -(K_trunc + depth); signed
-    masses for the truncated series are accumulated and pushed along the
-    same chain, so every dual application is composition-consistent.
+    The density chain starts from mu on fiber -K_trunc, equivariant_density
+    of the sequence shifted there; signed masses for the truncated series
+    are accumulated and pushed along the same chain, so every dual
+    application is composition-consistent.
     """
     if K_trunc < 0:
         raise ValueError("K_trunc must be >= 0")
     phi_bar = bin_average(phi, n_bins)
-    anchor = -(K_trunc + depth)
-    h1 = uniform_density(n_bins)
+    h1 = equivariant_density(seq.shift(-K_trunc), n_bins, depth, subsamples)
     A, B, tail = np.zeros(n_bins), np.zeros(n_bins), np.zeros(n_bins)
-    for j, M0 in zip(range(anchor, 1), matrices_along(seq, anchor, 1, n_bins, subsamples)):
+    for j, M0 in zip(range(-K_trunc, 1), matrices_along(seq, -K_trunc, 1, n_bins, subsamples)):
         h0 = h1
-        if j >= -K_trunc:
-            c = (phi_bar - float(h0 @ phi_bar)) * h0   # centered mass on fiber j
-            A = A + c
-            if j == -K_trunc:
-                tail = c
-            else:
-                B = B + c
+        c = (phi_bar - float(h0 @ phi_bar)) * h0   # centered mass on fiber j
+        A = A + c   # not A = c: 0.0 + c turns a -0.0 of c into 0.0
+        if j == -K_trunc:
+            tail = c
+        else:
+            B = B + c
         if j < 0:
             # A and tail live on fiber 0; only B crosses M_0.
             A, tail = pushforward(M0, A), pushforward(M0, tail)
@@ -125,13 +124,10 @@ def sigma_squared(family: str, bounds: tuple[float, float], seeds: list[int],
     Also returns the per-seed decompositions, so callers that need one
     (seed 0 for the artifacts and the pointwise check) do not rebuild it.
     """
-    if not seeds:
-        raise ValueError("need at least one seed")
     decomps = [_decompose(make_sequence(seed, family, bounds), phi, K_trunc,
                           n_bins, depth, subsamples) for seed in seeds]
-    vals = np.array([d.sigma2_fiber for d in decomps])
-    se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    return float(vals.mean()), se, decomps
+    s2, se = seed_mean(np.array([d.sigma2_fiber for d in decomps]))
+    return float(s2), float(se), decomps
 
 
 def coboundary_test(family: str, bounds: tuple[float, float], seeds: list[int],

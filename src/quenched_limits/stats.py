@@ -346,8 +346,6 @@ class RateParams:
     p: float                       # integrability exponent, may be math.inf
     D: float = 0.0                 # polynomial tail exponent
     exponential: bool = False
-    a: float = 1.0
-    b: float = 1.0
 
 
 def asip_rate(params: RateParams) -> dict:
@@ -360,8 +358,6 @@ def asip_rate(params: RateParams) -> dict:
     admit arbitrarily small exponents.
     """
     if params.exponential:
-        if not (params.a > 0 and 0 < params.b <= 1):
-            raise ValueError("exponential tails need a > 0 and b in (0, 1]")
         return {"epsilon_0_interval": [0.0, 0.25],
                 "arbitrarily_small": True, "tail": "exponential"}
     p, D = params.p, params.D

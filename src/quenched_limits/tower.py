@@ -19,7 +19,7 @@ import numpy as np
 
 from .maps import FiberMap, _iterates, apply, derivative, fiber_map, left_branch_inverse
 from .omega import ParamSequence, make_sequence
-from .util import _BLOCK_VALUES
+from .util import _BLOCK_VALUES, seed_mean
 
 BASE_LO = 0.5
 CAP_DEFAULT = 10 ** 6
@@ -202,7 +202,8 @@ def tail_curve(family: str, bounds: tuple[float, float], seeds: list[int],
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    ns = np.arange(0, n_max + 1)
+    if samples_per_omega < 1:
+        raise ValueError("samples_per_omega must be >= 1")
     per_seed = np.empty((len(seeds), n_max + 1))
     capped_total = 0
     for si, seed in enumerate(seeds):
@@ -215,13 +216,14 @@ def tail_curve(family: str, bounds: tuple[float, float], seeds: list[int],
             capped_total += int(np.count_nonzero(R > cap))
             counts += _value_counts(R, n_max)
         per_seed[si] = _fraction_above(counts)
-    tail = per_seed.mean(axis=0)
-    n_eff = len(seeds) * samples_per_omega
-    if len(seeds) > 1:
-        se = per_seed.std(axis=0, ddof=1) / math.sqrt(len(seeds))
-    else:
-        se = np.sqrt(np.clip(tail * (1 - tail), 0, None) / n_eff)
-    capped_fraction = capped_total / n_eff
+    return _pooled_tail(np.arange(0, n_max + 1), per_seed, samples_per_omega, capped_total)
+
+
+def _pooled_tail(ns: np.ndarray, per_seed: np.ndarray, draws: int, capped: int) -> TailCurve:
+    """Pool per-seed tail rows of draws samples each; capped counts the capped samples."""
+    tail, se = seed_mean(per_seed, draws)
+    n_eff = len(per_seed) * draws
+    capped_fraction = capped / n_eff
     warnings = []
     if capped_fraction > 0.01:
         warnings.append(f"capped fraction {capped_fraction:.3f} exceeds 1%")
@@ -286,7 +288,6 @@ def distortion_check(seq: ParamSequence, partition: ReturnPartition,
     probs = masses / masses.sum()
     max_cf = 0.0
     min_expansion = math.inf
-    beta_hat = 0.0
     violations = 0
     for _ in range(pair_samples):
         ci = rng.choice(masses.size, p=probs)
@@ -298,7 +299,6 @@ def distortion_check(seq: ParamSequence, partition: ReturnPartition,
         dev = abs(jx / jy - 1.0)
         expansion = abs(fx - fy) / abs(x - y)
         min_expansion = min(min_expansion, expansion)
-        beta_hat = max(beta_hat, 1.0 / expansion)
         if expansion < 1.0 / beta:
             violations += 1
         if dev > 0.0:
@@ -308,7 +308,7 @@ def distortion_check(seq: ParamSequence, partition: ReturnPartition,
                 max_cf = max(max_cf, dev / denom)
     return {
         "empirical_CF": max_cf,
-        "beta_hat": beta_hat,
+        "beta_hat": 1.0 / min_expansion,   # the largest inverse expansion
         "min_expansion": min_expansion,
         "violations": violations,
         "pair_samples": pair_samples,

@@ -22,7 +22,6 @@ unsorted keys (the bin straddling 1/2 on an odd grid) go through np.unique.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -30,6 +29,7 @@ import numpy as np
 
 from .maps import FiberMap, _left_branch, apply
 from .omega import ParamSequence, make_sequence
+from .util import seed_mean
 
 MASS_FLOOR = 1e-12
 
@@ -225,11 +225,7 @@ def decay_curve(family: str, bounds: tuple[float, float], seeds: list[int],
             mask = h >= MASS_FLOOR
             curves[si, n] = np.abs(w[mask]).sum()
         masked[si, 1] = 1.0 - mask.mean()
-    decay = curves.mean(axis=0)
-    if len(seeds) > 1:
-        se = curves.std(axis=0, ddof=1) / math.sqrt(len(seeds))
-    else:
-        se = np.zeros(n_max + 1)
+    decay, se = seed_mean(curves)
     masked_mean = masked.mean(axis=0)
     warnings = []
     if masked_mean[1] > masked_mean[0] + 0.01:

@@ -1,10 +1,11 @@
-"""Small shared helpers: the block memory budget, power-law fits and
-deterministic serialization."""
+"""Small shared helpers: the block memory budget, the seed average, power-law
+fits and deterministic serialization."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,23 @@ import numpy as np
 # calibration, the Brownian sampler, the return-time tail): 512 KB of
 # doubles, whatever the size of the whole computation.
 _BLOCK_VALUES = 2 ** 16
+
+
+def seed_mean(per_seed: np.ndarray, draws: int | None = None):
+    """Mean over the seeds (axis 0 of per_seed) and its standard error: across
+    seeds for several, else the binomial error of a fraction of draws samples
+    (zeros when draws is None)."""
+    k = len(per_seed)
+    if k == 0:
+        raise ValueError("need at least one seed")
+    mean = per_seed.mean(axis=0)
+    if k > 1:
+        se = per_seed.std(axis=0, ddof=1) / math.sqrt(k)
+    elif draws is not None:
+        se = np.sqrt(np.clip(mean * (1 - mean), 0, None) / draws)
+    else:
+        se = np.zeros_like(mean)
+    return mean, se
 
 
 def fit_loglog(n: np.ndarray, y: np.ndarray, window: tuple[float, float]) -> dict:

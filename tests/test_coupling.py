@@ -251,3 +251,13 @@ def test_coupling_tail_decreasing_and_bounded():
 def test_coupling_tail_validation():
     with pytest.raises(ValueError):
         coupling.coupling_tail("doubling", (0.0, 0.0), [1], 1, 1.5, 10, 10)
+    # l0 = 0 would score every pair as never matched; no pairs would divide by zero
+    with pytest.raises(ValueError, match="l0"):
+        coupling.coupling_tail("doubling", (0.0, 0.0), [1], 0, 0.1, 10, 10)
+    with pytest.raises(ValueError, match="pair_samples"):
+        coupling.coupling_tail("doubling", (0.0, 0.0), [1], 1, 0.1, 10, 0)
+
+
+def test_estimate_l0_needs_a_sample():
+    with pytest.raises(ValueError, match="samples"):
+        coupling.estimate_l0("doubling", (0.0, 0.0), [1], 4, 0)

@@ -36,6 +36,45 @@ def test_psi_has_zero_mean():
     assert np.array_equal(d.h, h0)
 
 
+def anchored_walk(seq, phi, K_trunc, n_bins, depth, subsamples):
+    """One walk from Lebesgue at fiber -(K_trunc + depth), the series terms
+    joining at -K_trunc: (mu_w, mu_sw, g_w, g_sw, psi_w), the oracle."""
+    phi_bar = transfer.bin_average(phi, n_bins)
+    anchor = -(K_trunc + depth)
+    h1 = transfer.uniform_density(n_bins)
+    A, B = np.zeros(n_bins), np.zeros(n_bins)
+    for j, M0 in zip(range(anchor, 1),
+                     transfer.matrices_along(seq, anchor, 1, n_bins, subsamples)):
+        h0 = h1
+        if j >= -K_trunc:
+            c = (phi_bar - float(h0 @ phi_bar)) * h0
+            A = A + c
+            if j > -K_trunc:
+                B = B + c
+        if j < 0:
+            A = transfer.pushforward(M0, A)
+        B = transfer.pushforward(M0, B)
+        h1 = transfer.pushforward(M0, h0)
+    phi_c1 = phi_bar - float(h1 @ phi_bar)
+    B = B + phi_c1 * h1
+    g_w = np.where(h0 >= transfer.MASS_FLOOR, A / np.where(h0 > 0, h0, 1.0), 0.0)
+    g_sw = np.where(h1 >= transfer.MASS_FLOOR, B / np.where(h1 > 0, h1, 1.0), 0.0)
+    return h0, h1, g_w, g_sw, transfer.pull(M0, phi_c1 - g_sw) + g_w
+
+
+@pytest.mark.parametrize("family, bounds", [("lsv", (0.05, 0.3)), ("doubling", (0.0, 0.0))])
+@pytest.mark.parametrize("n_bins", [64, 33])
+def test_decomposition_equals_one_anchored_walk(family, bounds, n_bins):
+    seq = make_sequence(7, family, bounds)
+    phi = get_observable("cos2pi")
+    for K in (0, 1, 3):
+        for depth in (0, 1, 5):
+            d = decomp.martingale_psi(seq, phi, K, n_bins, depth, 8)
+            want = anchored_walk(seq, phi, K, n_bins, depth, 8)
+            for got, ref in zip((d.h, d.h_next, d.g, d.g_next, d.psi), want):
+                assert got.tobytes() == ref.tobytes()
+
+
 def test_residual_decreases_as_K_doubles():
     seq = make_sequence(1, "lsv", (0.05, 0.15))
     phi = get_observable("cos2pi")

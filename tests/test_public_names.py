@@ -1,15 +1,15 @@
 """Every public name and every dataclass field of the package feeds something it produces.
 
-A public top-level function, class or constant of ``src/quenched_limits``
-must be read somewhere besides its own definition: in the package itself,
-in the acceptance suite or in the benchmark.  Every field of a package
-dataclass must be read as an attribute in the same places.  Unit tests do
-not count, so a name or field that only its own unit test reads shows up
-here.
+A public top-level function, class or constant of ``src/quenched_limits``,
+and a public method of a public class, must be read somewhere besides its
+own definition: in the package itself, in the acceptance suite or in the
+benchmark.  Every field of a package dataclass must be read as an
+attribute in the same places.  Unit tests do not count, so a name, method
+or field that only its own unit test reads shows up here.
 
-Both rules match by name, not by type: a field is taken as read when any
-attribute of that name is read, so a field that shares its name with a
-field of another class that is read (``masked_fraction``, ``alpha_exp``,
+The rules match by name, not by type: a method or field is taken as read
+when any attribute of that name is read, so one that shares its name with
+a read attribute of another class (``masked_fraction``, ``alpha_exp``,
 ``n``, ...) passes unseen and needs a check by hand.
 """
 
@@ -33,6 +33,14 @@ def public_definitions(tree: ast.Module) -> list[str]:
     return [n for n in names if not n.startswith("_")]
 
 
+def public_methods(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, method) of every public method of a public top-level class."""
+    return [(node.name, f.name) for node in tree.body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            for f in node.body
+            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+
+
 def read_names(tree: ast.AST) -> set[str]:
     """Names read as a variable or an attribute; definitions and imports are not reads."""
     out = set()
@@ -50,9 +58,11 @@ def unused_public_names() -> list[str]:
         reads |= read_names(ast.parse(path.read_text(), str(path)))
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for name in public_definitions(ast.parse(path.read_text(), str(path))):
-            if name not in reads:
-                unused.append(f"{path.stem}.{name}")
+        tree = ast.parse(path.read_text(), str(path))
+        unused += [f"{path.stem}.{name}" for name in public_definitions(tree)
+                   if name not in reads]
+        unused += [f"{path.stem}.{cls}.{name}" for cls, name in public_methods(tree)
+                   if name not in reads]
     return unused
 
 
@@ -90,6 +100,14 @@ def test_the_rule_sees_definitions_and_reads():
     tree = ast.parse("A = 1\n_B = 2\ndef f(): return g\nclass C: pass\nx.h\n")
     assert public_definitions(tree) == ["A", "f", "C"]
     assert read_names(tree) == {"g", "x", "h"}
+
+
+def test_the_rule_sees_public_methods_of_public_classes():
+    tree = ast.parse("class C:\n    n: int\n    def m(self): pass\n    def _p(self): pass\n"
+                     "    def __len__(self): return 0\n"
+                     "class _D:\n    def q(self): pass\n"
+                     "def f():\n    pass\n")
+    assert public_methods(tree) == [("C", "m")]
 
 
 def test_every_dataclass_field_is_read_outside_the_unit_tests():

@@ -256,6 +256,11 @@ def test_tail_curve_with_capped_returns_matches_mean_loop(block_values, monkeypa
     assert tc.tail.tobytes() == np.mean(per_seed, axis=0).tobytes()
 
 
+def test_tail_curve_needs_a_sample_per_seed():
+    with pytest.raises(ValueError, match="samples_per_omega"):
+        tower.tail_curve("doubling", (0.0, 0.0), [1], 10, 0)
+
+
 def test_tail_curve_memory_does_not_grow_with_samples():
     # a whole-array walk of 10^6 samples peaks above 60 MB
     tracemalloc.start()
