@@ -21,6 +21,7 @@ GOLDEN = Path(__file__).parent / "golden"
 PINS = {suffix: GOLDEN / f"{suffix}_sha256.json" for suffix in ("csv", "json")}
 
 LSV = ["--family", "lsv", "--alpha_min", "0.05", "--alpha_max", "0.15", "--seed", "3"]
+DOUBLING = ["--family", "doubling", "--alpha_min", "0", "--alpha_max", "0", "--seed", "3"]
 GRID = ["--n_bins", "128", "--depth", "6", "--k_trunc", "4", "--subsamples", "8"]
 ENSEMBLE = GRID + ["--n_steps", "64", "--n_samples", "200"]
 CONFIGS = {
@@ -34,15 +35,17 @@ CONFIGS = {
     "density": LSV + GRID,
     "decay": LSV + GRID + ["--n_max", "8"],
     "decay-seeds": LSV + GRID + ["--n_max", "8", "--n_seeds", "2"],
+    # a constant chain: its masses reach a bitwise fixed point of the one matrix
+    "decay-doubling": DOUBLING + GRID + ["--n_max", "16"],
     "decompose": LSV + GRID + ["--n_seeds", "2"],
     # odd grid and non-dyadic subsamples: weights that do not add exactly
     "decompose-odd-grid": LSV + ["--n_bins", "333", "--depth", "6", "--k_trunc", "0",
                                  "--subsamples", "12", "--n_seeds", "2"],
+    "decompose-doubling": DOUBLING + GRID + ["--n_seeds", "2"],
     "couple": LSV + ["--l0", "2", "--n_max", "16", "--pairs", "100", "--cap", "10000"],
     # two seeds: the pooled seed average and its standard error
-    "couple-doubling": ["--family", "doubling", "--alpha_min", "0", "--alpha_max", "0",
-                        "--seed", "3", "--n_seeds", "2", "--l0", "2", "--n_max", "16",
-                        "--pairs", "100", "--cap", "10000"],
+    "couple-doubling": DOUBLING + ["--n_seeds", "2", "--l0", "2", "--n_max", "16",
+                                   "--pairs", "100", "--cap", "10000"],
     "clt": LSV + ENSEMBLE,
     "clt-lebesgue": LSV + ENSEMBLE + ["--sampling", "lebesgue"],
     "lil": LSV + ENSEMBLE,
