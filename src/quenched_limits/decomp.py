@@ -16,8 +16,8 @@ import numpy as np
 
 from .maps import apply, fiber_map
 from .omega import ParamSequence, make_sequence
-from .transfer import (MASS_FLOOR, bin_average, equivariant_density, matrices_along,
-                       nearest_bin, pull, pushforward)
+from .transfer import (MASS_FLOOR, _density_chain, bin_average, nearest_bin, pull,
+                       pushforward, sample_from_density)
 from .util import seed_mean
 
 K_TRUNC_DEFAULT = 16
@@ -58,18 +58,19 @@ def _decompose(seq: ParamSequence, phi: Callable[[np.ndarray], np.ndarray], K_tr
                n_bins: int, depth: int, subsamples: int = 64) -> Decomposition:
     """Single sweep through the fibers -K_trunc .. 0 building g_w, g_sw and psi_w.
 
-    The density chain starts from mu on fiber -K_trunc, equivariant_density
-    of the sequence shifted there; signed masses for the truncated series
-    are accumulated and pushed along the same chain, so every dual
-    application is composition-consistent.
+    The density chain (transfer._density_chain) starts from mu on fiber
+    -K_trunc; signed masses for the truncated series are accumulated and
+    pushed along the same matrices, so every dual application is
+    composition-consistent.
     """
     if K_trunc < 0:
         raise ValueError("K_trunc must be >= 0")
     phi_bar = bin_average(phi, n_bins)
-    h1 = equivariant_density(seq.shift(-K_trunc), n_bins, depth, subsamples)
+    chain = _density_chain(seq, -K_trunc, 1, n_bins, depth, subsamples)
+    h1 = next(chain)[1]
     A, B, tail = np.zeros(n_bins), np.zeros(n_bins), np.zeros(n_bins)
-    for j, M0 in zip(range(-K_trunc, 1), matrices_along(seq, -K_trunc, 1, n_bins, subsamples)):
-        h0 = h1
+    for j, (M0, h_next) in enumerate(chain, start=-K_trunc):
+        h0, h1 = h1, h_next
         c = (phi_bar - float(h0 @ phi_bar)) * h0   # centered mass on fiber j
         A = A + c   # not A = c: 0.0 + c turns a -0.0 of c into 0.0
         if j == -K_trunc:
@@ -80,7 +81,6 @@ def _decompose(seq: ParamSequence, phi: Callable[[np.ndarray], np.ndarray], K_tr
             # A and tail live on fiber 0; only B crosses M_0.
             A, tail = pushforward(M0, A), pushforward(M0, tail)
         B = pushforward(M0, B)
-        h1 = pushforward(M0, h0)
     # the loop ends at j = 0: h0, h1 are the fiber 0 and 1 masses, c the j = 0 term
     phi_c1 = phi_bar - float(h1 @ phi_bar)
     B = B + phi_c1 * h1
@@ -158,14 +158,3 @@ def coboundary_test(family: str, bounds: tuple[float, float], seeds: list[int],
         out["pointwise_residual"] = float(np.mean(np.abs(resid)))
     return out
 
-
-def sample_from_density(mass: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF sampling from grid bin masses (uniform within each bin)."""
-    cdf = np.cumsum(mass)
-    cdf[-1] = 1.0
-    u = rng.random(n)
-    j = np.searchsorted(cdf, u, side="right")
-    j = np.minimum(j, mass.size - 1)
-    left = np.concatenate(([0.0], cdf[:-1]))
-    frac = np.where(mass[j] > 0, (u - left[j]) / np.where(mass[j] > 0, mass[j], 1.0), 0.5)
-    return (j + np.clip(frac, 0.0, 1.0)) / mass.size

@@ -17,11 +17,10 @@ from typing import Callable
 
 import numpy as np
 
-from .decomp import sample_from_density
 from .kstest import ks_statistic, ks_pvalue, normal_cdf
 from .maps import _doubling_orbit_values, _iterates
 from .omega import ParamSequence
-from .transfer import bin_average, equivariant_density, matrices_along, pushforward
+from .transfer import _density_chain, bin_average, sample_from_density
 from .util import _BLOCK_VALUES
 
 LIL_MIN_N = 16
@@ -63,33 +62,16 @@ def _dyadic_records(n_steps: int) -> np.ndarray:
     return np.array(sorted(set(ks + [n_steps])))
 
 
-def _centering_means(seq: ParamSequence, phi_bar: np.ndarray, h: np.ndarray,
-                     n_steps: int, n_bins: int, subsamples: int) -> np.ndarray:
-    """phi_bar against the fiber-0 masses h and their pushes, steps 0..n_steps."""
-    means = np.empty(n_steps + 1)
-    means[0] = float(h @ phi_bar)
-    mass, last, fixed = h, None, False
-    for k, M in enumerate(matrices_along(seq, 0, n_steps, n_bins, subsamples), start=1):
-        if fixed and M is last:
-            # mass is a bitwise fixed point of M, so pushing it again returns it
-            means[k] = means[k - 1]
-            continue
-        pushed = pushforward(M, mass)
-        fixed = M is last and np.array_equal(pushed, mass)
-        mass, last = pushed, M
-        means[k] = float(mass @ phi_bar)
-    return means
-
-
 def birkhoff_ensemble(seq: ParamSequence, phi: Callable[[np.ndarray], np.ndarray],
                       n_steps: int, n_samples: int, sampling_mode: str = "equivariant",
                       n_bins: int = 2 ** 12, depth: int = 32,
                       subsamples: int = 32) -> BirkhoffEnsemble:
     """Simulate partial sums of the fiberwise-centered observable.
 
-    Centering constants are grid quadratures of phi against the equivariant
-    density chained forward fiber by fiber; initial points are drawn from
-    the fiber-0 density (inverse CDF) or from Lebesgue.
+    Centering constants are grid quadratures of phi against the masses of
+    the equivariant density chain (transfer._density_chain), fiber by fiber;
+    initial points are drawn from the fiber-0 density (inverse CDF) or from
+    Lebesgue.
     """
     if sampling_mode not in ("equivariant", "lebesgue"):
         raise ValueError("sampling_mode must be 'equivariant' or 'lebesgue'")
@@ -100,8 +82,9 @@ def birkhoff_ensemble(seq: ParamSequence, phi: Callable[[np.ndarray], np.ndarray
         np.random.SeedSequence((seq.master_seed, seq.origin_offset, 0xB1F, 0))))
 
     phi_bar = bin_average(phi, n_bins)
-    h = equivariant_density(seq, n_bins, depth, subsamples)
-    means = _centering_means(seq, phi_bar, h, n_steps, n_bins, subsamples)
+    chain = _density_chain(seq, 0, n_steps, n_bins, depth, subsamples)
+    h = next(chain)[1]
+    means = np.array([float(h @ phi_bar)] + [float(m @ phi_bar) for _, m in chain])
 
     if seq.family == "doubling":
         values = _doubling_orbit_values(n_samples, n_steps, rng)
@@ -170,12 +153,9 @@ def variance_growth(ens: BirkhoffEnsemble, n_boot: int = 200,
 
 def qclt_test(ens: BirkhoffEnsemble, sigma2: float) -> dict:
     """KS distance of S_n / (sigma sqrt n) against the standard normal."""
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive; degenerate observables "
-                         "belong to the coboundary route")
-    z = empirical_functional(ens, sigma2, "terminal")
-    d = ks_statistic(z, normal_cdf)
-    return {"ks_distance": d, "p_value": ks_pvalue(d, z.size), "n_samples": z.size}
+    res = qfclt_paths(ens, sigma2, "terminal")
+    del res["functional"]
+    return res
 
 
 def qclt_null_calibration(n_samples: int, n_steps: int = 256, reps: int = 100,
@@ -320,22 +300,25 @@ def empirical_functional(ens: BirkhoffEnsemble, sigma2: float,
     raise ValueError(f"unknown functional {functional!r}")
 
 
+# The law of each functional as empirical_functional scales it: the terminal
+# value is standardized, the sups are compared with sigma B.
+_LAWS = {"terminal": lambda a, sigma: normal_cdf(a),
+         "sup": brownian_sup_cdf, "sup_abs": brownian_sup_abs_cdf}
+
+
 def qfclt_paths(ens: BirkhoffEnsemble, sigma2: float, functional: str) -> dict:
     """One-sample KS of a path functional of S^{n,w} against its law for sigma B.
 
     The piecewise-linear path attains its extrema at the nodes S_k / sqrt n,
     so the stored path extrema determine the sup functionals exactly; their
     laws are closed-form (brownian_sup_cdf, brownian_sup_abs_cdf).  The
-    terminal functional reduces to the CLT statistic (bit for bit).
+    terminal functional is the CLT statistic.
     """
     if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    if functional == "terminal":
-        res = qclt_test(ens, sigma2)
-        res["functional"] = "terminal"
-        return res
+        raise ValueError("sigma2 must be positive; degenerate observables "
+                         "belong to the coboundary route")
     emp = empirical_functional(ens, sigma2, functional)
-    law = brownian_sup_cdf if functional == "sup" else brownian_sup_abs_cdf
+    law = _LAWS[functional]
     d = ks_statistic(emp, lambda a: law(a, math.sqrt(sigma2)))
     return {"functional": functional, "ks_distance": d, "p_value": ks_pvalue(d, emp.size),
             "n_samples": emp.size}

@@ -196,9 +196,10 @@ def tail_curve(family: str, bounds: tuple[float, float], seeds: list[int],
     """Monte Carlo estimate of the annealed return-time tail.
 
     Base points are drawn uniformly on [1/2, 1] for each driving seed; the
-    curve is the pooled fraction of samples with R > n.  They are drawn and
-    walked _BLOCK_VALUES at a time, one stream of draws per seed, so memory
-    does not grow with samples_per_omega.
+    curve is the pooled fraction of samples with R > n, where a capped
+    sample counts as above every n, as coupling_tail scores a capped pair.
+    They are drawn and walked _BLOCK_VALUES at a time, one stream of draws
+    per seed, so memory does not grow with samples_per_omega.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
@@ -214,7 +215,7 @@ def tail_curve(family: str, bounds: tuple[float, float], seeds: list[int],
             xs = BASE_LO + 0.5 * rng.random(min(_BLOCK_VALUES, samples_per_omega - start))
             R = return_times_vec(seq, xs, cap)
             capped_total += int(np.count_nonzero(R > cap))
-            counts += _value_counts(R, n_max)
+            counts += _value_counts(np.where(R > cap, n_max + 1, R), n_max)
         per_seed[si] = _fraction_above(counts)
     return _pooled_tail(np.arange(0, n_max + 1), per_seed, samples_per_omega, capped_total)
 

@@ -8,7 +8,9 @@ n_bins, and the mean of bin values under a measure is ``mass @ values``.
 The dual operator is never formed: the dual of psi against h is pushed as
 the signed mass psi * h.  The equivariant density h_w is obtained by pushing
 Lebesgue forward through the fiber maps of the recent past (finite
-pullback), which is the direct discretization of its construction.
+pullback), which is the direct discretization of its construction; the
+family mu_{s^k w} = (f_w^k)_* mu_w that centering, decay and the
+decomposition walk comes from one walker, _density_chain.
 
 Ulam builds share their per-grid work.  The stratified points of each
 (n_bins, subsamples) grid are cached read-only.  On an even grid 1/2 is a bin
@@ -168,6 +170,39 @@ def equivariant_density(seq: ParamSequence, n_bins: int, pullback_depth: int,
     return mass
 
 
+def _density_chain(seq: ParamSequence, k_lo: int, k_hi: int, n_bins: int, depth: int,
+                   subsamples: int = 64):
+    """Yield (M_{k-1}, h_k) for k = k_lo .. k_hi: the masses of mu on fiber k
+    and the matrix that pushed them there.
+
+    h_{k_lo} is equivariant_density of the sequence shifted to k_lo and comes
+    with None; each later h_k is h_{k-1} pushed by M_{k-1}.  Once a repeated
+    matrix object has mapped h to itself bit for bit, pushing again returns
+    the same h, so the walk stops pushing until the matrix changes.
+    """
+    h = equivariant_density(seq.shift(k_lo), n_bins, depth, subsamples)
+    yield None, h
+    last, fixed = None, False
+    for M in matrices_along(seq, k_lo, k_hi, n_bins, subsamples):
+        if not (fixed and M is last):
+            pushed = pushforward(M, h)
+            fixed = M is last and np.array_equal(pushed, h)
+            h, last = pushed, M
+        yield M, h
+
+
+def sample_from_density(mass: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF sampling from grid bin masses (uniform within each bin)."""
+    cdf = np.cumsum(mass)
+    cdf[-1] = 1.0
+    u = rng.random(n)
+    j = np.searchsorted(cdf, u, side="right")
+    j = np.minimum(j, mass.size - 1)
+    left = np.concatenate(([0.0], cdf[:-1]))
+    frac = np.where(mass[j] > 0, (u - left[j]) / np.where(mass[j] > 0, mass[j], 1.0), 0.5)
+    return (j + np.clip(frac, 0.0, 1.0)) / mass.size
+
+
 def equivariance_residual(seq: ParamSequence, n_bins: int, pullback_depth: int,
                           subsamples: int = 64) -> float:
     """L1 gap between push(h_w) and the independently pulled-back h_{shift w}.
@@ -202,31 +237,25 @@ def decay_curve(family: str, bounds: tuple[float, float], seeds: list[int],
     """Annealed L1 decay of the iterated dual on the centered observable.
 
     Per seed the signed measure (phi - mean) d mu_w is pushed forward step
-    by step; its total variation at step n equals the L1(mu) norm of
-    P^n(phi_w - int phi_w d mu_w), so no divisions are needed except for
-    the mask bookkeeping.
+    by step beside the density chain; its total variation at step n equals
+    the L1(mu) norm of P^n(phi_w - int phi_w d mu_w), so no divisions are
+    needed except for the mask bookkeeping.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     phi_bar = bin_average(phi, n_bins)
     curves = np.empty((len(seeds), n_max + 1))
-    masked = np.zeros((len(seeds), 2))   # masked-bin fraction at steps 0 and n_max
+    masked = np.empty((len(seeds), n_max + 1))   # masked-bin fraction per step
     for si, seed in enumerate(seeds):
         seq = make_sequence(seed, family, bounds)
-        h = equivariant_density(seq, n_bins, pullback_depth, subsamples)
-        centered = phi_bar - float(h @ phi_bar)
-        w = centered * h
-        mask = h >= MASS_FLOOR
-        curves[si, 0] = np.abs(w[mask]).sum()
-        masked[si, 0] = 1.0 - mask.mean()
-        for n, M in enumerate(matrices_along(seq, 0, n_max, n_bins, subsamples), start=1):
-            w = pushforward(M, w)
-            h = pushforward(M, h)
+        chain = _density_chain(seq, 0, n_max, n_bins, pullback_depth, subsamples)
+        for n, (M, h) in enumerate(chain):
+            w = (phi_bar - float(h @ phi_bar)) * h if M is None else pushforward(M, w)
             mask = h >= MASS_FLOOR
             curves[si, n] = np.abs(w[mask]).sum()
-        masked[si, 1] = 1.0 - mask.mean()
+            masked[si, n] = 1.0 - mask.mean()
     decay, se = seed_mean(curves)
-    masked_mean = masked.mean(axis=0)
+    masked_mean = masked[:, [0, -1]].mean(axis=0)
     warnings = []
     if masked_mean[1] > masked_mean[0] + 0.01:
         warnings.append("masked-bin fraction grows along the chain")

@@ -117,15 +117,6 @@ def test_cos_detected_as_nondegenerate():
     assert res["sigma2"] == pytest.approx(0.5, abs=0.02)
 
 
-def test_sample_from_density_matches_masses():
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
-    mass = np.array([0.5, 0.25, 0.125, 0.125])
-    xs = decomp.sample_from_density(mass, 200000, rng)
-    assert np.all((xs >= 0) & (xs <= 1))
-    counts = np.histogram(xs, bins=4, range=(0, 1))[0] / xs.size
-    assert counts == pytest.approx(mass, abs=5e-3)
-
-
 def test_invalid_k():
     seq = make_sequence(1, "doubling", (0.0, 0.0))
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Every public name and every dataclass field of the package feeds something it produces.
+"""Every public name and every dataclass field of the package feeds something
+it produces, and every module imports only from the layers below its own.
 
 A public top-level function, class or constant of ``src/quenched_limits``,
 and a public method of a public class, must be read somewhere besides its
@@ -7,7 +8,11 @@ benchmark.  Every field of a package dataclass must be read as an
 attribute in the same places.  Unit tests do not count, so a name, method
 or field that only its own unit test reads shows up here.
 
-The rules match by name, not by type: a method or field is taken as read
+The layers run from omega, util and kstest up to cli (LAYERS); a module's
+imports, in function bodies too, may only name modules of a lower layer,
+and only cli may import the package itself.
+
+The name rules match by name, not by type: a method or field is taken as read
 when any attribute of that name is read, so one that shares its name with
 a read attribute of another class (``masked_fraction``, ``alpha_exp``,
 ``n``, ...) passes unseen and needs a check by hand.
@@ -20,6 +25,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "quenched_limits"
 CALLERS = [*sorted(PACKAGE.glob("*.py")), ROOT / "tests" / "test_acceptance.py",
            *sorted((ROOT / "perfbench").glob("*.py"))]
+# The package itself (``from . import __version__``) sits just below cli.
+LAYERS = [("omega", "util", "kstest"), ("maps",), ("tower", "transfer"),
+          ("decomp", "coupling", "stats"), ("__init__",), ("cli",)]
 
 
 def public_definitions(tree: ast.Module) -> list[str]:
@@ -121,3 +129,37 @@ def test_the_field_rule_sees_fields_and_attribute_reads():
                      "x.d = y.e\n")
     assert dataclass_fields(tree) == [("P", "a"), ("P", "b")]
     assert attribute_reads(tree) == {"a", "e"}
+
+
+def package_imports(tree: ast.AST) -> set[str]:
+    """Package modules a module imports anywhere in it; __init__ for the package itself."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            out |= {n if (PACKAGE / f"{n}.py").exists() else "__init__" for n in names}
+    return out
+
+
+def layer_violations() -> list[str]:
+    rank = {module: i for i, layer in enumerate(LAYERS) for module in layer}
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem not in rank:
+            out.append(f"{path.stem} has no layer")
+            continue
+        out += [f"{path.stem} -> {dep}"
+                for dep in sorted(package_imports(ast.parse(path.read_text(), str(path))))
+                if rank.get(dep, len(LAYERS)) >= rank[path.stem]]
+    return out
+
+
+def test_every_module_imports_only_from_lower_layers():
+    assert layer_violations() == []
+
+
+def test_the_layer_rule_sees_imports_in_function_bodies():
+    tree = ast.parse("from .maps import apply\nfrom . import stats, __version__\n"
+                     "import numpy\nfrom numpy import array\n"
+                     "def f():\n    from .decomp import x\n")
+    assert package_imports(tree) == {"maps", "stats", "__init__", "decomp"}

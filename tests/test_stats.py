@@ -214,13 +214,16 @@ def test_centering_means_equal_pushing_every_step(monkeypatch, family, bounds, n
     n_bins, depth, subsamples = 2 ** 10, 8, 32
     seq = make_sequence(1, family, bounds)
     phi_bar = transfer.bin_average(get_observable("cos2pi"), n_bins)
-    h = transfer.equivariant_density(seq, n_bins, depth, subsamples)
+    chain = transfer._density_chain(seq, 0, n_steps, n_bins, depth, subsamples)
+    M, h = next(chain)
+    assert M is None
+    assert h.tobytes() == transfer.equivariant_density(seq, n_bins, depth, subsamples).tobytes()
     want = chained_means(seq, phi_bar, h, n_steps, n_bins, subsamples)
     pushes, checks = [], []
-    push, equal = stats.pushforward, np.array_equal
-    monkeypatch.setattr(stats, "pushforward", lambda *a: pushes.append(1) or push(*a))
+    push, equal = transfer.pushforward, np.array_equal
+    monkeypatch.setattr(transfer, "pushforward", lambda *a: pushes.append(1) or push(*a))
     monkeypatch.setattr(np, "array_equal", lambda *a: checks.append(1) or equal(*a))
-    got = stats._centering_means(seq, phi_bar, h, n_steps, n_bins, subsamples)
+    got = np.array([float(h @ phi_bar)] + [float(m @ phi_bar) for _, m in chain])
     monkeypatch.undo()
     assert got.tobytes() == want.tobytes()
     if family == "doubling":

@@ -251,9 +251,17 @@ def test_tail_curve_with_capped_returns_matches_mean_loop(block_values, monkeypa
         seq = make_sequence(seed, "lsv", (0.85, 0.95))
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xA11))))
         R = tower.return_times_vec(seq, 0.5 + 0.5 * rng.random(3000), 25)
-        per_seed.append([np.mean(R > n) for n in range(41)])
+        # a capped sample (R = cap + 1) is above every n
+        per_seed.append([np.mean((R > n) | (R > 25)) for n in range(41)])
     assert tc.capped_fraction > 0.0
     assert tc.tail.tobytes() == np.mean(per_seed, axis=0).tobytes()
+
+
+def test_tail_curve_counts_a_capped_sample_above_every_n():
+    # cap 10 < n_max 40: past the cap only the capped samples are left above n
+    tc = tower.tail_curve("lsv", (0.5, 0.6), [1], 40, 2000, cap=10)
+    assert tc.capped_fraction > 0.0
+    assert np.all(tc.tail[10:] == tc.capped_fraction)
 
 
 def test_tail_curve_needs_a_sample_per_seed():

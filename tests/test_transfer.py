@@ -239,6 +239,49 @@ def test_decay_curve_doubling_cos():
     assert np.all(dc.decay[1:] < 0.01)
 
 
+def decay_pushing_every_step(seq, phi_bar, n_max, n_bins, depth, subsamples):
+    """One seed's decay row as first written: w and h both pushed every step."""
+    h = transfer.equivariant_density(seq, n_bins, depth, subsamples)
+    w = (phi_bar - float(h @ phi_bar)) * h
+    row = [np.abs(w[h >= transfer.MASS_FLOOR]).sum()]
+    for M in transfer.matrices_along(seq, 0, n_max, n_bins, subsamples):
+        w, h = transfer.pushforward(M, w), transfer.pushforward(M, h)
+        row.append(np.abs(w[h >= transfer.MASS_FLOOR]).sum())
+    return row
+
+
+# both constant chains reach a bitwise fixed point of their one matrix well
+# within n_max steps (doubling at once, lsv at 0.1 after 88 pushes), after
+# which decay_curve pushes only w
+@pytest.mark.parametrize("family, bounds", [("doubling", (0.0, 0.0)), ("lsv", (0.1, 0.1))])
+def test_decay_curve_equals_pushing_every_step(monkeypatch, family, bounds):
+    from quenched_limits.maps import get_observable
+    from quenched_limits.util import seed_mean
+
+    n_max, n_bins, depth, subsamples, seeds = 200, 2 ** 8, 8, 32, [1, 2]
+    phi = get_observable("cos2pi")
+    phi_bar = transfer.bin_average(phi, n_bins)
+    rows = [decay_pushing_every_step(make_sequence(seed, family, bounds), phi_bar, n_max,
+                                     n_bins, depth, subsamples) for seed in seeds]
+    want, want_se = seed_mean(np.array(rows))
+    pushes, push = [], transfer.pushforward
+    monkeypatch.setattr(transfer, "pushforward", lambda *a: pushes.append(1) or push(*a))
+    dc = transfer.decay_curve(family, bounds, seeds, phi, n_max, n_bins, depth, subsamples)
+    assert dc.decay.tobytes() == want.tobytes()
+    assert dc.std_err.tobytes() == want_se.tobytes()
+    # per seed: depth pushes of h_0, n_max of w and fewer than n_max of h
+    assert len(pushes) < len(seeds) * (depth + 2 * n_max)
+
+
+def test_sample_from_density_matches_masses():
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
+    mass = np.array([0.5, 0.25, 0.125, 0.125])
+    xs = transfer.sample_from_density(mass, 200000, rng)
+    assert np.all((xs >= 0) & (xs <= 1))
+    counts = np.histogram(xs, bins=4, range=(0, 1))[0] / xs.size
+    assert counts == pytest.approx(mass, abs=5e-3)
+
+
 def test_nearest_bin_edges():
     assert transfer.nearest_bin(np.array([0.0, 0.999, 1.0]), 10).tolist() == [0, 9, 9]
 
