@@ -160,14 +160,33 @@ def equivariant_density(seq: ParamSequence, n_bins: int, pullback_depth: int,
                         subsamples: int = 64) -> np.ndarray:
     """Bin masses of h_w approximated by pushing Lebesgue through the past fiber maps.
 
-    Depth 0 returns the uniform density by convention.
+    Depth 0 returns the uniform density by convention.  A constant stretch
+    of the past stops being pushed once it reaches a bitwise fixed point
+    (_pushes); the masses are the same bits as pushing every step.
     """
     if pullback_depth < 0:
         raise ValueError("pullback_depth must be >= 0")
     mass = uniform_density(n_bins)
-    for M in matrices_along(seq, -pullback_depth, 0, n_bins, subsamples):
-        mass = pushforward(M, mass)
+    for _, mass in _pushes(matrices_along(seq, -pullback_depth, 0, n_bins, subsamples),
+                           mass):
+        pass
     return mass
+
+
+def _pushes(mats, h: np.ndarray):
+    """Yield (M, h pushed by every matrix of mats up to M) for each M of mats.
+
+    Once a repeated matrix object has mapped h to itself bit for bit,
+    pushing again returns the same h, so the walk stops pushing until the
+    matrix changes.
+    """
+    last, fixed = None, False
+    for M in mats:
+        if not (fixed and M is last):
+            pushed = pushforward(M, h)
+            fixed = M is last and np.array_equal(pushed, h)
+            h, last = pushed, M
+        yield M, h
 
 
 def _density_chain(seq: ParamSequence, k_lo: int, k_hi: int, n_bins: int, depth: int,
@@ -176,19 +195,12 @@ def _density_chain(seq: ParamSequence, k_lo: int, k_hi: int, n_bins: int, depth:
     and the matrix that pushed them there.
 
     h_{k_lo} is equivariant_density of the sequence shifted to k_lo and comes
-    with None; each later h_k is h_{k-1} pushed by M_{k-1}.  Once a repeated
-    matrix object has mapped h to itself bit for bit, pushing again returns
-    the same h, so the walk stops pushing until the matrix changes.
+    with None; each later h_k is h_{k-1} pushed by M_{k-1} (_pushes, which
+    skips the pushes of a bitwise fixed point).
     """
     h = equivariant_density(seq.shift(k_lo), n_bins, depth, subsamples)
     yield None, h
-    last, fixed = None, False
-    for M in matrices_along(seq, k_lo, k_hi, n_bins, subsamples):
-        if not (fixed and M is last):
-            pushed = pushforward(M, h)
-            fixed = M is last and np.array_equal(pushed, h)
-            h, last = pushed, M
-        yield M, h
+    yield from _pushes(matrices_along(seq, k_lo, k_hi, n_bins, subsamples), h)
 
 
 def sample_from_density(mass: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:

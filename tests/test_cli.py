@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import quenched_limits
-from quenched_limits import cli
+from quenched_limits import cli, stats
 from quenched_limits.cli import (ConfigError, ExperimentConfig, NumericError, load_config,
                                  main)
 from quenched_limits.util import sha256_of
@@ -250,15 +251,71 @@ def test_help_lists_every_config_key(capsys):
 
 def test_cli_import_loads_no_scipy():
     src = Path(quenched_limits.__file__).resolve().parents[1]
-    probe = ("import sys, quenched_limits.cli; "
+    probe = ("import sys, threading, quenched_limits.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
-             "print('concurrent.futures' in sys.modules)")
+             "print('concurrent.futures' in sys.modules); "
+             "print(threading.active_count())")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
-    scipy_modules, futures_loaded = out.stdout.splitlines()
+    scipy_modules, futures_loaded, threads = out.stdout.splitlines()
     assert scipy_modules == "[]"
-    # nor a thread pool
+    # nor a thread pool, and no thread is started
     assert futures_loaded == "False"
+    assert threads == "1"
+
+
+FCLT = ["fclt", "--family", "doubling", "--alpha_min", "0", "--alpha_max", "0",
+        "--n_steps", "64", "--n_samples", "200", "--n_bins", "128", "--depth", "6",
+        "--k_trunc", "4", "--subsamples", "8"]
+
+
+def fail_with(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+# a worker error is raised where the self-test's value is taken; an error of
+# the main thread wins over it; either way the worker is joined and nothing
+# is written
+@pytest.mark.parametrize("paths_fail, self_test_fails, code, err", [
+    (False, True, 3, "numeric failure: self-test failed\n"),
+    (True, False, 2, "config error: paths failed\n"),
+    (True, True, 2, "config error: paths failed\n"),
+], ids=["self-test", "main", "both"])
+def test_fclt_errors_join_the_worker(tmp_path, monkeypatch, capsys, paths_fail,
+                                     self_test_fails, code, err):
+    if paths_fail:
+        monkeypatch.setattr(stats, "qfclt_paths", fail_with(ValueError("paths failed")))
+    if self_test_fails:
+        monkeypatch.setattr(stats, "brownian_oracle_self_test",
+                            fail_with(RuntimeError("self-test failed")))
+    threads = threading.active_count()
+    out = tmp_path / "f"
+    assert main(FCLT + ["--out", str(out)]) == code
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("functional, workers", [("sup", 1), ("sup_abs", 0),
+                                                 ("terminal", 0)])
+def test_fclt_runs_the_self_test_on_one_worker_for_sup_only(tmp_path, monkeypatch,
+                                                            functional, workers):
+    # the pool's worker lives until the run leaves the pool; count the
+    # threads while the main thread runs its KS test
+    self_tests, alive = [], []
+    self_test, paths = stats.brownian_oracle_self_test, stats.qfclt_paths
+    monkeypatch.setattr(stats, "brownian_oracle_self_test",
+                        lambda **kw: self_tests.append(kw) or self_test(**kw))
+    monkeypatch.setattr(stats, "qfclt_paths",
+                        lambda *a: alive.append(threading.active_count()) or paths(*a))
+    threads = threading.active_count()
+    argv = FCLT + ["--functional", functional, "--out", str(tmp_path / "f")]
+    assert main(argv) == 0
+    assert self_tests == [{"n_paths": 2000}] * workers
+    assert alive == [threads + workers]
+    assert threading.active_count() == threads
 
 
 def test_float_format_17_digits(tmp_path):

@@ -10,6 +10,7 @@ no key is given; each changed digest is printed) and say why in CHANGES.md.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,8 +89,20 @@ def test_json_matches_golden_pin(key, run_digests):
     assert run_digests(key)["json"] == pins[key]
 
 
+def test_fclt_matches_golden_pin_under_fast_thread_switching(tmp_path):
+    # the main thread and the self-test's worker trade the GIL every
+    # microsecond; the bytes must not depend on how they interleave
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = digests("fclt", tmp_path)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == {suffix: json.loads(path.read_text())["fclt"]
+                   for suffix, path in PINS.items()}
+
+
 if __name__ == "__main__":
-    import sys
     import tempfile
 
     keys = sys.argv[1:] or sorted(CONFIGS)

@@ -159,6 +159,32 @@ def test_equivariant_density_normalized():
     assert h0 == pytest.approx(np.full(64, 1.0 / 64))
 
 
+def density_pushing_every_step(seq, n_bins, depth, subsamples):
+    """equivariant_density as first written: Lebesgue pushed by every past matrix."""
+    mass = transfer.uniform_density(n_bins)
+    for M in transfer.matrices_along(seq, -depth, 0, n_bins, subsamples):
+        mass = transfer.pushforward(M, mass)
+    return mass
+
+
+# doubling maps Lebesgue to itself bit for bit, so the second push finds the
+# fixed point; constant lsv reuses one matrix but its masses keep moving for
+# many more than 16 steps; varying lsv builds a new matrix per step
+@pytest.mark.parametrize("family, bounds, fixed_after", [
+    ("doubling", (0.0, 0.0), 2), ("lsv", (0.1, 0.1), None), ("lsv", (0.05, 0.15), None)])
+@pytest.mark.parametrize("depth", [0, 1, 16])
+def test_equivariant_density_equals_pushing_every_step(monkeypatch, family, bounds,
+                                                       fixed_after, depth):
+    n_bins, subsamples = 2 ** 8, 32
+    seq = make_sequence(2, family, bounds)
+    want = density_pushing_every_step(seq, n_bins, depth, subsamples)
+    pushes, push = [], transfer.pushforward
+    monkeypatch.setattr(transfer, "pushforward", lambda *a: pushes.append(1) or push(*a))
+    got = transfer.equivariant_density(seq, n_bins, depth, subsamples)
+    assert got.tobytes() == want.tobytes()
+    assert len(pushes) == (depth if fixed_after is None else min(depth, fixed_after))
+
+
 def test_equivariance_residual_decreases_with_depth():
     seq = make_sequence(1, "lsv", (0.05, 0.15))
     r4 = transfer.equivariance_residual(seq, 2 ** 10, 4, 32)
