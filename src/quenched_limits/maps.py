@@ -58,34 +58,42 @@ def derivative(fmap: FiberMap, x):
 
 
 def left_branch_inverse(fmap: FiberMap, t):
-    """The unique y in [0, 1/2) with f(y) = t, located by bisection.
+    """The unique y in [0, 1/2] with f(y) = t, by Newton's method.
 
     Accepts scalars or arrays.  At alpha = 0 the left branch is 2x and the
-    inverse is t / 2.  Otherwise the LSV left branch has no closed-form
-    inverse; each entry bisects its own bracket (at most 200 halvings) until
-    its midpoint rounds to one of the bracket ends, after which every halving
-    would repeat it, so it gets the same bits alone or in an array.  Every
-    midpoint lies in (0, 1/2), so it is mapped by the left branch alone.
+    inverse is t / 2.  Otherwise the left branch is increasing and convex,
+    so Newton from y0 = t / (1 + 2^alpha t^alpha), which lies below the
+    root, overshoots once and then falls; each entry stops for good once
+    its iterate stops falling.  Entries are always evaluated in a 1-d array:
+    a 0-d ``y ** a`` goes through libm's scalar pow, whose bits can differ
+    from numpy's array loop, so a point gets the same bits alone or in an
+    array.
     """
     t = np.asarray(t, dtype=float)
-    if fmap.alpha == 0.0:
+    a = fmap.alpha
+    if a == 0.0:
         y = 0.5 * t
     else:
-        tt, y = t.ravel(), np.empty(t.shape)
-        lo, hi, act = np.zeros(tt.size), np.full(tt.size, 0.5), np.arange(tt.size)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            moving = (lo < mid) & (mid < hi)
-            if np.count_nonzero(moving) < act.size:   # stalled entries keep their midpoint
-                y.flat[act[~moving]] = mid[~moving]
-                act, tt, lo, hi, mid = (a[moving] for a in (act, tt, lo, hi, mid))
-                if act.size == 0:
-                    break
-            below = _left_branch(fmap, mid) < tt
-            np.copyto(lo, mid, where=below)
-            np.copyto(hi, mid, where=~below)
-        y.flat[act] = 0.5 * (lo + hi)
+        tt = t.ravel()
+        y = _newton_step(a, tt / (1.0 + 2.0 ** a * tt ** a), tt)   # the overshoot
+        out, act = np.empty(tt.size), np.arange(tt.size)
+        while act.size:
+            nxt = _newton_step(a, y, tt)
+            falling = nxt < y
+            out[act[~falling]] = y[~falling]
+            act, tt, y = act[falling], tt[falling], nxt[falling]
+        y = out.reshape(t.shape)
     return float(y) if y.ndim == 0 else y
+
+
+def _newton_step(a: float, y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """One Newton step towards f(y) = t on the left branch; one y ** a serves f and f'.
+
+    The residual is written (y - t) + 2^a y^(1+a), so its rounding error
+    scales with t - y rather than with t.
+    """
+    c, ya = 2.0 ** a, y ** a
+    return y - ((y - t) + c * y * ya) / (1.0 + c * (1.0 + a) * ya)
 
 
 def fiber_map(seq: ParamSequence, k: int = 0) -> FiberMap:

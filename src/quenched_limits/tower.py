@@ -100,7 +100,7 @@ def nth_return(seq: ParamSequence, x: float, n: int, cap: int = CAP_DEFAULT):
 
 def build_partition(seq: ParamSequence, depth_cap: int,
                     refine_tol: float = 1e-12) -> ReturnPartition:
-    """Return-time cells {R = n}, n <= depth_cap, by boundary bisection.
+    """Return-time cells {R = n}, n <= depth_cap, from pulled-back boundaries.
 
     The boundary of {R > n} is the base point whose orbit sits exactly at
     1/2 at time n; it is found by pulling 1/2 back through the left-branch
@@ -152,8 +152,8 @@ def exact_tail(family: str, alpha: float, n_max: int) -> np.ndarray:
     """Deterministic tail Leb(R > n)/Leb(base) for a constant-parameter map.
 
     Computed by tracking the boundary of {R > n} through left-branch
-    preimages of 1/2; exact to bisection precision, so it resolves tails far
-    below any Monte Carlo floor.  Index n of the result is the tail at n.
+    preimages of 1/2; exact up to the inverse's rounding, so it resolves
+    tails far below any Monte Carlo floor.  Index n of the result is the tail at n.
     """
     tail = np.empty(n_max + 1)
     tail[0] = 1.0

@@ -130,20 +130,32 @@ def test_orbit_composition_order():
     assert list(_iterates(seq, 0.3, 4)) == want
 
 
-def scalar_left_branch_inverse(fmap, t):
-    """Scalar bisection, one point at a time: the oracle for the array version."""
-    if fmap.family == "doubling":
-        return 0.5 * t
-    lo, hi = 0.0, 0.5
-    for _ in range(200):
+def bisection_left_branch_inverse(fmap, t):
+    """The oracle: each entry bisects its bracket [0, min(t, 1/2)] (f(y) >= y)
+    until its midpoint rounds to one of the bracket ends."""
+    t = np.asarray(t, dtype=float)
+    tt, y = t.ravel(), np.empty(t.size)
+    lo, hi, act = np.zeros(tt.size), np.minimum(tt, 0.5), np.arange(tt.size)
+    while act.size:
         mid = 0.5 * (lo + hi)
-        if apply(fmap, mid) < t:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(lo, 1e-300):
-            break
-    return 0.5 * (lo + hi)
+        moving = (lo < mid) & (mid < hi)
+        y[act[~moving]] = mid[~moving]
+        act, tt, lo, hi, mid = (a[moving] for a in (act, tt, lo, hi, mid))
+        below = maps._left_branch(fmap, mid) < tt
+        np.copyto(lo, mid, where=below)
+        np.copyto(hi, mid, where=~below)
+    return y.reshape(t.shape)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+       st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True), min_size=1,
+                max_size=20))
+def test_left_branch_inverse_within_2_ulp_of_bisection(alpha, ts):
+    f = FiberMap("lsv", alpha)
+    got, want = left_branch_inverse(f, np.array(ts)), bisection_left_branch_inverse(f, ts)
+    # 2 ulp relative; below the normal range, 2 steps of the smallest subnormal
+    assert np.all(np.abs(got - want) <= 2.0 ** -51 * np.maximum(want, 2.0 ** -1022))
 
 
 @settings(deadline=None, max_examples=60)
@@ -155,27 +167,34 @@ def test_left_branch_inverse_array_matches_scalar(alpha, ts):
     f = FiberMap("doubling", 0.0) if alpha is None else FiberMap("lsv", alpha)
     ys = left_branch_inverse(f, np.array(ts))
     assert ys.shape == (len(ts),)
-    for t, y in zip(ts, ys):
-        oracle = scalar_left_branch_inverse(f, t)
-        assert y == oracle
-        assert left_branch_inverse(f, t) == oracle
+    assert ys.tobytes() == np.array([left_branch_inverse(f, t) for t in ts]).tobytes()
+    assert left_branch_inverse(f, np.array(ts).reshape(-1, 1)).tobytes() == ys.tobytes()
 
 
-def test_scalar_inverse_stops_once_its_bracket_stalls(monkeypatch):
-    # halving [0, 1/2] down to adjacent floats near y >= 2^-11 takes about 63
-    # steps; a rule that stops only once lo == hi makes all 200
+def test_left_branch_inverse_of_zero_is_zero():
+    for alpha in (1e-3, 0.3, 0.999):
+        assert left_branch_inverse(FiberMap("lsv", alpha), 0.0) == 0.0
+
+
+def test_inverse_takes_at_most_8_evaluations_per_entry(monkeypatch):
+    # each Newton step evaluates only the entries still falling, so an entry
+    # takes at most as many evaluations as the call takes steps
     rng = np.random.default_rng(5)
-    evaluations = []
-    left_branch = maps._left_branch
+    steps = []
+    newton_step = maps._newton_step
 
-    def counting(fmap, x):
-        evaluations[-1] += 1
-        return left_branch(fmap, x)
-    monkeypatch.setattr(maps, "_left_branch", counting)
-    for alpha, t in zip(rng.uniform(0.01, 0.99, 100), rng.uniform(1e-3, 1.0, 100)):
-        evaluations.append(0)
+    def counting(a, y, t):
+        steps[-1] += 1
+        return newton_step(a, y, t)
+    monkeypatch.setattr(maps, "_newton_step", counting)
+    ts = np.concatenate([rng.uniform(0.0, 1.0, 300), 10.0 ** rng.uniform(-300, 0, 100)])
+    for alpha, t in zip(rng.uniform(0.01, 0.99, ts.size), ts):
+        steps.append(0)
         left_branch_inverse(FiberMap("lsv", alpha), t)
-    assert 0 < min(evaluations) and max(evaluations) <= 64
+    for alpha in (0.1, 0.5, 0.9, 0.99):   # every edge of a 4096-bin grid in one call
+        steps.append(0)
+        left_branch_inverse(FiberMap("lsv", alpha), np.arange(4097) / 4096)
+    assert 0 < min(steps) and max(steps) <= 8
 
 
 def test_orbit_array_matches_per_point_walk():
