@@ -12,13 +12,11 @@ pullback), which is the direct discretization of its construction; the
 family mu_{s^k w} = (f_w^k)_* mu_w that centering, decay and the
 decomposition walk comes from one walker, _density_chain.
 
-Ulam builds share their per-grid work.  The stratified points of each
-(n_bins, subsamples) grid are cached read-only.  On an even grid 1/2 is a bin
-edge and both families map the right half x >= 1/2 by 2x - 1, whatever alpha
-is, so those rows' triplets are cached per grid and only the left half goes
-through the fiber map's left branch.  Both branches are increasing, so the
-keys row * n_bins + col come out sorted and are counted by a run-length pass;
-unsorted keys (the bin straddling 1/2 on an odd grid) go through np.unique.
+Ulam entries are exact: both branches are increasing, so cutting [0, 1] at
+the bin edges and at their preimages under each branch splits it into
+pieces that each lie in one bin and map into one bin (Li 1976; Murray 2010
+for maps with a neutral fixed point).  The left-branch preimages come from
+maps.left_branch_inverse, one array call per build.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .maps import FiberMap, _left_branch, apply
+from .maps import FiberMap, left_branch_inverse
 from .omega import ParamSequence, make_sequence
 from .util import seed_mean
 
@@ -72,58 +70,37 @@ class UlamMatrix:
     n_bins: int
 
 
-def _triplets(images: np.ndarray, row0: int, n_bins: int, subsamples: int):
-    """(rows, cols, weights) of consecutive rows from row0 on, given their points' images."""
-    j = nearest_bin(images, n_bins).reshape(-1, subsamples)
-    i = np.arange(row0, row0 + j.shape[0], dtype=np.int64)
-    keys = (i[:, None] * n_bins + j).ravel()
-    steps = np.diff(keys)
-    if np.all(steps >= 0):
-        # sorted keys: each run of equal keys is one triplet
-        starts = np.flatnonzero(np.concatenate(([True], steps != 0)))
-        keys, counts = keys[starts], np.diff(np.append(starts, keys.size))
-    else:
-        keys, counts = np.unique(keys, return_counts=True)
-    # The weight of c hits is 1/subsamples added c times in sequence, not
-    # c/subsamples: the two differ in the last bit for non-dyadic counts.
-    weights = np.cumsum(np.full(subsamples, 1.0 / subsamples))[counts - 1]
-    return keys // n_bins, keys % n_bins, weights
-
-
-@functools.lru_cache(maxsize=8)
-def _right_half(n_bins: int, subsamples: int):
-    """Read-only triplets of the rows x >= 1/2 of an even grid, mapped by 2x - 1."""
-    half = n_bins // 2
-    x = _stratified_points(n_bins, subsamples)[half * subsamples:]
-    out = _triplets(2.0 * x - 1.0, half, n_bins, subsamples)
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
 def ulam_matrix(fmap: FiberMap, n_bins: int, subsamples: int = 64) -> UlamMatrix:
     """Row-stochastic bin-to-bin transition fractions under one fiber map.
 
-    M[i, j] estimates Leb(bin_i intersect f^-1 bin_j) / Leb(bin_i) by
-    stratified midpoint subsampling of bin i.  Row sums are exactly 1 when
-    subsamples is a power of two (dyadic weights add exactly).
-
-    On an even grid only the left half x < 1/2 is mapped, by the left branch
-    alone; the rows of the right half, where every fiber map is 2x - 1, come
-    from a per-grid cache.  An odd grid maps all its points.  Distinct
-    (row, col) keys are counted by a run-length pass when they come out
-    sorted, as they do for increasing branches, and by np.unique otherwise;
-    either way the triplets are the same bits as one np.unique over the
-    whole grid.
+    M[i, j] = Leb(bin_i intersect f^-1 bin_j) * n_bins, exactly.  The cuts
+    are the bin edges k/n, the left preimages f_L^-1(j/n) and the right
+    preimages (n + j) / (2n); each piece between two cuts lies in one bin
+    and maps into one bin, and its weight is its length in bin units.  The
+    cuts are merged by one stable sort of these three sorted runs (an edge
+    first among equal cuts), and a piece's row and column count the edges
+    and preimages left of it.  Positions are measured from the row's own
+    edge, so each row's weights add up to exactly 1.  The exact build
+    ignores subsamples.
     """
-    if n_bins < 2 or subsamples < 1:
-        raise ValueError("need n_bins >= 2 and subsamples >= 1")
-    pts = _stratified_points(n_bins, subsamples)
-    if n_bins % 2:
-        return UlamMatrix(*_triplets(apply(fmap, pts), 0, n_bins, subsamples), n_bins)
-    left = _triplets(_left_branch(fmap, pts[:n_bins // 2 * subsamples]), 0, n_bins, subsamples)
-    right = _right_half(n_bins, subsamples)
-    return UlamMatrix(*(np.concatenate(pair) for pair in zip(left, right)), n_bins)
+    if n_bins < 2:
+        raise ValueError("need n_bins >= 2")
+    n = n_bins
+    edges = np.arange(n + 1) / n
+    # f_L^-1(0) = 0 and f_L^-1(1) = 1/2 are cuts already: edge 0 and (n + 0) / (2n)
+    cuts = np.concatenate((edges, left_branch_inverse(fmap, edges[1:-1]),
+                           np.arange(n, 2 * n) / (2 * n)))
+    order = np.argsort(cuts, kind="stable")
+    x, is_edge = cuts[order], order <= n
+    rows = np.cumsum(is_edge) - 1
+    cols = np.cumsum(~is_edge) % n   # the right half's preimages count from n
+    weights = np.diff(np.minimum(rows + n * (x - edges[rows]), rows + 1))
+    keep = np.flatnonzero(weights > 0)   # no zero-length pieces
+    rows, cols, weights = rows[keep], cols[keep], weights[keep]
+    # row-major, ascending columns: on an odd grid the bin holding 1/2 maps
+    # its left part to the last columns and its right part to the first
+    order = np.argsort(rows * n + cols, kind="stable")
+    return UlamMatrix(rows[order], cols[order], weights[order], n)
 
 
 def pushforward(M: UlamMatrix, mass: np.ndarray) -> np.ndarray:

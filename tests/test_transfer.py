@@ -25,34 +25,30 @@ def test_ulam_doubling_small_grid():
 
 @settings(max_examples=60, deadline=None)
 @given(family=st.sampled_from(["doubling", "lsv"]), alpha=st.floats(0.01, 0.99),
-       n_bins=st.integers(2, 600), subsamples=st.integers(1, 70),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_ulam_matches_scipy_csr_oracle(family, alpha, n_bins, subsamples, seed):
-    # the summed-duplicates CSR build the triplets replace, products bit for bit
+       n_bins=st.integers(2, 600), seed=st.integers(0, 2 ** 32 - 1))
+def test_ulam_matches_scipy_csr_oracle(family, alpha, n_bins, seed):
+    # the triplets are one CSR matrix: products bit for bit
     import scipy.sparse as sp
 
     fmap = FiberMap(family, 0.0 if family == "doubling" else alpha)   # doubling is lsv at 0
-    pts = transfer._stratified_points(n_bins, subsamples)
-    j = np.minimum((apply(fmap, pts) * n_bins).astype(np.int64), n_bins - 1)
-    i = np.repeat(np.arange(n_bins), subsamples)
-    w = np.full(pts.size, 1.0 / subsamples)
-    ref = sp.coo_matrix((w, (i, j)), shape=(n_bins, n_bins)).tocsr()
-    ref.sum_duplicates()
-    M = transfer.ulam_matrix(fmap, n_bins, subsamples)
+    M = transfer.ulam_matrix(fmap, n_bins)
+    assert np.all(np.diff(M.rows * n_bins + M.cols) > 0)   # row-major, ascending columns
+    assert np.all(M.weights > 0)
+    ref = sp.coo_matrix((M.weights, (M.rows, M.cols)), shape=(n_bins, n_bins)).tocsr()
     rng = np.random.default_rng(seed)
     mass = rng.standard_normal(n_bins)
     values = rng.standard_normal(n_bins)
     assert np.array_equal(transfer.pushforward(M, mass), mass @ ref)
     assert np.array_equal(transfer.pull(M, values), ref @ values)
     # row sums in CSR-product order; scipy's sum(axis=1) adds a + (b + c)
-    # (numpy reduceat) and may differ in the last bit on non-dyadic grids
+    # (numpy reduceat) and may differ in the last bit
     defect = transfer.row_stochasticity_defect(M)
     assert defect == np.max(np.abs(ref @ np.ones(n_bins) - 1.0))
     assert defect == pytest.approx(np.max(np.abs(ref.sum(axis=1) - 1.0)), abs=1e-15)
 
 
 def full_grid_ulam(f, n_bins, subsamples):
-    """The whole-grid np.unique build that ulam_matrix replaced, kept verbatim."""
+    """The whole-grid np.unique build of sampled entries, kept as an oracle."""
     offs = (np.arange(subsamples) + 0.5) / subsamples
     pts = ((np.arange(n_bins)[:, None] + offs[None, :]) / n_bins).ravel()
     j = transfer.nearest_bin(f(pts), n_bins)
@@ -62,63 +58,46 @@ def full_grid_ulam(f, n_bins, subsamples):
     return keys // n_bins, keys % n_bins, weights
 
 
-def assert_same_triplets(M, ref):
-    for got, want in zip((M.rows, M.cols, M.weights), ref):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
-
-
-@settings(max_examples=120, deadline=None)
-@given(family=st.sampled_from(["doubling", "lsv"]), alpha=st.floats(0.01, 0.99),
-       n_bins=st.integers(2, 600), subsamples=st.integers(1, 70))
-@example(family="lsv", alpha=0.1, n_bins=4096, subsamples=32)
-@example(family="lsv", alpha=0.3, n_bins=4095, subsamples=8)
-def test_ulam_triplets_equal_full_grid_oracle(family, alpha, n_bins, subsamples):
-    # the cached right half and the run-length pass change no bit
-    fmap = FiberMap(family, 0.0 if family == "doubling" else alpha)   # doubling is lsv at 0
-    ref = full_grid_ulam(lambda x: apply(fmap, x), n_bins, subsamples)
-    assert_same_triplets(transfer.ulam_matrix(fmap, n_bins, subsamples), ref)
-
-
-@pytest.mark.parametrize("n_bins", [6, 7])
-def test_ulam_unsorted_keys_fall_back_to_np_unique(monkeypatch, n_bins):
-    # a decreasing left branch leaves each left row's keys unsorted
-    def folded(fmap, x):
-        return np.where(x < 0.5, 1.0 - 2.0 * x, 2.0 * x - 1.0)
-
-    monkeypatch.setattr(transfer, "apply", folded)
-    monkeypatch.setattr(transfer, "_left_branch", folded)
-    ref = full_grid_ulam(lambda x: folded(None, x), n_bins, 5)
-    calls, unique = [], np.unique
-    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
-    assert_same_triplets(transfer.ulam_matrix(FiberMap("lsv", 0.3), n_bins, 5), ref)
-    assert len(calls) == 1
-
-
-def test_ulam_sorted_keys_skip_np_unique(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("np.unique called on sorted keys")
-
-    monkeypatch.setattr(np, "unique", refuse)
-    for fam, a in (("doubling", 0.0), ("lsv", 0.12)):
-        transfer.ulam_matrix(FiberMap(fam, a), 4096, 32)
+@pytest.mark.parametrize("n_bins", [64, 63])
+@pytest.mark.parametrize("alpha", [0.0, 0.05, 0.3, 0.9])
+def test_ulam_entries_match_sampled_full_grid_oracle(n_bins, alpha):
+    # a sampled entry counts the midpoints of one interval: off by at most
+    # one, plus one whose image rounds across a bin edge
+    fmap = FiberMap("lsv", alpha)
+    M = transfer.ulam_matrix(fmap, n_bins)
+    rows, cols, weights = full_grid_ulam(lambda x: apply(fmap, x), n_bins, 2 ** 12)
+    exact, sampled = np.zeros((2, n_bins, n_bins))
+    exact[M.rows, M.cols] = M.weights
+    sampled[rows, cols] = weights
+    assert np.max(np.abs(exact - sampled)) <= 2.0 / 2 ** 12
 
 
 def test_grid_cache_is_read_only_and_shared_with_bin_average():
     pts = transfer._stratified_points(8, 16)
     assert pts is transfer._stratified_points(8, 16)
-    for a in (pts, *transfer._right_half(8, 16)):
-        with pytest.raises(ValueError):
-            a[0] = 0
+    with pytest.raises(ValueError):
+        pts[0] = 0
     seen = []
     transfer.bin_average(lambda x: seen.append(x) or x, 8)
     assert seen[0] is pts
 
 
+GRIDS = [*range(2, 601), 4095, 8191]
+
+
 def test_row_stochastic():
-    for fam, a in (("doubling", 0.0), ("lsv", 0.1), ("lsv", 0.35)):
-        M = transfer.ulam_matrix(FiberMap(fam, a), 2 ** 12, subsamples=64)
-        assert transfer.row_stochasticity_defect(M) < 1e-12
+    for fam, a in (("doubling", 0.0), ("lsv", 0.1), ("lsv", 0.35), ("lsv", 0.9)):
+        for n_bins in GRIDS:
+            M = transfer.ulam_matrix(FiberMap(fam, a), n_bins)
+            assert transfer.row_stochasticity_defect(M) < 1e-12
+
+
+def test_doubling_has_two_triplets_per_row():
+    # the left preimages 0.5 * (j / n) of even j are bin edges bit for bit,
+    # and so are the right preimages (n + j) / (2n) of odd n + j
+    for n_bins in GRIDS:
+        M = transfer.ulam_matrix(FiberMap("doubling", 0.0), n_bins)
+        assert np.array_equal(np.bincount(M.rows, minlength=n_bins), np.full(n_bins, 2))
 
 
 def test_pushforward_conserves_mass():
