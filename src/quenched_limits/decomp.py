@@ -65,8 +65,8 @@ def _decompose(seq: ParamSequence, phi: Callable[[np.ndarray], np.ndarray], K_tr
     """
     if K_trunc < 0:
         raise ValueError("K_trunc must be >= 0")
-    phi_bar = bin_average(phi, n_bins)
-    chain = _density_chain(seq, -K_trunc, 1, n_bins, depth, subsamples)
+    phi_bar = bin_average(phi, n_bins, subsamples)
+    chain = _density_chain(seq, -K_trunc, 1, n_bins, depth)
     h1 = next(chain)[1]
     A, B, tail = np.zeros(n_bins), np.zeros(n_bins), np.zeros(n_bins)
     for j, (M0, h_next) in enumerate(chain, start=-K_trunc):
@@ -151,7 +151,7 @@ def coboundary_test(family: str, bounds: tuple[float, float], seeds: list[int],
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seeds[0], 0xC0B))))
         xs = sample_from_density(d.h, 4096, rng)
         fx = apply(fiber_map(seq, 0), xs)
-        mean1 = float(d.h_next @ bin_average(phi, n_bins))
+        mean1 = float(d.h_next @ bin_average(phi, n_bins, subsamples))
         resid = (phi(fx) - mean1
                  - d.g_next[nearest_bin(fx, n_bins)]
                  + d.g[nearest_bin(xs, n_bins)])

@@ -81,8 +81,8 @@ def birkhoff_ensemble(seq: ParamSequence, phi: Callable[[np.ndarray], np.ndarray
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence((seq.master_seed, seq.origin_offset, 0xB1F, 0))))
 
-    phi_bar = bin_average(phi, n_bins)
-    chain = _density_chain(seq, 0, n_steps, n_bins, depth, subsamples)
+    phi_bar = bin_average(phi, n_bins, subsamples)
+    chain = _density_chain(seq, 0, n_steps, n_bins, depth)
     h = next(chain)[1]
     means = np.array([float(h @ phi_bar)] + [float(m @ phi_bar) for _, m in chain])
 

@@ -12,11 +12,9 @@ pullback), which is the direct discretization of its construction; the
 family mu_{s^k w} = (f_w^k)_* mu_w that centering, decay and the
 decomposition walk comes from one walker, _density_chain.
 
-Ulam entries are exact: both branches are increasing, so cutting [0, 1] at
-the bin edges and at their preimages under each branch splits it into
-pieces that each lie in one bin and map into one bin (Li 1976; Murray 2010
-for maps with a neutral fixed point).  The left-branch preimages come from
-maps.left_branch_inverse, one array call per build.
+Ulam entries are exact, from the preimages of the bin edges under both
+branches (ulam_matrix; Li 1976, and Murray 2010 for maps with a neutral
+fixed point).
 """
 
 from __future__ import annotations
@@ -43,9 +41,10 @@ def nearest_bin(x: np.ndarray, n_bins: int) -> np.ndarray:
     return np.minimum((np.asarray(x) * n_bins).astype(np.int64), n_bins - 1)
 
 
-def bin_average(fn, n_bins: int) -> np.ndarray:
-    """Bin-averaged observable values from 16 stratified midpoints per bin."""
-    return np.asarray(fn(_stratified_points(n_bins, 16))).reshape(n_bins, 16).mean(axis=1)
+def bin_average(fn, n_bins: int, subsamples: int) -> np.ndarray:
+    """Bin-averaged observable values from subsamples stratified midpoints per bin."""
+    pts = _stratified_points(n_bins, subsamples)
+    return np.asarray(fn(pts)).reshape(n_bins, subsamples).mean(axis=1)
 
 
 @functools.lru_cache(maxsize=8)
@@ -73,15 +72,15 @@ class UlamMatrix:
 def ulam_matrix(fmap: FiberMap, n_bins: int, subsamples: int = 64) -> UlamMatrix:
     """Row-stochastic bin-to-bin transition fractions under one fiber map.
 
-    M[i, j] = Leb(bin_i intersect f^-1 bin_j) * n_bins, exactly.  The cuts
-    are the bin edges k/n, the left preimages f_L^-1(j/n) and the right
-    preimages (n + j) / (2n); each piece between two cuts lies in one bin
-    and maps into one bin, and its weight is its length in bin units.  The
-    cuts are merged by one stable sort of these three sorted runs (an edge
-    first among equal cuts), and a piece's row and column count the edges
-    and preimages left of it.  Positions are measured from the row's own
-    edge, so each row's weights add up to exactly 1.  The exact build
-    ignores subsamples.
+    M[i, j] = Leb(bin_i intersect f^-1 bin_j) * n_bins, exactly.  Both
+    branches are increasing, so the cuts at the bin edges k/n, the left
+    preimages f_L^-1(j/n) and the right preimages (n + j) / (2n) split
+    [0, 1] into pieces that each lie in one bin and map into one bin.  The
+    three sorted runs of cuts are merged by one stable sort (an edge first
+    among equal cuts); a piece's row and column count the edges and the
+    preimages at or left of it, and its weight is its length in bin units,
+    measured from its row's own edge so that each row adds up to exactly 1.
+    The exact build ignores subsamples.
     """
     if n_bins < 2:
         raise ValueError("need n_bins >= 2")
@@ -119,8 +118,7 @@ def row_stochasticity_defect(M: UlamMatrix) -> float:
     return float(np.max(np.abs(pull(M, np.ones(M.n_bins)) - 1.0)))
 
 
-def matrices_along(seq: ParamSequence, k_lo: int, k_hi: int, n_bins: int,
-                   subsamples: int = 64):
+def matrices_along(seq: ParamSequence, k_lo: int, k_hi: int, n_bins: int):
     """Yield the Ulam matrices of the fiber maps at steps k_lo .. k_hi-1.
 
     A step whose parameter equals the previous one reuses its matrix, so a
@@ -129,12 +127,11 @@ def matrices_along(seq: ParamSequence, k_lo: int, k_hi: int, n_bins: int,
     M, last = None, None
     for alpha in seq.params(k_lo, k_hi).tolist():
         if alpha != last:
-            M, last = ulam_matrix(FiberMap(seq.family, alpha), n_bins, subsamples), alpha
+            M, last = ulam_matrix(FiberMap(seq.family, alpha), n_bins), alpha
         yield M
 
 
-def equivariant_density(seq: ParamSequence, n_bins: int, pullback_depth: int,
-                        subsamples: int = 64) -> np.ndarray:
+def equivariant_density(seq: ParamSequence, n_bins: int, pullback_depth: int) -> np.ndarray:
     """Bin masses of h_w approximated by pushing Lebesgue through the past fiber maps.
 
     Depth 0 returns the uniform density by convention.  A constant stretch
@@ -144,8 +141,7 @@ def equivariant_density(seq: ParamSequence, n_bins: int, pullback_depth: int,
     if pullback_depth < 0:
         raise ValueError("pullback_depth must be >= 0")
     mass = uniform_density(n_bins)
-    for _, mass in _pushes(matrices_along(seq, -pullback_depth, 0, n_bins, subsamples),
-                           mass):
+    for _, mass in _pushes(matrices_along(seq, -pullback_depth, 0, n_bins), mass):
         pass
     return mass
 
@@ -166,8 +162,7 @@ def _pushes(mats, h: np.ndarray):
         yield M, h
 
 
-def _density_chain(seq: ParamSequence, k_lo: int, k_hi: int, n_bins: int, depth: int,
-                   subsamples: int = 64):
+def _density_chain(seq: ParamSequence, k_lo: int, k_hi: int, n_bins: int, depth: int):
     """Yield (M_{k-1}, h_k) for k = k_lo .. k_hi: the masses of mu on fiber k
     and the matrix that pushed them there.
 
@@ -175,9 +170,9 @@ def _density_chain(seq: ParamSequence, k_lo: int, k_hi: int, n_bins: int, depth:
     with None; each later h_k is h_{k-1} pushed by M_{k-1} (_pushes, which
     skips the pushes of a bitwise fixed point).
     """
-    h = equivariant_density(seq.shift(k_lo), n_bins, depth, subsamples)
+    h = equivariant_density(seq.shift(k_lo), n_bins, depth)
     yield None, h
-    yield from _pushes(matrices_along(seq, k_lo, k_hi, n_bins, subsamples), h)
+    yield from _pushes(matrices_along(seq, k_lo, k_hi, n_bins), h)
 
 
 def sample_from_density(mass: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -198,11 +193,12 @@ def equivariance_residual(seq: ParamSequence, n_bins: int, pullback_depth: int,
 
     One walk over the matrices of steps -depth .. 0: h takes steps
     -depth .. -1 and h_{shift w} takes steps -depth+1 .. 0, the same pushes
-    as equivariant_density of w and of shift w.
+    as equivariant_density of w and of shift w.  The exact Ulam build
+    ignores subsamples.
     """
     if pullback_depth < 0:
         raise ValueError("pullback_depth must be >= 0")
-    mats = matrices_along(seq, -pullback_depth, 1, n_bins, subsamples)
+    mats = matrices_along(seq, -pullback_depth, 1, n_bins)
     h = h_next = uniform_density(n_bins)
     M = next(mats)
     for M_next in mats:
@@ -232,12 +228,12 @@ def decay_curve(family: str, bounds: tuple[float, float], seeds: list[int],
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    phi_bar = bin_average(phi, n_bins)
+    phi_bar = bin_average(phi, n_bins, subsamples)
     curves = np.empty((len(seeds), n_max + 1))
     masked = np.empty((len(seeds), n_max + 1))   # masked-bin fraction per step
     for si, seed in enumerate(seeds):
         seq = make_sequence(seed, family, bounds)
-        chain = _density_chain(seq, 0, n_max, n_bins, pullback_depth, subsamples)
+        chain = _density_chain(seq, 0, n_max, n_bins, pullback_depth)
         for n, (M, h) in enumerate(chain):
             w = (phi_bar - float(h @ phi_bar)) * h if M is None else pushforward(M, w)
             mask = h >= MASS_FLOOR

@@ -131,6 +131,21 @@ def test_partition_artifacts(tmp_path):
     assert dist["pair_samples"] == 64
 
 
+@pytest.mark.parametrize("subcommand, changes", [
+    ("clt", True), ("decompose", True), ("decay", True), ("density", False)])
+def test_subsamples_sets_the_bin_average_points(tmp_path, subcommand, changes):
+    # the Ulam entries are exact; --subsamples reaches only the observable's
+    # bin averages, which density does not take
+    grid = ["--n_bins", "64", "--depth", "4", "--k_trunc", "2", "--n_steps", "16",
+            "--n_samples", "50", "--n_max", "4"]
+    runs = []
+    for subsamples in ("8", "16"):
+        out = tmp_path / subsamples
+        assert main([subcommand, *grid, "--subsamples", subsamples, "--out", str(out)]) == 0
+        runs.append({p.name: sha256_of(p) for p in out.glob("*.csv")})
+    assert (runs[0] != runs[1]) == changes
+
+
 def test_density_artifacts(tmp_path):
     out = tmp_path / "d"
     code = main(["density", "--family", "lsv", "--alpha_min", "0.1",

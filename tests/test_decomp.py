@@ -30,7 +30,7 @@ def test_psi_has_zero_mean():
     # int psi dmu_w = 0 by construction (it is a martingale difference)
     seq = make_sequence(4, "lsv", (0.05, 0.15))
     d = decomp.martingale_psi(seq, get_observable("cos2pi"), 12, 2 ** 11, 24, 32)
-    h0 = transfer.equivariant_density(seq, 2 ** 11, 12 + 24, 32)
+    h0 = transfer.equivariant_density(seq, 2 ** 11, 12 + 24)
     assert abs(float(d.psi @ h0)) < 1e-6
     # the kept fiber-0 density is the one anchored at -(K_trunc + depth)
     assert np.array_equal(d.h, h0)
@@ -39,12 +39,12 @@ def test_psi_has_zero_mean():
 def anchored_walk(seq, phi, K_trunc, n_bins, depth, subsamples):
     """One walk from Lebesgue at fiber -(K_trunc + depth), the series terms
     joining at -K_trunc: (mu_w, mu_sw, g_w, g_sw, psi_w), the oracle."""
-    phi_bar = transfer.bin_average(phi, n_bins)
+    phi_bar = transfer.bin_average(phi, n_bins, subsamples)
     anchor = -(K_trunc + depth)
     h1 = transfer.uniform_density(n_bins)
     A, B = np.zeros(n_bins), np.zeros(n_bins)
     for j, M0 in zip(range(anchor, 1),
-                     transfer.matrices_along(seq, anchor, 1, n_bins, subsamples)):
+                     transfer.matrices_along(seq, anchor, 1, n_bins)):
         h0 = h1
         if j >= -K_trunc:
             c = (phi_bar - float(h0 @ phi_bar)) * h0

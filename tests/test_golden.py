@@ -56,7 +56,8 @@ CONFIGS = {
     "decompose-holder": LSV + GRID + ["--observable", "holder_gamma", "--gamma", "0.3"],
     # an exact doubling coboundary: the degenerate branch of the dichotomy
     "decompose-coboundary": DOUBLING + GRID + ["--observable", "coboundary_cos"],
-    # odd grid and non-dyadic subsamples: weights that do not add exactly
+    # odd grid: the bin holding 1/2 maps to the last columns and then the
+    # first; 12 points per bin average the observable
     "decompose-odd-grid": LSV + ["--n_bins", "333", "--depth", "6", "--k_trunc", "0",
                                  "--subsamples", "12", "--n_seeds", "2"],
     "decompose-doubling": DOUBLING + GRID + ["--n_seeds", "2"],

@@ -189,15 +189,14 @@ def test_null_calibration_equals_whole_matrix_oracle(monkeypatch, n_samples, n_s
     assert [z.tobytes() for z in seen] == [z.tobytes() for z in want_z]
 
 
-def chained_means(seq, phi_bar, h, n_steps, n_bins, subsamples):
+def chained_means(seq, phi_bar, h, n_steps, n_bins):
     """The centering chain as first written: one push per step."""
     from quenched_limits import transfer
 
     means = np.empty(n_steps + 1)
     means[0] = float(h @ phi_bar)
     mass = h
-    for k, M in enumerate(transfer.matrices_along(seq, 0, n_steps, n_bins, subsamples),
-                          start=1):
+    for k, M in enumerate(transfer.matrices_along(seq, 0, n_steps, n_bins), start=1):
         mass = transfer.pushforward(M, mass)
         means[k] = float(mass @ phi_bar)
     return means
@@ -213,12 +212,12 @@ def test_centering_means_equal_pushing_every_step(monkeypatch, family, bounds, n
 
     n_bins, depth, subsamples = 2 ** 10, 8, 32
     seq = make_sequence(1, family, bounds)
-    phi_bar = transfer.bin_average(get_observable("cos2pi"), n_bins)
-    chain = transfer._density_chain(seq, 0, n_steps, n_bins, depth, subsamples)
+    phi_bar = transfer.bin_average(get_observable("cos2pi"), n_bins, subsamples)
+    chain = transfer._density_chain(seq, 0, n_steps, n_bins, depth)
     M, h = next(chain)
     assert M is None
-    assert h.tobytes() == transfer.equivariant_density(seq, n_bins, depth, subsamples).tobytes()
-    want = chained_means(seq, phi_bar, h, n_steps, n_bins, subsamples)
+    assert h.tobytes() == transfer.equivariant_density(seq, n_bins, depth).tobytes()
+    want = chained_means(seq, phi_bar, h, n_steps, n_bins)
     pushes, checks = [], []
     push, equal = transfer.pushforward, np.array_equal
     monkeypatch.setattr(transfer, "pushforward", lambda *a: pushes.append(1) or push(*a))

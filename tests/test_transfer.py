@@ -78,7 +78,7 @@ def test_grid_cache_is_read_only_and_shared_with_bin_average():
     with pytest.raises(ValueError):
         pts[0] = 0
     seen = []
-    transfer.bin_average(lambda x: seen.append(x) or x, 8)
+    transfer.bin_average(lambda x: seen.append(x) or x, 8, 16)
     assert seen[0] is pts
 
 
@@ -124,7 +124,7 @@ def test_doubling_uniform_is_invariant():
 
 
 def test_bin_average_linear_function_exact():
-    g = transfer.bin_average(lambda x: x, 64)
+    g = transfer.bin_average(lambda x: x, 64, 16)
     assert g == pytest.approx((np.arange(64) + 0.5) / 64, abs=1e-15)
 
 
@@ -138,10 +138,10 @@ def test_equivariant_density_normalized():
     assert h0 == pytest.approx(np.full(64, 1.0 / 64))
 
 
-def density_pushing_every_step(seq, n_bins, depth, subsamples):
+def density_pushing_every_step(seq, n_bins, depth):
     """equivariant_density as first written: Lebesgue pushed by every past matrix."""
     mass = transfer.uniform_density(n_bins)
-    for M in transfer.matrices_along(seq, -depth, 0, n_bins, subsamples):
+    for M in transfer.matrices_along(seq, -depth, 0, n_bins):
         mass = transfer.pushforward(M, mass)
     return mass
 
@@ -154,12 +154,12 @@ def density_pushing_every_step(seq, n_bins, depth, subsamples):
 @pytest.mark.parametrize("depth", [0, 1, 16])
 def test_equivariant_density_equals_pushing_every_step(monkeypatch, family, bounds,
                                                        fixed_after, depth):
-    n_bins, subsamples = 2 ** 8, 32
+    n_bins = 2 ** 8
     seq = make_sequence(2, family, bounds)
-    want = density_pushing_every_step(seq, n_bins, depth, subsamples)
+    want = density_pushing_every_step(seq, n_bins, depth)
     pushes, push = [], transfer.pushforward
     monkeypatch.setattr(transfer, "pushforward", lambda *a: pushes.append(1) or push(*a))
-    got = transfer.equivariant_density(seq, n_bins, depth, subsamples)
+    got = transfer.equivariant_density(seq, n_bins, depth)
     assert got.tobytes() == want.tobytes()
     assert len(pushes) == (depth if fixed_after is None else min(depth, fixed_after))
 
@@ -171,11 +171,11 @@ def test_equivariance_residual_decreases_with_depth():
     assert r16 < r4
 
 
-def two_walk_residual(seq, n_bins, depth, subsamples):
+def two_walk_residual(seq, n_bins, depth):
     """The residual as first written: h_w and h_{shift w} pulled back apart."""
-    h = transfer.equivariant_density(seq, n_bins, depth, subsamples)
-    M0 = next(transfer.matrices_along(seq, 0, 1, n_bins, subsamples))
-    h_next = transfer.equivariant_density(seq.shift(1), n_bins, depth, subsamples)
+    h = transfer.equivariant_density(seq, n_bins, depth)
+    M0 = next(transfer.matrices_along(seq, 0, 1, n_bins))
+    h_next = transfer.equivariant_density(seq.shift(1), n_bins, depth)
     return float(np.abs(transfer.pushforward(M0, h) - h_next).sum())
 
 
@@ -188,7 +188,7 @@ def two_walk_residual(seq, n_bins, depth, subsamples):
 def test_equivariance_residual_equals_two_walks(family, bounds, n_bins, depth, subsamples):
     seq = make_sequence(4, family, bounds)
     assert (transfer.equivariance_residual(seq, n_bins, depth, subsamples)
-            == two_walk_residual(seq, n_bins, depth, subsamples))
+            == two_walk_residual(seq, n_bins, depth))
 
 
 @pytest.mark.parametrize("depth", [0, 1, 9])
@@ -211,9 +211,9 @@ def test_dual_normalization():
     # density h_sw itself, bit for bit, and almost no bin of h_sw is masked
     seq = make_sequence(2, "lsv", (0.1, 0.3))
     n_bins = 2 ** 10
-    h = transfer.equivariant_density(seq, n_bins, 16, subsamples=32)
-    M0 = next(transfer.matrices_along(seq, 0, 1, n_bins, subsamples=32))
-    h_next = transfer.equivariant_density(seq.shift(1), n_bins, 17, subsamples=32)
+    h = transfer.equivariant_density(seq, n_bins, 16)
+    M0 = next(transfer.matrices_along(seq, 0, 1, n_bins))
+    h_next = transfer.equivariant_density(seq.shift(1), n_bins, 17)
     assert np.array_equal(transfer.pushforward(M0, np.ones(n_bins) * h), h_next)
     assert np.mean(h_next < transfer.MASS_FLOOR) <= 0.10
 
@@ -244,12 +244,12 @@ def test_decay_curve_doubling_cos():
     assert np.all(dc.decay[1:] < 0.01)
 
 
-def decay_pushing_every_step(seq, phi_bar, n_max, n_bins, depth, subsamples):
+def decay_pushing_every_step(seq, phi_bar, n_max, n_bins, depth):
     """One seed's decay row as first written: w and h both pushed every step."""
-    h = transfer.equivariant_density(seq, n_bins, depth, subsamples)
+    h = transfer.equivariant_density(seq, n_bins, depth)
     w = (phi_bar - float(h @ phi_bar)) * h
     row = [np.abs(w[h >= transfer.MASS_FLOOR]).sum()]
-    for M in transfer.matrices_along(seq, 0, n_max, n_bins, subsamples):
+    for M in transfer.matrices_along(seq, 0, n_max, n_bins):
         w, h = transfer.pushforward(M, w), transfer.pushforward(M, h)
         row.append(np.abs(w[h >= transfer.MASS_FLOOR]).sum())
     return row
@@ -265,9 +265,9 @@ def test_decay_curve_equals_pushing_every_step(monkeypatch, family, bounds):
 
     n_max, n_bins, depth, subsamples, seeds = 200, 2 ** 8, 8, 32, [1, 2]
     phi = get_observable("cos2pi")
-    phi_bar = transfer.bin_average(phi, n_bins)
+    phi_bar = transfer.bin_average(phi, n_bins, subsamples)
     rows = [decay_pushing_every_step(make_sequence(seed, family, bounds), phi_bar, n_max,
-                                     n_bins, depth, subsamples) for seed in seeds]
+                                     n_bins, depth) for seed in seeds]
     want, want_se = seed_mean(np.array(rows))
     pushes, push = [], transfer.pushforward
     monkeypatch.setattr(transfer, "pushforward", lambda *a: pushes.append(1) or push(*a))
