@@ -39,14 +39,9 @@ def apply(fmap: FiberMap, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise ValueError("point outside [0, 1]")
-    y = np.clip(np.where(x < 0.5, _left_branch(fmap, x), 2.0 * x - 1.0), 0.0, 1.0)
-    return float(y) if y.ndim == 0 else y
-
-
-def _left_branch(fmap: FiberMap, x: np.ndarray) -> np.ndarray:
-    """fmap's left branch on an array: apply's bits on [0, 1/2), with no check or clip."""
     a = fmap.alpha
-    return x * (1.0 + 2.0 ** a * x ** a)
+    y = np.clip(np.where(x < 0.5, x * (1.0 + 2.0 ** a * x ** a), 2.0 * x - 1.0), 0.0, 1.0)
+    return float(y) if y.ndim == 0 else y
 
 
 def derivative(fmap: FiberMap, x):
@@ -76,13 +71,14 @@ def left_branch_inverse(fmap: FiberMap, t):
     else:
         tt = t.ravel()
         y = _newton_step(a, tt / (1.0 + 2.0 ** a * tt ** a), tt)   # the overshoot
-        out, act = np.empty(tt.size), np.arange(tt.size)
-        while act.size:
+        while True:
             nxt = _newton_step(a, y, tt)
             falling = nxt < y
-            out[act[~falling]] = y[~falling]
-            act, tt, y = act[falling], tt[falling], nxt[falling]
-        y = out.reshape(t.shape)
+            if not falling.any():
+                break
+            # an entry that stops keeps its y, so its next step stops it again
+            y = np.where(falling, nxt, y)
+        y = y.reshape(t.shape)
     return float(y) if y.ndim == 0 else y
 
 

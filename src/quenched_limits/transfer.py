@@ -90,16 +90,19 @@ def ulam_matrix(fmap: FiberMap, n_bins: int, subsamples: int = 64) -> UlamMatrix
     cuts = np.concatenate((edges, left_branch_inverse(fmap, edges[1:-1]),
                            np.arange(n, 2 * n) / (2 * n)))
     order = np.argsort(cuts, kind="stable")
-    x, is_edge = cuts[order], order <= n
-    rows = np.cumsum(is_edge) - 1
-    cols = np.cumsum(~is_edge) % n   # the right half's preimages count from n
+    x = cuts[order]
+    rows = np.cumsum(order <= n) - 1
+    cols = np.arange(x.size) - rows   # the preimages at or left of each cut
+    cols[np.searchsorted(x, 0.5):] -= n   # the right branch's count from 1/2 on
     weights = np.diff(np.minimum(rows + n * (x - edges[rows]), rows + 1))
     keep = np.flatnonzero(weights > 0)   # no zero-length pieces
     rows, cols, weights = rows[keep], cols[keep], weights[keep]
-    # row-major, ascending columns: on an odd grid the bin holding 1/2 maps
+    # ascending columns in each row: on an odd grid the bin holding 1/2 maps
     # its left part to the last columns and its right part to the first
-    order = np.argsort(rows * n + cols, kind="stable")
-    return UlamMatrix(rows[order], cols[order], weights[order], n)
+    mid = slice(*np.searchsorted(rows, [(n - 1) // 2, (n + 1) // 2]))
+    order = np.argsort(cols[mid], kind="stable")
+    cols[mid], weights[mid] = cols[mid][order], weights[mid][order]
+    return UlamMatrix(rows, cols, weights, n)
 
 
 def pushforward(M: UlamMatrix, mass: np.ndarray) -> np.ndarray:

@@ -57,10 +57,6 @@ def old_doubling_apply(x):
     return np.clip(np.where(x < 0.5, 2.0 * x, 2.0 * x - 1.0), 0.0, 1.0)
 
 
-def old_doubling_left_branch(x):
-    return 2.0 * x
-
-
 def old_doubling_derivative(x):
     return np.full_like(x, 2.0)
 
@@ -76,7 +72,6 @@ def test_doubling_is_lsv_at_zero_bit_for_bit(xs):
     arr = np.array(xs, dtype=float)
     for x in [arr, *(np.array(v) for v in xs)]:   # the array, then each 0-d point
         for got, want in ((apply(d, x), old_doubling_apply(x)),
-                          (maps._left_branch(d, x), old_doubling_left_branch(x)),
                           (derivative(d, x), old_doubling_derivative(x))):
             assert np.ndim(got) == x.ndim
             assert np.asarray(got, dtype=float).tobytes() == np.asarray(want).tobytes()
@@ -141,7 +136,7 @@ def bisection_left_branch_inverse(fmap, t):
         moving = (lo < mid) & (mid < hi)
         y[act[~moving]] = mid[~moving]
         act, tt, lo, hi, mid = (a[moving] for a in (act, tt, lo, hi, mid))
-        below = maps._left_branch(fmap, mid) < tt
+        below = apply(fmap, mid) < tt
         np.copyto(lo, mid, where=below)
         np.copyto(hi, mid, where=~below)
     return y.reshape(t.shape)
@@ -177,8 +172,8 @@ def test_left_branch_inverse_of_zero_is_zero():
 
 
 def test_inverse_takes_at_most_8_evaluations_per_entry(monkeypatch):
-    # each Newton step evaluates only the entries still falling, so an entry
-    # takes at most as many evaluations as the call takes steps
+    # each Newton step evaluates every entry once, so the steps of a call
+    # count the evaluations of each of its entries
     rng = np.random.default_rng(5)
     steps = []
     newton_step = maps._newton_step
