@@ -126,20 +126,25 @@ def test_orbit_composition_order():
 
 
 def bisection_left_branch_inverse(fmap, t):
-    """The oracle: each entry bisects its bracket [0, min(t, 1/2)] (f(y) >= y)
-    until its midpoint rounds to one of the bracket ends."""
+    """The oracle: each entry bisects [0, min(t, 1/2)] (f(y) >= y) until no
+    float lies inside its bracket, comparing f(mid) with t in long double,
+    and takes the bracket end whose image is nearer t."""
+    a = np.longdouble(fmap.alpha)
+
+    def f(y):
+        y = y.astype(np.longdouble)
+        return y + 2 ** a * y ** (1 + a)
     t = np.asarray(t, dtype=float)
-    tt, y = t.ravel(), np.empty(t.size)
-    lo, hi, act = np.zeros(tt.size), np.minimum(tt, 0.5), np.arange(tt.size)
-    while act.size:
+    tt = t.ravel()
+    lo, hi = np.zeros(tt.size), np.minimum(tt, 0.5)
+    while True:
         mid = 0.5 * (lo + hi)
         moving = (lo < mid) & (mid < hi)
-        y[act[~moving]] = mid[~moving]
-        act, tt, lo, hi, mid = (a[moving] for a in (act, tt, lo, hi, mid))
-        below = apply(fmap, mid) < tt
-        np.copyto(lo, mid, where=below)
-        np.copyto(hi, mid, where=~below)
-    return y.reshape(t.shape)
+        if not moving.any():
+            break
+        below = f(mid) < tt
+        lo, hi = np.where(moving & below, mid, lo), np.where(moving & ~below, mid, hi)
+    return np.where(np.abs(f(lo) - tt) <= np.abs(f(hi) - tt), lo, hi).reshape(t.shape)
 
 
 @settings(deadline=None, max_examples=300)
