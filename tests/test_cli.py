@@ -284,6 +284,27 @@ FCLT = ["fclt", "--family", "doubling", "--alpha_min", "0", "--alpha_max", "0",
         "--k_trunc", "4", "--subsamples", "8"]
 
 
+def test_ks_runs_load_no_scipy(tmp_path):
+    # the normal and Kolmogorov laws are the package's own, so a clt run and
+    # both sup fclt runs (the sup one with its Brownian self-test) load none
+    src = Path(quenched_limits.__file__).resolve().parents[1]
+    clt = ["clt", "--family", "doubling", "--alpha_min", "0", "--alpha_max", "0",
+           "--n_steps", "16", "--n_samples", "100", "--n_bins", "64", "--depth", "2",
+           "--subsamples", "4"]
+    runs = [clt, FCLT + ["--functional", "sup"], FCLT + ["--functional", "sup_abs"]]
+    argvs = [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(runs)]
+    probe = ("import sys; from quenched_limits.cli import main; "
+             f"print([main(argv) for argv in {argvs!r}]); "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.splitlines() == ["[0, 0, 0]", "[]"]
+    fclt = json.loads((tmp_path / "1" / "fclt.json").read_text())
+    assert set(fclt["brownian_self_test"]) == {"ks_distance", "n_paths"}
+    for i, name in enumerate(["clt.json", "fclt.json", "fclt.json"]):
+        assert 0.0 <= json.loads((tmp_path / str(i) / name).read_text())["p_value"] <= 1.0
+
+
 def fail_with(exc):
     def fail(*args, **kwargs):
         raise exc

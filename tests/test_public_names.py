@@ -10,7 +10,8 @@ or field that only its own unit test reads shows up here.
 
 The layers run from omega, util and kstest up to cli (LAYERS); a module's
 imports, in function bodies too, may only name modules of a lower layer,
-and only cli may import the package itself.
+and only cli may import the package itself.  No module imports scipy, which
+the tests keep as an oracle only.
 
 The name rules match by name, not by type: a method or field is taken as read
 when any attribute of that name is read, so one that shares its name with
@@ -163,3 +164,27 @@ def test_the_layer_rule_sees_imports_in_function_bodies():
                      "import numpy\nfrom numpy import array\n"
                      "def f():\n    from .decomp import x\n")
     assert package_imports(tree) == {"maps", "stats", "__init__", "decomp"}
+
+
+def scipy_imports(tree: ast.AST) -> list[str]:
+    """Every import of scipy or one of its submodules, in function bodies too."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [n for n in names if n.split(".")[0] == "scipy"]
+
+
+def test_no_module_imports_scipy():
+    found = {path.stem: scipy_imports(ast.parse(path.read_text(), str(path)))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: names for module, names in found.items() if names} == {}
+
+
+def test_the_scipy_rule_sees_imports_in_function_bodies():
+    tree = ast.parse("import numpy, scipy.sparse as sp\nfrom scipy import stats\n"
+                     "from .scipy_like import x\nimport scipyx\n"
+                     "def f():\n    from scipy.special import ndtr\n")
+    assert scipy_imports(tree) == ["scipy.sparse", "scipy", "scipy.special"]
