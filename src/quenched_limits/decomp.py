@@ -58,10 +58,10 @@ def _decompose(seq: ParamSequence, phi: Callable[[np.ndarray], np.ndarray], K_tr
                n_bins: int, depth: int, subsamples: int = 64) -> Decomposition:
     """Single sweep through the fibers -K_trunc .. 0 building g_w, g_sw and psi_w.
 
-    The density chain (transfer._density_chain) starts from mu on fiber
-    -K_trunc; signed masses for the truncated series are accumulated and
-    pushed along the same matrices, so every dual application is
-    composition-consistent.
+    The density chain (transfer._density_chain) walks from Lebesgue on fiber
+    -(K_trunc + depth); from mu on fiber -K_trunc on, signed masses for the
+    truncated series are accumulated and pushed along the same matrices, so
+    every dual application is composition-consistent.
     """
     if K_trunc < 0:
         raise ValueError("K_trunc must be >= 0")

@@ -9,7 +9,8 @@ Two families are implemented:
 * ``doubling`` -- f(x) = 2x mod 1, the uniformly expanding baseline with
   analytically known statistics.  It is the lsv map at alpha = 0, which a
   doubling FiberMap must have: the formulas read only alpha, and at 0 they
-  give 2x and 2 bit for bit (x ** 0.0 and 2.0 ** 0.0 are exactly 1).
+  give 2x, 2 and the inverse t / 2 bit for bit (x ** 0.0 and 2.0 ** 0.0
+  are exactly 1).
 """
 
 from __future__ import annotations
@@ -55,30 +56,26 @@ def derivative(fmap: FiberMap, x):
 def left_branch_inverse(fmap: FiberMap, t):
     """The unique y in [0, 1/2] with f(y) = t, by Newton's method.
 
-    Accepts scalars or arrays.  At alpha = 0 the left branch is 2x and the
-    inverse is t / 2.  Otherwise the left branch is increasing and convex,
+    Accepts scalars or arrays.  The left branch is increasing and convex,
     so Newton from y0 = t / (1 + 2^alpha t^alpha), which lies below the
     root, overshoots once and then falls; each entry stops for good once
-    its iterate stops falling.  Entries are always evaluated in a 1-d array:
-    a 0-d ``y ** a`` goes through libm's scalar pow, whose bits can differ
-    from numpy's array loop, so a point gets the same bits alone or in an
-    array.
+    its iterate stops falling.  At alpha = 0 the start t / 2 is the root,
+    and the step keeps it bit for bit.  Entries are always evaluated in a
+    1-d array: a 0-d ``y ** a`` goes through libm's scalar pow, whose bits
+    can differ from numpy's array loop, so a point gets the same bits alone
+    or in an array.
     """
     t = np.asarray(t, dtype=float)
-    a = fmap.alpha
-    if a == 0.0:
-        y = 0.5 * t
-    else:
-        tt = t.ravel()
-        y = _newton_step(a, tt / (1.0 + 2.0 ** a * tt ** a), tt)   # the overshoot
-        while True:
-            nxt = _newton_step(a, y, tt)
-            falling = nxt < y
-            if not falling.any():
-                break
-            # an entry that stops keeps its y, so its next step stops it again
-            y = np.where(falling, nxt, y)
-        y = y.reshape(t.shape)
+    a, tt = fmap.alpha, t.ravel()
+    y = _newton_step(a, tt / (1.0 + 2.0 ** a * tt ** a), tt)   # the overshoot
+    while True:
+        nxt = _newton_step(a, y, tt)
+        falling = nxt < y
+        if not falling.any():
+            break
+        # an entry that stops keeps its y, so its next step stops it again
+        y = np.where(falling, nxt, y)
+    y = y.reshape(t.shape)
     return float(y) if y.ndim == 0 else y
 
 

@@ -277,7 +277,9 @@ def brownian_sup_abs_cdf(a: np.ndarray, sigma: float = 1.0) -> np.ndarray:
     """Erdos-Kac: P(sup_{[0,1]} |sigma B| <= a), from the theta series below
     a / sigma = 1 and the image sum above it."""
     x = np.maximum(np.asarray(a, dtype=float) / sigma, 0.0)
-    return np.clip(np.where(x < 1.0, _sup_abs_theta(x), _sup_abs_image(x)), 0.0, 1.0)
+    F, small = np.empty_like(x), x < 1.0   # each series only on its own side
+    F[small], F[~small] = _sup_abs_theta(x[small]), _sup_abs_image(x[~small])
+    return np.clip(F, 0.0, 1.0)
 
 
 def brownian_oracle_self_test(n_paths: int = 10 ** 5) -> dict:

@@ -8,9 +8,10 @@ n_bins, and the mean of bin values under a measure is ``mass @ values``.
 The dual operator is never formed: the dual of psi against h is pushed as
 the signed mass psi * h.  The equivariant density h_w is obtained by pushing
 Lebesgue forward through the fiber maps of the recent past (finite
-pullback), which is the direct discretization of its construction; the
-family mu_{s^k w} = (f_w^k)_* mu_w that centering, decay and the
-decomposition walk comes from one walker, _density_chain.
+pullback), which is the direct discretization of its construction.  One
+walker, _density_chain, builds and pushes every Ulam matrix: it carries the
+pullback on into the family mu_{s^k w} = (f_w^k)_* mu_w that centering,
+decay and the decomposition walk, and equivariant_density is its first mass.
 
 Ulam entries are exact, from the preimages of the bin edges under both
 branches (ulam_matrix; Li 1976, and Murray 2010 for maps with a neutral
@@ -121,61 +122,40 @@ def row_stochasticity_defect(M: UlamMatrix) -> float:
     return float(np.max(np.abs(pull(M, np.ones(M.n_bins)) - 1.0)))
 
 
-def matrices_along(seq: ParamSequence, k_lo: int, k_hi: int, n_bins: int):
-    """Yield the Ulam matrices of the fiber maps at steps k_lo .. k_hi-1.
-
-    A step whose parameter equals the previous one reuses its matrix, so a
-    constant-parameter sequence builds a single matrix.
-    """
-    M, last = None, None
-    for alpha in seq.params(k_lo, k_hi).tolist():
-        if alpha != last:
-            M, last = ulam_matrix(FiberMap(seq.family, alpha), n_bins), alpha
-        yield M
-
-
 def equivariant_density(seq: ParamSequence, n_bins: int, pullback_depth: int) -> np.ndarray:
     """Bin masses of h_w approximated by pushing Lebesgue through the past fiber maps.
 
-    Depth 0 returns the uniform density by convention.  A constant stretch
-    of the past stops being pushed once it reaches a bitwise fixed point
-    (_pushes); the masses are the same bits as pushing every step.
+    Depth 0 returns the uniform density by convention.
     """
-    if pullback_depth < 0:
-        raise ValueError("pullback_depth must be >= 0")
-    mass = uniform_density(n_bins)
-    for _, mass in _pushes(matrices_along(seq, -pullback_depth, 0, n_bins), mass):
-        pass
-    return mass
-
-
-def _pushes(mats, h: np.ndarray):
-    """Yield (M, h pushed by every matrix of mats up to M) for each M of mats.
-
-    Once a repeated matrix object has mapped h to itself bit for bit,
-    pushing again returns the same h, so the walk stops pushing until the
-    matrix changes.
-    """
-    last, fixed = None, False
-    for M in mats:
-        if not (fixed and M is last):
-            pushed = pushforward(M, h)
-            fixed = M is last and np.array_equal(pushed, h)
-            h, last = pushed, M
-        yield M, h
+    return next(_density_chain(seq, 0, 0, n_bins, pullback_depth))[1]
 
 
 def _density_chain(seq: ParamSequence, k_lo: int, k_hi: int, n_bins: int, depth: int):
-    """Yield (M_{k-1}, h_k) for k = k_lo .. k_hi: the masses of mu on fiber k
-    and the matrix that pushed them there.
+    """Yield (M_{k-1}, h_k) for k = k_lo .. k_hi >= k_lo: the masses of mu on
+    fiber k and the matrix that pushed them there (None for h_{k_lo}).
 
-    h_{k_lo} is equivariant_density of the sequence shifted to k_lo and comes
-    with None; each later h_k is h_{k-1} pushed by M_{k-1} (_pushes, which
-    skips the pushes of a bitwise fixed point).
+    One walk from Lebesgue over steps k_lo - depth .. k_hi - 1.  A matrix is
+    built only when the parameter changes, and once a repeated parameter's
+    matrix has mapped h to itself bit for bit, the walk stops pushing until
+    the parameter changes: pushing again would return the same h.
     """
-    h = equivariant_density(seq.shift(k_lo), n_bins, depth)
-    yield None, h
-    yield from _pushes(matrices_along(seq, k_lo, k_hi, n_bins), h)
+    if depth < 0:
+        raise ValueError("pullback_depth must be >= 0")
+    alphas = seq.params(k_lo - depth, k_hi).tolist()
+    h, last, fixed = uniform_density(n_bins), None, False
+    for i, alpha in enumerate(alphas):
+        if i == depth:
+            yield None, h
+        if alpha != last:
+            M, last = ulam_matrix(FiberMap(seq.family, alpha), n_bins), alpha
+            h, fixed = pushforward(M, h), False
+        elif not fixed:
+            pushed = pushforward(M, h)
+            h, fixed = pushed, np.array_equal(pushed, h)
+        if i >= depth:
+            yield M, h
+    if len(alphas) == depth:
+        yield None, h
 
 
 def sample_from_density(mass: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -194,21 +174,13 @@ def equivariance_residual(seq: ParamSequence, n_bins: int, pullback_depth: int,
                           subsamples: int = 64) -> float:
     """L1 gap between push(h_w) and the independently pulled-back h_{shift w}.
 
-    One walk over the matrices of steps -depth .. 0: h takes steps
-    -depth .. -1 and h_{shift w} takes steps -depth+1 .. 0, the same pushes
-    as equivariant_density of w and of shift w.  The exact Ulam build
-    ignores subsamples.
+    push(h_w) is h_{shift w} pulled back one step deeper, so the residual
+    compares two depths of one density.  The exact Ulam build ignores
+    subsamples.
     """
-    if pullback_depth < 0:
-        raise ValueError("pullback_depth must be >= 0")
-    mats = matrices_along(seq, -pullback_depth, 1, n_bins)
-    h = h_next = uniform_density(n_bins)
-    M = next(mats)
-    for M_next in mats:
-        h = pushforward(M, h)
-        h_next = pushforward(M_next, h_next)
-        M = M_next
-    return float(np.abs(pushforward(M, h) - h_next).sum())
+    s = seq.shift(1)
+    return float(np.abs(equivariant_density(s, n_bins, pullback_depth + 1)
+                        - equivariant_density(s, n_bins, pullback_depth)).sum())
 
 
 @dataclass

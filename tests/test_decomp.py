@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quenched_limits import decomp, transfer
-from quenched_limits.maps import get_observable
+from quenched_limits.maps import FiberMap, get_observable
 from quenched_limits.omega import make_sequence
 
 
@@ -43,8 +43,8 @@ def anchored_walk(seq, phi, K_trunc, n_bins, depth, subsamples):
     anchor = -(K_trunc + depth)
     h1 = transfer.uniform_density(n_bins)
     A, B = np.zeros(n_bins), np.zeros(n_bins)
-    for j, M0 in zip(range(anchor, 1),
-                     transfer.matrices_along(seq, anchor, 1, n_bins)):
+    for j, a in zip(range(anchor, 1), seq.params(anchor, 1).tolist()):
+        M0 = transfer.ulam_matrix(FiberMap(seq.family, a), n_bins)
         h0 = h1
         if j >= -K_trunc:
             c = (phi_bar - float(h0 @ phi_bar)) * h0

@@ -80,8 +80,11 @@ def test_doubling_is_lsv_at_zero_bit_for_bit(xs):
 def test_doubling_needs_alpha_zero():
     with pytest.raises(ValueError, match="alpha 0"):
         FiberMap("doubling", 0.3)
-    # the closed-form inverse belongs to alpha = 0, whatever the family is called
-    ts = np.linspace(0.0, 1.0, 17)
+    # the inverse at alpha = 0 is t / 2 bit for bit, whatever the family is
+    # called: Newton starts on the root and keeps it, also on the edges of a
+    # 4096-bin grid and on subnormals
+    ts = np.concatenate((np.linspace(0.0, 1.0, 17), np.arange(4097) / 4096,
+                         [5e-324, 1e-310]))
     assert left_branch_inverse(FiberMap("lsv", 0.0), ts).tobytes() == (0.5 * ts).tobytes()
 
 

@@ -19,9 +19,9 @@ def small_doubling_ensemble(n_steps=256, n_samples=3000):
                                    n_samples, "equivariant", 2 ** 10, 8, 32)
 
 
-def test_doubling_ensemble_builds_two_ulam_matrices(monkeypatch):
-    # a doubling sequence is constant whatever its bounds, so the density
-    # chain and the centering chain each build one matrix
+def test_doubling_ensemble_builds_one_ulam_matrix(monkeypatch):
+    # a doubling sequence is constant whatever its bounds, so the one walk
+    # through the pullback and the centering chain builds one matrix
     from quenched_limits import transfer
 
     builds, build = [], transfer.ulam_matrix
@@ -30,7 +30,7 @@ def test_doubling_ensemble_builds_two_ulam_matrices(monkeypatch):
     phi = get_observable("cos2pi")
     args = (phi, 64, 20, "equivariant", 2 ** 6, 8, 4)
     ens = stats.birkhoff_ensemble(make_sequence(1, "doubling", (0.05, 0.15)), *args)
-    assert len(builds) == 2
+    assert len(builds) == 1
     ref = stats.birkhoff_ensemble(make_sequence(1, "doubling", (0.0, 0.0)), *args)
     assert ens.S_records.tobytes() == ref.S_records.tobytes()
 
@@ -193,18 +193,21 @@ def chained_means(seq, phi_bar, h, n_steps, n_bins):
     """The centering chain as first written: one push per step."""
     from quenched_limits import transfer
 
+    params = seq.params(0, n_steps).tolist()
+    built = {a: transfer.ulam_matrix(maps.FiberMap(seq.family, a), n_bins) for a in set(params)}
     means = np.empty(n_steps + 1)
     means[0] = float(h @ phi_bar)
     mass = h
-    for k, M in enumerate(transfer.matrices_along(seq, 0, n_steps, n_bins), start=1):
-        mass = transfer.pushforward(M, mass)
+    for k, a in enumerate(params, start=1):
+        mass = transfer.pushforward(built[a], mass)
         means[k] = float(mass @ phi_bar)
     return means
 
 
 # doubling reaches a bitwise fixed point; varying lsv builds a new matrix per
 # step, so the fixed-point check never runs; constant lsv reuses one matrix
-# but its masses keep moving for many steps
+# from the pullback on, so every chain push is checked, but its masses keep
+# moving for many steps
 @pytest.mark.parametrize("family, bounds, n_steps", [
     ("doubling", (0.0, 0.0), 4096), ("lsv", (0.05, 0.15), 40), ("lsv", (0.1, 0.1), 64)])
 def test_centering_means_equal_pushing_every_step(monkeypatch, family, bounds, n_steps):
@@ -229,7 +232,7 @@ def test_centering_means_equal_pushing_every_step(monkeypatch, family, bounds, n
         assert len(pushes) < 10
     else:
         assert len(pushes) == n_steps
-        assert len(checks) == (0 if bounds[0] != bounds[1] else n_steps - 1)
+        assert len(checks) == (0 if bounds[0] != bounds[1] else n_steps)
 
 
 def test_qlil_envelope_orders():
@@ -270,6 +273,41 @@ def test_brownian_sup_abs_cdf_properties(a, sigma):
     # {sup B > a} and {inf B < -a}, which have the same law
     assert np.all(F <= G + ROUNDING)
     assert np.all(1.0 - F <= 2.0 * (1.0 - G) + ROUNDING)
+
+
+def where_sup_abs_cdf(a, sigma=1.0):
+    """brownian_sup_abs_cdf as first written: both series on every point."""
+    x = np.maximum(np.asarray(a, dtype=float) / sigma, 0.0)
+    return np.clip(np.where(x < 1.0, stats._sup_abs_theta(x), stats._sup_abs_image(x)),
+                   0.0, 1.0)
+
+
+SUP_ABS_EDGES = [0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1e-300, 50.0,
+                 np.inf, np.nan]
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.lists(st.one_of(st.floats(0.0, 6.0), st.floats(-1e300, 1e300),
+                            st.sampled_from(SUP_ABS_EDGES)), min_size=1, max_size=40),
+       sigma=st.sampled_from([0.7, 1.0, 1.2]) | st.floats(0.1, 5.0),
+       shape=st.sampled_from(["flat", "row", "scalar"]))
+def test_brownian_sup_abs_cdf_is_the_where_form_bit_for_bit(a, sigma, shape):
+    a = np.array(a)
+    if shape == "row":
+        a = a.reshape(1, -1)
+    elif shape == "scalar":
+        a = a[0]
+    got, want = stats.brownian_sup_abs_cdf(a, sigma), where_sup_abs_cdf(a, sigma)
+    assert np.shape(got) == np.shape(want) == np.shape(a)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_brownian_sup_abs_cdf_is_the_where_form_on_a_large_sample():
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(22)))
+    a = np.concatenate((np.abs(rng.normal(0.0, 1.2, 10 ** 4)), SUP_ABS_EDGES))
+    for sigma in (0.7, 1.0, 1.2):
+        assert (stats.brownian_sup_abs_cdf(a, sigma).tobytes()
+                == where_sup_abs_cdf(a, sigma).tobytes())
 
 
 @settings(max_examples=200, deadline=None)

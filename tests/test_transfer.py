@@ -138,12 +138,58 @@ def test_equivariant_density_normalized():
     assert h0 == pytest.approx(np.full(64, 1.0 / 64))
 
 
+def reference_matrices(seq, k_lo, k_hi, n_bins):
+    """The Ulam matrix of each step k_lo .. k_hi - 1, one build per distinct parameter."""
+    params = seq.params(k_lo, k_hi).tolist()
+    built = {a: transfer.ulam_matrix(FiberMap(seq.family, a), n_bins) for a in set(params)}
+    return [built[a] for a in params]
+
+
 def density_pushing_every_step(seq, n_bins, depth):
     """equivariant_density as first written: Lebesgue pushed by every past matrix."""
     mass = transfer.uniform_density(n_bins)
-    for M in transfer.matrices_along(seq, -depth, 0, n_bins):
+    for M in reference_matrices(seq, -depth, 0, n_bins):
         mass = transfer.pushforward(M, mass)
     return mass
+
+
+def chain_pushing_every_step(seq, k_lo, k_hi, n_bins, depth):
+    """_density_chain as a reference walk: every step's matrix built and pushed."""
+    h = transfer.uniform_density(n_bins)
+    for a in seq.params(k_lo - depth, k_lo).tolist():
+        h = transfer.pushforward(transfer.ulam_matrix(FiberMap(seq.family, a), n_bins), h)
+    out = [(None, h)]
+    for a in seq.params(k_lo, k_hi).tolist():
+        M = transfer.ulam_matrix(FiberMap(seq.family, a), n_bins)
+        h = transfer.pushforward(M, h)
+        out.append((M, h))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(family_bounds=st.sampled_from([("lsv", (0.05, 0.15)), ("lsv", (0.1, 0.1)),
+                                      ("doubling", (0.0, 0.0))]),
+       seed=st.integers(0, 2 ** 32 - 1), k_lo=st.integers(-8, 4), length=st.integers(0, 12),
+       depth=st.integers(0, 12), n_bins=st.sampled_from([16, 33, 64]))
+def test_density_chain_equals_pushing_every_step(family_bounds, seed, k_lo, length, depth,
+                                                 n_bins):
+    seq = make_sequence(seed, *family_bounds)
+    k_hi = k_lo + length
+    want = chain_pushing_every_step(seq, k_lo, k_hi, n_bins, depth)
+    builds, ulam = [], transfer.ulam_matrix
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "ulam_matrix", lambda *a: builds.append(a) or ulam(*a))
+        got = list(transfer._density_chain(seq, k_lo, k_hi, n_bins, depth))
+    assert len(got) == len(want) == length + 1
+    for (M, h), (M_want, h_want) in zip(got, want):
+        assert h.tobytes() == h_want.tobytes()
+        assert (M is None) == (M_want is None)
+        if M is not None:
+            for field in ("rows", "cols", "weights"):
+                assert getattr(M, field).tobytes() == getattr(M_want, field).tobytes()
+    # one build per parameter change along steps k_lo - depth .. k_hi - 1
+    params = seq.params(k_lo - depth, k_hi).tolist()
+    assert len(builds) == sum(a != b for a, b in zip(params, [None] + params))
 
 
 # doubling maps Lebesgue to itself bit for bit, so the second push finds the
@@ -174,9 +220,20 @@ def test_equivariance_residual_decreases_with_depth():
 def two_walk_residual(seq, n_bins, depth):
     """The residual as first written: h_w and h_{shift w} pulled back apart."""
     h = transfer.equivariant_density(seq, n_bins, depth)
-    M0 = next(transfer.matrices_along(seq, 0, 1, n_bins))
+    M0 = reference_matrices(seq, 0, 1, n_bins)[0]
     h_next = transfer.equivariant_density(seq.shift(1), n_bins, depth)
     return float(np.abs(transfer.pushforward(M0, h) - h_next).sum())
+
+
+def one_loop_residual(seq, n_bins, depth):
+    """The residual as one loop over the matrices of steps -depth .. 0: h takes
+    steps -depth .. -1 and h_{shift w} steps -depth+1 .. 0, every one pushed."""
+    mats = reference_matrices(seq, -depth, 1, n_bins)
+    h = h_next = transfer.uniform_density(n_bins)
+    for M, M_next in zip(mats, mats[1:]):
+        h = transfer.pushforward(M, h)
+        h_next = transfer.pushforward(M_next, h_next)
+    return float(np.abs(transfer.pushforward(mats[-1], h) - h_next).sum())
 
 
 @pytest.mark.parametrize("family, bounds, n_bins, depth, subsamples", [
@@ -184,21 +241,25 @@ def two_walk_residual(seq, n_bins, depth):
     ("lsv", (0.05, 0.15), 64, 1, 8),
     ("lsv", (0.1, 0.3), 333, 7, 12),
     ("doubling", (0.0, 0.0), 128, 5, 8),
+    ("lsv", (0.1, 0.1), 333, 9, 8),
+    ("lsv", (0.05, 0.15), 2 ** 10, 16, 32),
 ])
 def test_equivariance_residual_equals_two_walks(family, bounds, n_bins, depth, subsamples):
     seq = make_sequence(4, family, bounds)
-    assert (transfer.equivariance_residual(seq, n_bins, depth, subsamples)
-            == two_walk_residual(seq, n_bins, depth))
+    got = transfer.equivariance_residual(seq, n_bins, depth, subsamples)
+    assert got == two_walk_residual(seq, n_bins, depth) == one_loop_residual(seq, n_bins, depth)
 
 
 @pytest.mark.parametrize("depth", [0, 1, 9])
-def test_equivariance_residual_builds_each_step_once(monkeypatch, depth):
+def test_equivariance_residual_builds_both_depths(monkeypatch, depth):
+    # a varying sequence builds depth + 1 matrices for push(h_w) and depth
+    # for h_{shift w}
     builds = []
     ulam = transfer.ulam_matrix
     monkeypatch.setattr(transfer, "ulam_matrix",
                         lambda *args: builds.append(args) or ulam(*args))
     transfer.equivariance_residual(make_sequence(5, "lsv", (0.05, 0.15)), 64, depth, 8)
-    assert len(builds) == depth + 1
+    assert len(builds) == 2 * depth + 1
 
 
 def test_equivariance_residual_rejects_negative_depth():
@@ -212,7 +273,7 @@ def test_dual_normalization():
     seq = make_sequence(2, "lsv", (0.1, 0.3))
     n_bins = 2 ** 10
     h = transfer.equivariant_density(seq, n_bins, 16)
-    M0 = next(transfer.matrices_along(seq, 0, 1, n_bins))
+    M0 = reference_matrices(seq, 0, 1, n_bins)[0]
     h_next = transfer.equivariant_density(seq.shift(1), n_bins, 17)
     assert np.array_equal(transfer.pushforward(M0, np.ones(n_bins) * h), h_next)
     assert np.mean(h_next < transfer.MASS_FLOOR) <= 0.10
@@ -224,7 +285,7 @@ def test_dual_preserves_integral():
     n_bins = 2 ** 9
     h = transfer.equivariant_density(seq, n_bins, 8)
     psi = np.cos(2 * np.pi * (np.arange(n_bins) + 0.5) / n_bins) + 0.3
-    M0 = next(transfer.matrices_along(seq, 0, 1, n_bins))
+    M0 = reference_matrices(seq, 0, 1, n_bins)[0]
     h_next = transfer.pushforward(M0, h)
     assert np.all(h_next >= transfer.MASS_FLOOR)
     lhs = float(transfer.pushforward(M0, psi * h).sum())
@@ -249,7 +310,7 @@ def decay_pushing_every_step(seq, phi_bar, n_max, n_bins, depth):
     h = transfer.equivariant_density(seq, n_bins, depth)
     w = (phi_bar - float(h @ phi_bar)) * h
     row = [np.abs(w[h >= transfer.MASS_FLOOR]).sum()]
-    for M in transfer.matrices_along(seq, 0, n_max, n_bins):
+    for M in reference_matrices(seq, 0, n_max, n_bins):
         w, h = transfer.pushforward(M, w), transfer.pushforward(M, h)
         row.append(np.abs(w[h >= transfer.MASS_FLOOR]).sum())
     return row
