@@ -258,8 +258,7 @@ def run_clt(cfg: ExperimentConfig) -> dict:
         raise NumericError("sigma2 estimate is not positive; use the coboundary route")
     vg = stats_mod.variance_growth(ens)
     res = stats_mod.qclt_test(ens, s2)
-    res.update({"sigma2": s2, "sigma2_se": se,
-                "verdict": "pass" if res["ks_distance"] < 0.03 else "fail"})
+    res.update({"sigma2": s2, "sigma2_se": se})
     return {"clt.csv": (["n", "var_over_n", "ci_lo", "ci_hi"],
                         [vg["n"], vg["var_over_n"], vg["ci_lo"], vg["ci_hi"]]),
             "clt.json": res}
@@ -276,24 +275,14 @@ def run_lil(cfg: ExperimentConfig) -> dict:
 
 
 def run_fclt(cfg: ExperimentConfig) -> dict:
-    # The sup run's Brownian self-test shares nothing with the ensemble and
-    # spends its time in numpy calls that release the GIL, so it runs beside
-    # the ensemble on one worker thread.  Leaving the with block joins the
-    # worker, whatever is raised; an error of the main thread wins, and one
-    # of the worker is raised by result().
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(1) as pool:
-        if cfg.functional == "sup":
-            self_test = pool.submit(stats_mod.brownian_oracle_self_test,
-                                    n_paths=min(10 ** 5, 10 * cfg.n_samples))
-        ens, s2, se = _ensemble_and_sigma(cfg)
-        if s2 <= 0:
-            raise NumericError("sigma2 estimate is not positive; use the coboundary route")
-        res = stats_mod.qfclt_paths(ens, s2, cfg.functional)
-        res.update({"sigma2": s2, "sigma2_se": se})
-        if cfg.functional == "sup":
-            res["brownian_self_test"] = self_test.result()
+    ens, s2, se = _ensemble_and_sigma(cfg)
+    if s2 <= 0:
+        raise NumericError("sigma2 estimate is not positive; use the coboundary route")
+    res = stats_mod.qfclt_paths(ens, s2, cfg.functional)
+    res.update({"sigma2": s2, "sigma2_se": se})
+    if cfg.functional == "sup":
+        res["brownian_self_test"] = stats_mod.brownian_oracle_self_test(
+            n_paths=min(10 ** 5, 10 * cfg.n_samples))
     emp = stats_mod.empirical_functional(ens, s2, cfg.functional)
     return {"fclt.csv": (["sample", "functional_value"], [np.arange(ens.n_samples), emp]),
             "fclt.json": res}

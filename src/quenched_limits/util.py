@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-# Values per temporary in every blocked loop (the bootstrap, the null
-# calibration, the Brownian sampler, the return-time tail): 512 KB of
-# doubles, whatever the size of the whole computation.
+# Values per temporary in every blocked loop (the bootstrap, the Brownian
+# sampler, the return-time tail): 512 KB of doubles, whatever the size of
+# the whole computation.
 _BLOCK_VALUES = 2 ** 16
 
 

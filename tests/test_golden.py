@@ -73,9 +73,6 @@ CONFIGS = {
     "fclt": ["--family", "doubling", "--alpha_min", "0", "--alpha_max", "0"] + ENSEMBLE,
     "fclt-supabs": LSV + ENSEMBLE + ["--functional", "sup_abs"],
 }
-# the key of the fclt rerun whose main thread and self-test worker trade the
-# GIL every microsecond; its bytes must not depend on how they interleave
-FAST_SWITCHING = "fclt@switch-1us"
 
 
 def digests(key: str, out: Path) -> dict:
@@ -102,13 +99,6 @@ def run_configs(keys: list[str]) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for key in keys:
             runs[key] = digests(key, Path(tmp) / key)
-        if "fclt" in keys:
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                runs[FAST_SWITCHING] = digests("fclt", Path(tmp) / FAST_SWITCHING)
-            finally:
-                sys.setswitchinterval(interval)
     return {"environment": environment(), "digests": runs}
 
 
@@ -142,7 +132,7 @@ def child_run():
 
 def assert_pinned(child_run, key, suffix):
     pins = json.loads(PINS.read_text())
-    want = {n: d for n, d in pins["digests"][key.split("@")[0]].items() if n.endswith(suffix)}
+    want = {n: d for n, d in pins["digests"][key].items() if n.endswith(suffix)}
     got = {n: d for n, d in child_run["digests"][key].items() if n.endswith(suffix)}
     assert got == want, environment_difference(pins["environment"], child_run["environment"])
 
@@ -155,11 +145,6 @@ def test_csv_matches_golden_pin(key, child_run):
 @pytest.mark.parametrize("key", sorted(CONFIGS))
 def test_json_matches_golden_pin(key, child_run):
     assert_pinned(child_run, key, ".json")
-
-
-def test_fclt_matches_golden_pin_under_fast_thread_switching(child_run):
-    for suffix in (".csv", ".json"):
-        assert_pinned(child_run, FAST_SWITCHING, suffix)
 
 
 def test_child_runs_every_config_on_baseline_loops(child_run):

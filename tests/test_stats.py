@@ -160,12 +160,14 @@ def test_variance_growth_memory_does_not_grow_with_n_boot():
     assert peak < 16 * 2 ** 20
 
 
-def whole_matrix_null_calibration(n_samples, n_steps, reps, level, seen):
-    """The null calibration as first written, one normal matrix per repetition."""
+def whole_matrix_null_calibration(n_samples, reps, level, seen):
+    """The null calibration with its normalized sums drawn whole: one
+    (n_samples,) normal vector per repetition, the exact law of the sum of
+    n_steps increments over sqrt(n_steps)."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((7, 0xCA1))))
     rejections = 0
     for _ in range(reps):
-        z = rng.standard_normal((n_samples, n_steps)).sum(axis=1) / math.sqrt(n_steps)
+        z = rng.standard_normal(n_samples)
         seen.append(z)
         d = ks_statistic(z, normal_cdf)
         if stats.ks_pvalue(d, n_samples) < level:
@@ -173,6 +175,7 @@ def whole_matrix_null_calibration(n_samples, n_steps, reps, level, seen):
     return {"rejection_rate": rejections / reps, "reps": reps, "level": level}
 
 
+# neither n_steps nor the block budget changes the draws
 @pytest.mark.parametrize("block_values", [None, 100])
 @pytest.mark.parametrize("n_samples, n_steps", [(2000, 64), (333, 17), (10000, 256)])
 def test_null_calibration_equals_whole_matrix_oracle(monkeypatch, n_samples, n_steps,
@@ -184,7 +187,7 @@ def test_null_calibration_equals_whole_matrix_oracle(monkeypatch, n_samples, n_s
                         lambda z, cdf: seen.append(z.copy()) or ks_statistic(z, cdf))
     got = stats.qclt_null_calibration(n_samples, n_steps, reps=3, level=0.5)
     want_z = []
-    want = whole_matrix_null_calibration(n_samples, n_steps, 3, 0.5, want_z)
+    want = whole_matrix_null_calibration(n_samples, 3, 0.5, want_z)
     assert got == want
     assert [z.tobytes() for z in seen] == [z.tobytes() for z in want_z]
 
@@ -329,9 +332,16 @@ def test_brownian_sup_abs_cdf_matches_grid_sampler(n_steps):
     assert d < 0.01
 
 
-def test_brownian_oracle_self_test():
-    res = stats.brownian_oracle_self_test(n_paths=40000)
-    assert res["ks_distance"] < 0.01
+@pytest.mark.parametrize("n_steps", [1, 64])
+def test_brownian_oracle_self_test(n_steps):
+    # each step's max is drawn exactly from the bridge law, so the sampled
+    # sup has the law of sup B at any grid, one step included
+    sup = stats.brownian_functional_samples("sup", 1.0, 40000, n_steps, 13)
+    d = ks_statistic(sup, stats.brownian_sup_cdf)
+    assert d < 0.01
+    if n_steps == 64:
+        assert stats.brownian_oracle_self_test(n_paths=40000) == {"ks_distance": d,
+                                                                  "n_paths": 40000}
 
 
 def whole_chunk_brownian(functional, sigma, n_paths, n_steps, rng_seed, chunk):
@@ -383,11 +393,12 @@ def test_brownian_sampler_memory_does_not_grow_with_n_paths():
 
     tracemalloc.start()
     try:
-        stats.brownian_functional_samples("sup", 1.0, 30000, 2 ** 10)
+        sup = stats.brownian_functional_samples("sup", 1.0, 30000, 2 ** 10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+    assert ks_statistic(sup, stats.brownian_sup_cdf) < 0.01
 
 
 @pytest.mark.parametrize("functional", ["sup_abs", "terminal"])
