@@ -72,6 +72,9 @@ CONFIGS = {
     # sup: the reflection-law KS and the sampler's self-test
     "fclt": ["--family", "doubling", "--alpha_min", "0", "--alpha_max", "0"] + ENSEMBLE,
     "fclt-supabs": LSV + ENSEMBLE + ["--functional", "sup_abs"],
+    "fclt-terminal": LSV + ENSEMBLE + ["--functional", "terminal"],
+    # a finite p: the integrability branch of the exponents
+    "rate": ["--p", "4", "--D", "10"],
 }
 
 
