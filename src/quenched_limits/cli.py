@@ -212,10 +212,8 @@ def run_density(cfg: ExperimentConfig) -> dict:
 def run_decay(cfg: ExperimentConfig) -> dict:
     dc = transfer_mod.decay_curve(cfg.family, cfg.bounds(), cfg.seeds(), cfg.phi(),
                                   cfg.n_max, cfg.n_bins, cfg.depth, cfg.subsamples)
-    fit = fit_loglog(dc.n, dc.decay, _default_window(cfg, 1, cfg.n_max))
-    fit["warnings"] = dc.warnings
     return {"decay.csv": (["n", "decay_estimate", "std_err"], [dc.n, dc.decay, dc.std_err]),
-            "decay_fit.json": fit}
+            "decay_fit.json": fit_loglog(dc.n, dc.decay, _default_window(cfg, 1, cfg.n_max))}
 
 
 def run_decompose(cfg: ExperimentConfig) -> dict:

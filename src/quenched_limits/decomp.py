@@ -16,8 +16,8 @@ import numpy as np
 
 from .maps import apply, fiber_map
 from .omega import ParamSequence, make_sequence
-from .transfer import (MASS_FLOOR, _density_chain, bin_average, nearest_bin, pull,
-                       pushforward, sample_from_density)
+from .transfer import (_density_chain, bin_average, nearest_bin, pull, push,
+                       sample_from_density, ulam_matrix)
 from .util import seed_mean
 
 K_TRUNC_DEFAULT = 16
@@ -34,14 +34,14 @@ SIGMA2_FLOOR = 1e-4
 class Decomposition:
     K_trunc: int
     h: np.ndarray                   # masses of mu_w, from the chain g and psi are built on
-    h_next: np.ndarray              # masses of mu_sw, its image under M_0
+    h_next: np.ndarray              # masses of mu_sw, its image under step 0
     g: np.ndarray                   # on fiber w
     g_next: np.ndarray              # on fiber sw
     psi: np.ndarray                 # on fiber w
-    residual: float                 # L1(mu_sw) norm of P_w psi_w, unmasked bins
+    residual: float                 # L1(mu_sw) norm of P_w psi_w
     sigma2_fiber: float             # int psi^2 dmu_w
     truncation_tail: float          # L1(mu_w) size of the last series term
-    masked_fraction: float
+    min_density: float              # smallest n_bins * mass on fibers 0 and 1
     warnings: list
 
     def report(self) -> dict:
@@ -50,7 +50,7 @@ class Decomposition:
             "residual_l1": self.residual,
             "sigma2_fiber": self.sigma2_fiber,
             "truncation_tail": self.truncation_tail,
-            "masked_fraction": self.masked_fraction,
+            "min_density": self.min_density,
         }
 
 
@@ -60,8 +60,8 @@ def _decompose(seq: ParamSequence, phi: Callable[[np.ndarray], np.ndarray], K_tr
 
     The density chain (transfer._density_chain) walks from Lebesgue on fiber
     -(K_trunc + depth); from mu on fiber -K_trunc on, signed masses for the
-    truncated series are accumulated and pushed along the same matrices, so
-    every dual application is composition-consistent.
+    truncated series are pushed along the same steps.  psi pulls through the
+    one Ulam matrix, of fiber 0; a zero-mass bin raises FloatingPointError.
     """
     if K_trunc < 0:
         raise ValueError("K_trunc must be >= 0")
@@ -69,7 +69,7 @@ def _decompose(seq: ParamSequence, phi: Callable[[np.ndarray], np.ndarray], K_tr
     chain = _density_chain(seq, -K_trunc, 1, n_bins, depth)
     h1 = next(chain)[1]
     A, B, tail = np.zeros(n_bins), np.zeros(n_bins), np.zeros(n_bins)
-    for j, (M0, h_next) in enumerate(chain, start=-K_trunc):
+    for j, (step, h_next) in enumerate(chain, start=-K_trunc):
         h0, h1 = h1, h_next
         c = (phi_bar - float(h0 @ phi_bar)) * h0   # centered mass on fiber j
         A = A + c   # not A = c: 0.0 + c turns a -0.0 of c into 0.0
@@ -78,23 +78,17 @@ def _decompose(seq: ParamSequence, phi: Callable[[np.ndarray], np.ndarray], K_tr
         else:
             B = B + c
         if j < 0:
-            # A and tail live on fiber 0; only B crosses M_0.
-            A, tail = pushforward(M0, A), pushforward(M0, tail)
-        B = pushforward(M0, B)
+            # A and tail live on fiber 0; only B crosses step 0.
+            A, tail = push(step, A), push(step, tail)
+        B = push(step, B)
     # the loop ends at j = 0: h0, h1 are the fiber 0 and 1 masses, c the j = 0 term
     phi_c1 = phi_bar - float(h1 @ phi_bar)
     B = B + phi_c1 * h1
 
-    mask0 = h0 >= MASS_FLOOR
-    mask1 = h1 >= MASS_FLOOR
-    g_w = np.zeros(n_bins)
-    g_w[mask0] = A[mask0] / h0[mask0]
-    g_sw = np.zeros(n_bins)
-    g_sw[mask1] = B[mask1] / h1[mask1]
-
-    psi = pull(M0, phi_c1 - g_sw) + g_w
-    residual_num = pushforward(M0, psi * h0)
-    residual = float(np.abs(residual_num[mask1]).sum())
+    with np.errstate(divide="raise", invalid="raise"):
+        g_w, g_sw = A / h0, B / h1
+    psi = pull(ulam_matrix(fiber_map(seq, 0), n_bins), phi_c1 - g_sw) + g_w
+    residual = float(np.abs(push(step, psi * h0)).sum())
     sigma2_fiber = float(np.sum(psi ** 2 * h0))
     tail_norm = float(np.abs(tail).sum())
     first_norm = float(np.abs(c).sum())
@@ -102,10 +96,9 @@ def _decompose(seq: ParamSequence, phi: Callable[[np.ndarray], np.ndarray], K_tr
     if first_norm > 0 and tail_norm > 0.10 * first_norm:
         warnings.append(
             f"series tail {tail_norm:.3e} exceeds 10% of the first term {first_norm:.3e}")
-    masked_fraction = 1.0 - min(mask0.mean(), mask1.mean())
+    min_density = n_bins * float(min(h0.min(), h1.min()))
     return Decomposition(K_trunc, h0, h1, g_w, g_sw, psi,
-                         residual, sigma2_fiber, tail_norm,
-                         float(masked_fraction), warnings)
+                         residual, sigma2_fiber, tail_norm, min_density, warnings)
 
 
 def martingale_psi(seq: ParamSequence, phi: Callable[[np.ndarray], np.ndarray],

@@ -1,27 +1,20 @@
 """Ulam-discretized transfer operators and equivariant densities.
 
-An Ulam matrix is stored as (row, col, weight) triplets; ``pushforward``
-(mass @ M) and ``pull`` (M @ values) are the only two ways to apply it.
-Measures are stored as bin-mass arrays (not density values), which keeps
-every pushforward exactly mass-conserving; densities are masses times
-n_bins, and the mean of bin values under a measure is ``mass @ values``.
-The dual operator is never formed: the dual of psi against h is pushed as
-the signed mass psi * h.  The equivariant density h_w is obtained by pushing
-Lebesgue forward through the fiber maps of the recent past (finite
-pullback), which is the direct discretization of its construction.  One
-walker, _density_chain, builds and pushes every Ulam matrix: it carries the
-pullback on into the family mu_{s^k w} = (f_w^k)_* mu_w that centering,
-decay and the decomposition walk, and equivariant_density is its first mass.
-
-Ulam entries are exact, from the preimages of the bin edges under both
-branches (ulam_matrix; Li 1976, and Murray 2010 for maps with a neutral
-fixed point).
+Measures are bin-mass arrays (densities are masses times n_bins).  Both
+branches are increasing, so an Ulam step takes the distribution function C
+of the masses to F(j/n) = C(f_L^-1(j/n)) + C((n + j)/(2n)) - C(1/2) (Lasota
+and Mackey 1994, ch. 4; Li 1976): push_step places a fiber map's edge
+preimages on the grid, push moves any signed mass through them (the dual of
+psi against h as psi * h), and _density_chain pushes Lebesgue through the
+recent past and on along mu_{s^k w} = (f_w^k)_* mu_w for centering, decay
+and the decomposition.  ulam_matrix builds the same operator independently,
+as exact triplets, for the soundness checks and the decomposition's one pull.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,8 +22,6 @@ import numpy as np
 from .maps import FiberMap, left_branch_inverse
 from .omega import ParamSequence, make_sequence
 from .util import seed_mean
-
-MASS_FLOOR = 1e-12
 
 
 def uniform_density(n_bins: int) -> np.ndarray:
@@ -122,22 +113,52 @@ def row_stochasticity_defect(M: UlamMatrix) -> float:
     return float(np.max(np.abs(pull(M, np.ones(M.n_bins)) - 1.0)))
 
 
-def equivariant_density(seq: ParamSequence, n_bins: int, pullback_depth: int) -> np.ndarray:
-    """Bin masses of h_w approximated by pushing Lebesgue through the past fiber maps.
+@dataclass(frozen=True)
+class PushStep:
+    """Bin j receives to_edge[j] of bin index[j] and from_edge[j] of bin index[j + 1]."""
+    index: np.ndarray
+    to_edge: np.ndarray
+    from_edge: np.ndarray
 
-    Depth 0 returns the uniform density by convention.
-    """
+
+def push_step(fmap: FiberMap, n_bins: int) -> PushStep:
+    """Where one fiber map's left preimages y_j = f_L^-1(j/n) fall on the grid:
+    f_L' > 1 on (0, 1/2], so y_j and y_{j+1} are less than a bin apart, and the
+    edge index[j + 1] splits their gap into to_edge = index[j + 1] - y_j, in
+    bin index[j] (negative when both lie in one bin), and from_edge."""
+    if n_bins < 2:
+        raise ValueError("need n_bins >= 2")
+    n = n_bins
+    # in bin units; f_L^-1(0) = 0 and f_L^-1(1) = 1/2
+    y = np.concatenate(([0.0], left_branch_inverse(fmap, np.arange(1, n) / n) * n, [n / 2]))
+    index = y.astype(np.int64)
+    return PushStep(index, index[1:] - y[:-1], y[1:] - index[1:])
+
+
+def push(step: PushStep, mass: np.ndarray) -> np.ndarray:
+    """mass @ M without M: the image of a (signed) mass vector under one Ulam step.
+    Bin j's differences of C are summed from bin-local pieces, so rounding
+    scales with the masses moved; the right branch gives it half of bin (n + j) // 2."""
+    n = step.to_edge.size
+    if mass.size != n:
+        raise ValueError("dimension mismatch between step and mass vector")
+    left, right = mass[step.index], np.repeat(mass[n // 2:], 2)[n % 2:]
+    return step.to_edge * left[:-1] + step.from_edge * left[1:] + 0.5 * right
+
+
+def equivariant_density(seq: ParamSequence, n_bins: int, pullback_depth: int) -> np.ndarray:
+    """Bin masses of h_w, Lebesgue pushed through the past fiber maps (uniform at depth 0)."""
     return next(_density_chain(seq, 0, 0, n_bins, pullback_depth))[1]
 
 
 def _density_chain(seq: ParamSequence, k_lo: int, k_hi: int, n_bins: int, depth: int):
-    """Yield (M_{k-1}, h_k) for k = k_lo .. k_hi >= k_lo: the masses of mu on
-    fiber k and the matrix that pushed them there (None for h_{k_lo}).
+    """Yield (step_{k-1}, h_k) for k = k_lo .. k_hi >= k_lo: the masses of mu on
+    fiber k and the push step that took them there (None for h_{k_lo}).
 
-    One walk from Lebesgue over steps k_lo - depth .. k_hi - 1.  A matrix is
-    built only when the parameter changes, and once a repeated parameter's
-    matrix has mapped h to itself bit for bit, the walk stops pushing until
-    the parameter changes: pushing again would return the same h.
+    One walk from Lebesgue over steps k_lo - depth .. k_hi - 1.  A step is
+    computed only when the parameter changes, and once a repeated parameter's
+    step has mapped h to itself bit for bit, the walk stops pushing until the
+    parameter changes: pushing again would return the same h.
     """
     if depth < 0:
         raise ValueError("pullback_depth must be >= 0")
@@ -147,13 +168,13 @@ def _density_chain(seq: ParamSequence, k_lo: int, k_hi: int, n_bins: int, depth:
         if i == depth:
             yield None, h
         if alpha != last:
-            M, last = ulam_matrix(FiberMap(seq.family, alpha), n_bins), alpha
-            h, fixed = pushforward(M, h), False
+            step, last = push_step(FiberMap(seq.family, alpha), n_bins), alpha
+            h, fixed = push(step, h), False
         elif not fixed:
-            pushed = pushforward(M, h)
+            pushed = push(step, h)
             h, fixed = pushed, np.array_equal(pushed, h)
         if i >= depth:
-            yield M, h
+            yield step, h
     if len(alphas) == depth:
         yield None, h
 
@@ -175,8 +196,7 @@ def equivariance_residual(seq: ParamSequence, n_bins: int, pullback_depth: int,
     """L1 gap between push(h_w) and the independently pulled-back h_{shift w}.
 
     push(h_w) is h_{shift w} pulled back one step deeper, so the residual
-    compares two depths of one density.  The exact Ulam build ignores
-    subsamples.
+    compares two depths of one density.  subsamples is not read.
     """
     s = seq.shift(1)
     return float(np.abs(equivariant_density(s, n_bins, pullback_depth + 1)
@@ -188,7 +208,6 @@ class DecayCurve:
     n: np.ndarray
     decay: np.ndarray
     std_err: np.ndarray
-    warnings: list = field(default_factory=list)
 
 
 def decay_curve(family: str, bounds: tuple[float, float], seeds: list[int],
@@ -198,25 +217,17 @@ def decay_curve(family: str, bounds: tuple[float, float], seeds: list[int],
 
     Per seed the signed measure (phi - mean) d mu_w is pushed forward step
     by step beside the density chain; its total variation at step n equals
-    the L1(mu) norm of P^n(phi_w - int phi_w d mu_w), so no divisions are
-    needed except for the mask bookkeeping.
+    the L1(mu) norm of P^n(phi_w - int phi_w d mu_w), with no division.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     phi_bar = bin_average(phi, n_bins, subsamples)
     curves = np.empty((len(seeds), n_max + 1))
-    masked = np.empty((len(seeds), n_max + 1))   # masked-bin fraction per step
     for si, seed in enumerate(seeds):
         seq = make_sequence(seed, family, bounds)
         chain = _density_chain(seq, 0, n_max, n_bins, pullback_depth)
-        for n, (M, h) in enumerate(chain):
-            w = (phi_bar - float(h @ phi_bar)) * h if M is None else pushforward(M, w)
-            mask = h >= MASS_FLOOR
-            curves[si, n] = np.abs(w[mask]).sum()
-            masked[si, n] = 1.0 - mask.mean()
+        for n, (step, h) in enumerate(chain):
+            w = (phi_bar - float(h @ phi_bar)) * h if step is None else push(step, w)
+            curves[si, n] = np.abs(w).sum()
     decay, se = seed_mean(curves)
-    masked_mean = masked[:, [0, -1]].mean(axis=0)
-    warnings = []
-    if masked_mean[1] > masked_mean[0] + 0.01:
-        warnings.append("masked-bin fraction grows along the chain")
-    return DecayCurve(np.arange(n_max + 1), decay, se, warnings)
+    return DecayCurve(np.arange(n_max + 1), decay, se)

@@ -244,6 +244,25 @@ def test_numeric_failure_exits_3(tmp_path, exc, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_zero_mass_bin_exits_3(tmp_path, monkeypatch, capsys):
+    # g = A / h has no value on a bin of zero mass: no bin is masked, the run fails
+    from quenched_limits import transfer
+
+    push = transfer.push
+
+    def emptying_push(step, mass):
+        out = push(step, mass)
+        out[0] = 0.0
+        return out
+
+    monkeypatch.setattr(transfer, "push", emptying_push)   # the density chain's push only
+    out = tmp_path / "d"
+    argv = ["decompose", "--n_bins", "64", "--depth", "2", "--k_trunc", "1", "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("numeric failure:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["tail", "--out", "t", "--n_ma", "8"],
                                   ["tail", "--out", "t", "--seed"], ["tail"], []],
                          ids=["prefix", "no-value", "no-out", "no-subcommand"])

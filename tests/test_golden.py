@@ -50,7 +50,7 @@ CONFIGS = {
     "density-doubling": DOUBLING + GRID,
     "decay": LSV + GRID + ["--n_max", "8"],
     "decay-seeds": LSV + GRID + ["--n_max", "8", "--n_seeds", "2"],
-    # a constant chain: its masses reach a bitwise fixed point of the one matrix
+    # a constant chain: its masses reach a bitwise fixed point of the one step
     "decay-doubling": DOUBLING + GRID + ["--n_max", "16"],
     "decompose": LSV + GRID + ["--n_seeds", "2"],
     "decompose-holder": LSV + GRID + ["--observable", "holder_gamma", "--gamma", "0.3"],

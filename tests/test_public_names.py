@@ -15,8 +15,8 @@ the tests keep as an oracle only.
 
 The name rules match by name, not by type: a method or field is taken as read
 when any attribute of that name is read, so one that shares its name with
-a read attribute of another class (``masked_fraction``, ``alpha_exp``,
-``n``, ...) passes unseen and needs a check by hand.
+a read attribute of another class (``alpha_exp``, ``n``, ...) passes
+unseen and needs a check by hand.
 """
 
 import ast

@@ -19,18 +19,19 @@ def small_doubling_ensemble(n_steps=256, n_samples=3000):
                                    n_samples, "equivariant", 2 ** 10, 8, 32)
 
 
-def test_doubling_ensemble_builds_one_ulam_matrix(monkeypatch):
+def test_doubling_ensemble_computes_one_push_step(monkeypatch):
     # a doubling sequence is constant whatever its bounds, so the one walk
-    # through the pullback and the centering chain builds one matrix
+    # through the pullback and the centering chain computes one push step
+    # and builds no matrix
     from quenched_limits import transfer
 
-    builds, build = [], transfer.ulam_matrix
-    monkeypatch.setattr(transfer, "ulam_matrix",
-                        lambda *a, **k: builds.append(a) or build(*a, **k))
+    made, push_step, builds = [], transfer.push_step, []
+    monkeypatch.setattr(transfer, "push_step", lambda *a: made.append(a) or push_step(*a))
+    monkeypatch.setattr(transfer, "ulam_matrix", lambda *a, **k: builds.append(a))
     phi = get_observable("cos2pi")
     args = (phi, 64, 20, "equivariant", 2 ** 6, 8, 4)
     ens = stats.birkhoff_ensemble(make_sequence(1, "doubling", (0.05, 0.15)), *args)
-    assert len(builds) == 1
+    assert len(made) == 1 and builds == []
     ref = stats.birkhoff_ensemble(make_sequence(1, "doubling", (0.0, 0.0)), *args)
     assert ens.S_records.tobytes() == ref.S_records.tobytes()
 
@@ -197,18 +198,18 @@ def chained_means(seq, phi_bar, h, n_steps, n_bins):
     from quenched_limits import transfer
 
     params = seq.params(0, n_steps).tolist()
-    built = {a: transfer.ulam_matrix(maps.FiberMap(seq.family, a), n_bins) for a in set(params)}
+    made = {a: transfer.push_step(maps.FiberMap(seq.family, a), n_bins) for a in set(params)}
     means = np.empty(n_steps + 1)
     means[0] = float(h @ phi_bar)
     mass = h
     for k, a in enumerate(params, start=1):
-        mass = transfer.pushforward(built[a], mass)
+        mass = transfer.push(made[a], mass)
         means[k] = float(mass @ phi_bar)
     return means
 
 
-# doubling reaches a bitwise fixed point; varying lsv builds a new matrix per
-# step, so the fixed-point check never runs; constant lsv reuses one matrix
+# doubling reaches a bitwise fixed point; varying lsv computes a new step per
+# step, so the fixed-point check never runs; constant lsv reuses one step
 # from the pullback on, so every chain push is checked, but its masses keep
 # moving for many steps
 @pytest.mark.parametrize("family, bounds, n_steps", [
@@ -225,8 +226,8 @@ def test_centering_means_equal_pushing_every_step(monkeypatch, family, bounds, n
     assert h.tobytes() == transfer.equivariant_density(seq, n_bins, depth).tobytes()
     want = chained_means(seq, phi_bar, h, n_steps, n_bins)
     pushes, checks = [], []
-    push, equal = transfer.pushforward, np.array_equal
-    monkeypatch.setattr(transfer, "pushforward", lambda *a: pushes.append(1) or push(*a))
+    push, equal = transfer.push, np.array_equal
+    monkeypatch.setattr(transfer, "push", lambda *a: pushes.append(1) or push(*a))
     monkeypatch.setattr(np, "array_equal", lambda *a: checks.append(1) or equal(*a))
     got = np.array([float(h @ phi_bar)] + [float(m @ phi_bar) for _, m in chain])
     monkeypatch.undo()

@@ -1,4 +1,4 @@
-"""Ulam matrices, pushforward, equivariant densities, the dual operator."""
+"""Ulam matrices, the matrix-free push, equivariant densities, the dual operator."""
 
 import numpy as np
 import pytest
@@ -116,6 +116,55 @@ def test_pushforward_dimension_check():
         transfer.pushforward(M, transfer.uniform_density(16))
 
 
+def one_mass(kind, n_bins, rng):
+    if kind == "positive":
+        return rng.random(n_bins)
+    if kind == "signed":
+        return rng.standard_normal(n_bins)
+    mass = np.zeros(n_bins)   # one bin
+    mass[rng.integers(n_bins)] = rng.standard_normal()
+    return mass
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha=st.floats(0.0, 1.0, exclude_max=True), n_bins=st.integers(2, 8192),
+       kind=st.sampled_from(["positive", "signed", "one-bin"]), seed=st.integers(0, 2 ** 32 - 1))
+@example(alpha=0.0, n_bins=2, kind="signed", seed=0)
+@example(alpha=0.999, n_bins=3, kind="one-bin", seed=1)
+@example(alpha=0.3, n_bins=4095, kind="one-bin", seed=2)
+@example(alpha=0.05, n_bins=8192, kind="positive", seed=3)
+def test_push_matches_pushforward_of_the_ulam_matrix(alpha, n_bins, kind, seed):
+    # one operator, its terms summed in another order: the gap stays within
+    # the n_bins * eps rounding that the matrix weights carry on odd grids
+    fmap = FiberMap("lsv", alpha)
+    mass = one_mass(kind, n_bins, np.random.default_rng(seed))
+    got = transfer.push(transfer.push_step(fmap, n_bins), mass)
+    want = transfer.pushforward(transfer.ulam_matrix(fmap, n_bins), mass)
+    assert np.max(np.abs(got - want)) <= n_bins * np.finfo(float).eps * np.abs(mass).sum()
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 12, 13])
+def test_uniform_is_a_bitwise_fixed_point_of_the_doubling_push(k):
+    # every term is a dyadic rational: y_j = j / 2 bins, shares 0 and 1/2
+    rho = transfer.uniform_density(2 ** k)
+    step = transfer.push_step(FiberMap("doubling", 0.0), 2 ** k)
+    assert transfer.push(step, rho).tobytes() == rho.tobytes()
+
+
+def test_push_conserves_mass_and_checks_its_grid():
+    rng = np.random.default_rng(1)
+    mass = rng.random(2 ** 10)
+    mass /= mass.sum()
+    step = transfer.push_step(FiberMap("lsv", 0.2), 2 ** 10)
+    out = transfer.push(step, mass)
+    assert out.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(out >= 0.0)
+    with pytest.raises(ValueError, match="dimension"):
+        transfer.push(step, transfer.uniform_density(2 ** 9))
+    with pytest.raises(ValueError):
+        transfer.push_step(FiberMap("doubling", 0.0), 1)
+
+
 def test_doubling_uniform_is_invariant():
     M = transfer.ulam_matrix(FiberMap("doubling", 0.0), 2 ** 8)
     rho = transfer.uniform_density(2 ** 8)
@@ -138,31 +187,31 @@ def test_equivariant_density_normalized():
     assert h0 == pytest.approx(np.full(64, 1.0 / 64))
 
 
-def reference_matrices(seq, k_lo, k_hi, n_bins):
-    """The Ulam matrix of each step k_lo .. k_hi - 1, one build per distinct parameter."""
+def reference_steps(seq, k_lo, k_hi, n_bins):
+    """The push step of each step k_lo .. k_hi - 1, one per distinct parameter."""
     params = seq.params(k_lo, k_hi).tolist()
-    built = {a: transfer.ulam_matrix(FiberMap(seq.family, a), n_bins) for a in set(params)}
-    return [built[a] for a in params]
+    made = {a: transfer.push_step(FiberMap(seq.family, a), n_bins) for a in set(params)}
+    return [made[a] for a in params]
 
 
 def density_pushing_every_step(seq, n_bins, depth):
-    """equivariant_density as first written: Lebesgue pushed by every past matrix."""
+    """equivariant_density as first written: Lebesgue pushed by every past step."""
     mass = transfer.uniform_density(n_bins)
-    for M in reference_matrices(seq, -depth, 0, n_bins):
-        mass = transfer.pushforward(M, mass)
+    for step in reference_steps(seq, -depth, 0, n_bins):
+        mass = transfer.push(step, mass)
     return mass
 
 
 def chain_pushing_every_step(seq, k_lo, k_hi, n_bins, depth):
-    """_density_chain as a reference walk: every step's matrix built and pushed."""
+    """_density_chain as a reference walk: every step computed and pushed."""
     h = transfer.uniform_density(n_bins)
     for a in seq.params(k_lo - depth, k_lo).tolist():
-        h = transfer.pushforward(transfer.ulam_matrix(FiberMap(seq.family, a), n_bins), h)
+        h = transfer.push(transfer.push_step(FiberMap(seq.family, a), n_bins), h)
     out = [(None, h)]
     for a in seq.params(k_lo, k_hi).tolist():
-        M = transfer.ulam_matrix(FiberMap(seq.family, a), n_bins)
-        h = transfer.pushforward(M, h)
-        out.append((M, h))
+        step = transfer.push_step(FiberMap(seq.family, a), n_bins)
+        h = transfer.push(step, h)
+        out.append((step, h))
     return out
 
 
@@ -176,25 +225,25 @@ def test_density_chain_equals_pushing_every_step(family_bounds, seed, k_lo, leng
     seq = make_sequence(seed, *family_bounds)
     k_hi = k_lo + length
     want = chain_pushing_every_step(seq, k_lo, k_hi, n_bins, depth)
-    builds, ulam = [], transfer.ulam_matrix
+    made, push_step = [], transfer.push_step
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transfer, "ulam_matrix", lambda *a: builds.append(a) or ulam(*a))
+        mp.setattr(transfer, "push_step", lambda *a: made.append(a) or push_step(*a))
         got = list(transfer._density_chain(seq, k_lo, k_hi, n_bins, depth))
     assert len(got) == len(want) == length + 1
-    for (M, h), (M_want, h_want) in zip(got, want):
+    for (step, h), (step_want, h_want) in zip(got, want):
         assert h.tobytes() == h_want.tobytes()
-        assert (M is None) == (M_want is None)
-        if M is not None:
-            for field in ("rows", "cols", "weights"):
-                assert getattr(M, field).tobytes() == getattr(M_want, field).tobytes()
-    # one build per parameter change along steps k_lo - depth .. k_hi - 1
+        assert (step is None) == (step_want is None)
+        if step is not None:
+            for field in ("index", "to_edge", "from_edge"):
+                assert getattr(step, field).tobytes() == getattr(step_want, field).tobytes()
+    # one step per parameter change along steps k_lo - depth .. k_hi - 1
     params = seq.params(k_lo - depth, k_hi).tolist()
-    assert len(builds) == sum(a != b for a, b in zip(params, [None] + params))
+    assert len(made) == sum(a != b for a, b in zip(params, [None] + params))
 
 
 # doubling maps Lebesgue to itself bit for bit, so the second push finds the
-# fixed point; constant lsv reuses one matrix but its masses keep moving for
-# many more than 16 steps; varying lsv builds a new matrix per step
+# fixed point; constant lsv reuses one step but its masses keep moving for
+# many more than 16 steps; varying lsv computes a new step per step
 @pytest.mark.parametrize("family, bounds, fixed_after", [
     ("doubling", (0.0, 0.0), 2), ("lsv", (0.1, 0.1), None), ("lsv", (0.05, 0.15), None)])
 @pytest.mark.parametrize("depth", [0, 1, 16])
@@ -203,8 +252,8 @@ def test_equivariant_density_equals_pushing_every_step(monkeypatch, family, boun
     n_bins = 2 ** 8
     seq = make_sequence(2, family, bounds)
     want = density_pushing_every_step(seq, n_bins, depth)
-    pushes, push = [], transfer.pushforward
-    monkeypatch.setattr(transfer, "pushforward", lambda *a: pushes.append(1) or push(*a))
+    pushes, push = [], transfer.push
+    monkeypatch.setattr(transfer, "push", lambda *a: pushes.append(1) or push(*a))
     got = transfer.equivariant_density(seq, n_bins, depth)
     assert got.tobytes() == want.tobytes()
     assert len(pushes) == (depth if fixed_after is None else min(depth, fixed_after))
@@ -220,20 +269,20 @@ def test_equivariance_residual_decreases_with_depth():
 def two_walk_residual(seq, n_bins, depth):
     """The residual as first written: h_w and h_{shift w} pulled back apart."""
     h = transfer.equivariant_density(seq, n_bins, depth)
-    M0 = reference_matrices(seq, 0, 1, n_bins)[0]
+    step0 = reference_steps(seq, 0, 1, n_bins)[0]
     h_next = transfer.equivariant_density(seq.shift(1), n_bins, depth)
-    return float(np.abs(transfer.pushforward(M0, h) - h_next).sum())
+    return float(np.abs(transfer.push(step0, h) - h_next).sum())
 
 
 def one_loop_residual(seq, n_bins, depth):
-    """The residual as one loop over the matrices of steps -depth .. 0: h takes
-    steps -depth .. -1 and h_{shift w} steps -depth+1 .. 0, every one pushed."""
-    mats = reference_matrices(seq, -depth, 1, n_bins)
+    """The residual as one loop over the steps -depth .. 0: h takes steps
+    -depth .. -1 and h_{shift w} steps -depth+1 .. 0, every one pushed."""
+    steps = reference_steps(seq, -depth, 1, n_bins)
     h = h_next = transfer.uniform_density(n_bins)
-    for M, M_next in zip(mats, mats[1:]):
-        h = transfer.pushforward(M, h)
-        h_next = transfer.pushforward(M_next, h_next)
-    return float(np.abs(transfer.pushforward(mats[-1], h) - h_next).sum())
+    for step, step_next in zip(steps, steps[1:]):
+        h = transfer.push(step, h)
+        h_next = transfer.push(step_next, h_next)
+    return float(np.abs(transfer.push(steps[-1], h) - h_next).sum())
 
 
 @pytest.mark.parametrize("family, bounds, n_bins, depth, subsamples", [
@@ -252,14 +301,15 @@ def test_equivariance_residual_equals_two_walks(family, bounds, n_bins, depth, s
 
 @pytest.mark.parametrize("depth", [0, 1, 9])
 def test_equivariance_residual_builds_both_depths(monkeypatch, depth):
-    # a varying sequence builds depth + 1 matrices for push(h_w) and depth
-    # for h_{shift w}
-    builds = []
-    ulam = transfer.ulam_matrix
-    monkeypatch.setattr(transfer, "ulam_matrix",
-                        lambda *args: builds.append(args) or ulam(*args))
+    # a varying sequence computes depth + 1 steps for push(h_w) and depth
+    # for h_{shift w}, and builds no matrix
+    made, builds = [], []
+    push_step = transfer.push_step
+    monkeypatch.setattr(transfer, "push_step", lambda *args: made.append(args) or push_step(*args))
+    monkeypatch.setattr(transfer, "ulam_matrix", lambda *args: builds.append(args))
     transfer.equivariance_residual(make_sequence(5, "lsv", (0.05, 0.15)), 64, depth, 8)
-    assert len(builds) == 2 * depth + 1
+    assert len(made) == 2 * depth + 1
+    assert builds == []
 
 
 def test_equivariance_residual_rejects_negative_depth():
@@ -269,14 +319,14 @@ def test_equivariance_residual_rejects_negative_depth():
 
 def test_dual_normalization():
     # P 1 = 1: the signed mass 1 * h_w pushes to the next fiber's chained
-    # density h_sw itself, bit for bit, and almost no bin of h_sw is masked
+    # density h_sw itself, bit for bit, and h_sw stays well away from zero
     seq = make_sequence(2, "lsv", (0.1, 0.3))
     n_bins = 2 ** 10
     h = transfer.equivariant_density(seq, n_bins, 16)
-    M0 = reference_matrices(seq, 0, 1, n_bins)[0]
+    step0 = reference_steps(seq, 0, 1, n_bins)[0]
     h_next = transfer.equivariant_density(seq.shift(1), n_bins, 17)
-    assert np.array_equal(transfer.pushforward(M0, np.ones(n_bins) * h), h_next)
-    assert np.mean(h_next < transfer.MASS_FLOOR) <= 0.10
+    assert np.array_equal(transfer.push(step0, np.ones(n_bins) * h), h_next)
+    assert n_bins * h_next.min() > 0.5
 
 
 def test_dual_preserves_integral():
@@ -285,10 +335,9 @@ def test_dual_preserves_integral():
     n_bins = 2 ** 9
     h = transfer.equivariant_density(seq, n_bins, 8)
     psi = np.cos(2 * np.pi * (np.arange(n_bins) + 0.5) / n_bins) + 0.3
-    M0 = reference_matrices(seq, 0, 1, n_bins)[0]
-    h_next = transfer.pushforward(M0, h)
-    assert np.all(h_next >= transfer.MASS_FLOOR)
-    lhs = float(transfer.pushforward(M0, psi * h).sum())
+    step0 = reference_steps(seq, 0, 1, n_bins)[0]
+    assert np.array_equal(transfer.push(step0, h), h)   # uniform, the doubling fixed point
+    lhs = float(transfer.push(step0, psi * h).sum())
     rhs = float((psi * h).sum())
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -309,16 +358,15 @@ def decay_pushing_every_step(seq, phi_bar, n_max, n_bins, depth):
     """One seed's decay row as first written: w and h both pushed every step."""
     h = transfer.equivariant_density(seq, n_bins, depth)
     w = (phi_bar - float(h @ phi_bar)) * h
-    row = [np.abs(w[h >= transfer.MASS_FLOOR]).sum()]
-    for M in reference_matrices(seq, 0, n_max, n_bins):
-        w, h = transfer.pushforward(M, w), transfer.pushforward(M, h)
-        row.append(np.abs(w[h >= transfer.MASS_FLOOR]).sum())
+    row = [np.abs(w).sum()]
+    for step in reference_steps(seq, 0, n_max, n_bins):
+        w, h = transfer.push(step, w), transfer.push(step, h)
+        row.append(np.abs(w).sum())
     return row
 
 
-# both constant chains reach a bitwise fixed point of their one matrix well
-# within n_max steps (doubling at once, lsv at 0.1 after 88 pushes), after
-# which decay_curve pushes only w
+# both constant chains reach a bitwise fixed point of their one step well
+# within n_max steps, after which decay_curve pushes only w
 @pytest.mark.parametrize("family, bounds", [("doubling", (0.0, 0.0)), ("lsv", (0.1, 0.1))])
 def test_decay_curve_equals_pushing_every_step(monkeypatch, family, bounds):
     from quenched_limits.maps import get_observable
@@ -330,8 +378,8 @@ def test_decay_curve_equals_pushing_every_step(monkeypatch, family, bounds):
     rows = [decay_pushing_every_step(make_sequence(seed, family, bounds), phi_bar, n_max,
                                      n_bins, depth) for seed in seeds]
     want, want_se = seed_mean(np.array(rows))
-    pushes, push = [], transfer.pushforward
-    monkeypatch.setattr(transfer, "pushforward", lambda *a: pushes.append(1) or push(*a))
+    pushes, push = [], transfer.push
+    monkeypatch.setattr(transfer, "push", lambda *a: pushes.append(1) or push(*a))
     dc = transfer.decay_curve(family, bounds, seeds, phi, n_max, n_bins, depth, subsamples)
     assert dc.decay.tobytes() == want.tobytes()
     assert dc.std_err.tobytes() == want_se.tobytes()
