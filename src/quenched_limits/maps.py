@@ -113,10 +113,9 @@ def _doubling_orbit_values(n_samples: int, n_steps: int, rng: np.random.Generato
     scale = 2.0 ** -53
     for k in range(1, n_steps + 1):
         wi, off = divmod(k, 64)
-        if off == 0:
-            chunk = words[:, wi]
-        else:
-            chunk = (words[:, wi] << np.uint64(off)) | (words[:, wi + 1] >> np.uint64(64 - off))
+        if off == 0 or k == 1:   # copy this block's two word columns once, contiguous
+            lo, hi = (np.ascontiguousarray(words[:, w]) for w in (wi, wi + 1))
+        chunk = lo if off == 0 else (lo << np.uint64(off)) | (hi >> np.uint64(64 - off))
         yield (chunk >> np.uint64(11)).astype(np.float64) * scale
 
 

@@ -247,3 +247,27 @@ def test_holder_certificates(x, y):
         phi = get_observable(name)
         lhs = abs(float(phi(x)) - float(phi(y)))
         assert lhs <= constant * abs(x - y) ** exponent + 1e-12
+
+
+def strided_doubling_orbit_values(n_samples, n_steps, rng):
+    """The oracle: each step reads its two word columns straight from the
+    (n_samples, n_words) array, one stride of n_words words apart."""
+    n_words = (n_steps + 54) // 64 + 2
+    words = rng.integers(0, 2 ** 64, size=(n_samples, n_words), dtype=np.uint64)
+    for k in range(1, n_steps + 1):
+        wi, off = divmod(k, 64)
+        if off == 0:
+            chunk = words[:, wi]
+        else:
+            chunk = (words[:, wi] << np.uint64(off)) | (words[:, wi + 1] >> np.uint64(64 - off))
+        yield (chunk >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+@pytest.mark.parametrize("n_samples", [1, 3])
+@pytest.mark.parametrize("n_steps", [1, 65, 129, 200])
+def test_doubling_orbit_values_equal_the_strided_oracle(n_samples, n_steps):
+    got = list(maps._doubling_orbit_values(n_samples, n_steps, np.random.default_rng(11)))
+    want = list(strided_doubling_orbit_values(n_samples, n_steps, np.random.default_rng(11)))
+    assert len(got) == len(want) == n_steps
+    for g, w in zip(got, want):   # k = 63, 64, 65, 127 and 128 lie inside the longer walks
+        assert g.flags.c_contiguous and g.tobytes() == w.tobytes()
