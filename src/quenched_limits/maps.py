@@ -120,12 +120,23 @@ def _doubling_orbit_values(n_samples: int, n_steps: int, rng: np.random.Generato
 
 
 def _cos2pi(x):
-    return np.cos(2.0 * np.pi * x)
+    # cos 2 pi x = 2 / (1 + tan^2 pi x) - 1 in one float64 buffer: numpy's float64
+    # tan has an AVX-512 loop (~2 ns a point), its cos no SIMD loop (9-15 ns).
+    # Within 1.5e-15 of cos 2 pi x on [0, 1] (worst seen 9.2e-16; np.cos 6.4e-16),
+    # and exactly 1, -1, 1 at 0, 1/2, 1.  Without AVX-512, tan is scalar too and
+    # this costs ~25 % more than np.cos.  x is never written.
+    t = np.multiply(x, np.pi, out=np.empty(np.shape(x)))
+    np.tan(t, out=t)
+    np.square(t, out=t)
+    t += 1.0
+    np.divide(2.0, t, out=t)
+    t -= 1.0
+    return t[()]
 
 
 def _coboundary_cos(x):
     # u(2x mod 1) - u(x) for u = cos(2 pi x); an exact doubling coboundary.
-    return np.cos(4.0 * np.pi * x) - np.cos(2.0 * np.pi * x)
+    return _cos2pi(2.0 * x) - _cos2pi(x)
 
 
 def _smooth_indicator(x):

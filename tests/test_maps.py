@@ -249,6 +249,65 @@ def test_holder_certificates(x, y):
         assert lhs <= constant * abs(x - y) ** exponent + 1e-12
 
 
+LONG_DOUBLE_IS_WIDER = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+PI_LONG = 4 * np.arctan(np.longdouble(1))
+UNIT_EDGES = [0.0, 0.25, 0.5, 0.75, 1.0, 5e-324, math.nextafter(0.5, 0.0),
+              math.nextafter(1.0, 0.0)]
+UNIT_POINTS = st.lists(st.one_of(st.sampled_from(UNIT_EDGES), st.floats(0.0, 1.0)),
+                       min_size=1, max_size=200)
+
+
+def cos2pi_long(x):
+    """cos 2 pi x of the float64 points x, in long double."""
+    return np.cos(2 * PI_LONG * np.asarray(x, dtype=np.longdouble))
+
+
+@pytest.mark.skipif(not LONG_DOUBLE_IS_WIDER, reason="long double is no wider than float64")
+@settings(deadline=None, max_examples=200)
+@given(UNIT_POINTS)
+def test_cos2pi_kernel_is_within_1p5e_15_of_long_double_cos(xs):
+    x = np.array(xs)
+    assert np.max(np.abs(maps._cos2pi(x) - cos2pi_long(x))) <= 1.5e-15
+    # u(2x) - u(x) for u = cos 2 pi x
+    assert np.max(np.abs(maps._coboundary_cos(x) - (cos2pi_long(2 * x) - cos2pi_long(x)))) <= 3e-15
+
+
+@pytest.mark.skipif(not LONG_DOUBLE_IS_WIDER, reason="long double is no wider than float64")
+def test_cos2pi_kernel_on_a_dense_sample_of_the_unit_interval():
+    x = np.concatenate((np.linspace(0.0, 1.0, 2 ** 16 + 1),
+                        np.random.default_rng(3).random(10 ** 5)))
+    assert np.max(np.abs(maps._cos2pi(x) - cos2pi_long(x))) <= 1.5e-15
+    assert np.max(np.abs(maps._coboundary_cos(x) - (cos2pi_long(2 * x) - cos2pi_long(x)))) <= 3e-15
+
+
+def test_cos2pi_kernel_is_exact_at_whole_and_half_turns():
+    assert maps._cos2pi(np.array([0.0, 0.5, 1.0])).tolist() == [1.0, -1.0, 1.0]
+    assert [maps._cos2pi(x) for x in (0.0, 0.5, 1.0)] == [1.0, -1.0, 1.0]
+
+
+@settings(deadline=None, max_examples=100)
+@given(UNIT_POINTS)
+def test_cos_kernels_give_a_scalar_the_bits_of_its_array_entry(xs):
+    for fn in (maps._cos2pi, maps._coboundary_cos):
+        arr = fn(np.array(xs))
+        assert arr.shape == (len(xs),)
+        for x, want in zip(xs, arr):
+            got = fn(x)
+            assert type(got) is np.float64
+            assert got.tobytes() == want.tobytes()
+        assert fn(np.array(xs).reshape(1, -1)).tobytes() == arr.tobytes()
+
+
+def test_cos_kernels_never_write_their_input():
+    x = np.linspace(0.0, 1.0, 1001)
+    before = x.tobytes()
+    frozen = x.copy()
+    frozen.flags.writeable = False   # a write would raise
+    for fn in (maps._cos2pi, maps._coboundary_cos):
+        assert fn(x).tobytes() == fn(frozen).tobytes()
+    assert x.tobytes() == before
+
+
 def strided_doubling_orbit_values(n_samples, n_steps, rng):
     """The oracle: each step reads its two word columns straight from the
     (n_samples, n_words) array, one stride of n_words words apart."""
