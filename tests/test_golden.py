@@ -43,7 +43,10 @@ CONFIGS = {
     # 150000 samples per seed: two full 65536-point blocks and a remainder
     "tail-blocks": LSV + ["--n_seeds", "2", "--n_max", "16", "--samples", "150000",
                           "--cap", "10000"],
-    "partition": LSV + ["--depth_cap", "12"],
+    # a cap below n_max: 12.7 % of the samples cap and count above every n
+    "tail-capped": LSV + ["--n_max", "16", "--samples", "2000", "--cap", "3"],
+    "tail-doubling": DOUBLING + ["--n_max", "16", "--samples", "2000"],
+    "partition":LSV + ["--depth_cap", "12"],
     # deep cells take the most left-branch inverse levels
     "partition-deep": LSV + ["--depth_cap", "40"],
     "density": LSV + GRID,
