@@ -23,6 +23,7 @@ from .util import _BLOCK_VALUES, seed_mean
 
 BASE_LO = 0.5
 CAP_DEFAULT = 10 ** 6
+_MERGE_AT = 8   # steps a tail_curve block walks alone before its survivors are parked
 
 
 @dataclass
@@ -76,12 +77,6 @@ def return_time(seq: ParamSequence, x: float, cap: int = CAP_DEFAULT) -> ReturnR
         raise ValueError("cap must be >= 1")
     n = int(_first_entries(seq, [x], 0, cap)[0][0])
     return ReturnRecord(None if n < 0 else n)
-
-
-def return_times_vec(seq: ParamSequence, xs: np.ndarray, cap: int = CAP_DEFAULT) -> np.ndarray:
-    """Vectorized first-return times; capped points get cap + 1."""
-    R = _first_entries(seq, xs, 0, cap)[0]
-    return np.where(R < 0, cap + 1, R)
 
 
 def nth_return(seq: ParamSequence, x: float, n: int, cap: int = CAP_DEFAULT):
@@ -172,7 +167,7 @@ def _value_counts(values: np.ndarray, n_max: int) -> np.ndarray:
 
 
 def _fraction_above(counts: np.ndarray) -> np.ndarray:
-    """np.mean(values > n) for n = 0 .. n_max, from the _value_counts of the values.
+    """np.mean(values > n) for n = 0 .. n_max, from counts laid out as _value_counts does.
 
     The counts are exact integers, so each entry equals np.mean's sum / size,
     however many arrays the counts were added up from.
@@ -198,26 +193,47 @@ def tail_curve(family: str, bounds: tuple[float, float], seeds: list[int],
     Base points are drawn uniformly on [1/2, 1] for each driving seed; the
     curve is the pooled fraction of samples with R > n, where a capped
     sample counts as above every n, as coupling_tail scores a capped pair.
-    They are drawn and walked _BLOCK_VALUES at a time, one stream of draws
-    per seed, so memory does not grow with samples_per_omega.
+    They are drawn _BLOCK_VALUES at a time, one stream per seed, and walk
+    alone for _MERGE_AT steps; the seed's survivors then walk on together to
+    cap, in groups of at most _BLOCK_VALUES, so memory does not grow with
+    samples_per_omega.  Only exact integer counts are kept, whatever _MERGE_AT is.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if samples_per_omega < 1:
         raise ValueError("samples_per_omega must be >= 1")
     per_seed = np.empty((len(seeds), n_max + 1))
-    capped_total = 0
+    merge, capped_total = min(_MERGE_AT, cap), 0
     for si, seed in enumerate(seeds):
         seq = make_sequence(seed, family, bounds)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xA11))))
         counts = np.zeros(n_max + 2, dtype=np.int64)
-        for start in range(0, samples_per_omega, _BLOCK_VALUES):
+        parked = []
+        # one empty block past the last walks what is still parked
+        for start in [*range(0, samples_per_omega, _BLOCK_VALUES), samples_per_omega]:
             xs = BASE_LO + 0.5 * rng.random(min(_BLOCK_VALUES, samples_per_omega - start))
-            R = return_times_vec(seq, xs, cap)
-            capped_total += int(np.count_nonzero(R > cap))
-            counts += _value_counts(np.where(R > cap, n_max + 1, R), n_max)
+            y = _count_returns(seq, xs, 0, merge, counts)
+            if start == samples_per_omega or sum(p.size for p in parked) + y.size > _BLOCK_VALUES:
+                capped = _count_returns(seq, np.concatenate(parked), merge, cap, counts).size
+                counts[-1] += capped   # a capped sample is above every n
+                capped_total += capped
+                parked = []
+            parked.append(y)
         per_seed[si] = _fraction_above(counts)
     return _pooled_tail(np.arange(0, n_max + 1), per_seed, samples_per_omega, capped_total)
+
+
+def _count_returns(seq: ParamSequence, y: np.ndarray, t: int, t_end: int, counts: np.ndarray):
+    """Step y from tower time t to t_end; returns the points that have not entered the base.
+
+    The points that enter it at time n are added to counts[min(n, counts.size - 1)]."""
+    for n in range(t + 1, t_end + 1):
+        if y.size == 0:
+            break
+        z = apply(fiber_map(seq, n - 1), y)
+        y = z[z < BASE_LO]
+        counts[min(n, counts.size - 1)] += z.size - y.size
+    return y
 
 
 def _pooled_tail(ns: np.ndarray, per_seed: np.ndarray, draws: int, capped: int) -> TailCurve:

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quenched_limits import tower
 from quenched_limits.maps import (FiberMap, _iterates, apply, derivative, fiber_map,
@@ -71,11 +71,17 @@ def scalar_separation_time(seq, x, y, cap, return_cap):
     return math.inf
 
 
-def test_return_times_vec_matches_scalar():
+def first_return_times(seq, xs, cap):
+    """Each point's first return time from one _first_entries walk; cap + 1 when it caps."""
+    R = tower._first_entries(seq, xs, 0, cap)[0]
+    return np.where(R < 0, cap + 1, R)
+
+
+def test_first_return_times_match_scalar():
     seq = lsv_seq(4)
     rng = np.random.default_rng(0)
     xs = 0.5 + 0.5 * rng.random(50)
-    vec = tower.return_times_vec(seq, xs, cap=10 ** 5)
+    vec = first_return_times(seq, xs, cap=10 ** 5)
     for x, r in zip(xs, vec):
         assert scalar_first_hits(seq, float(x), 0, 1, 10 ** 5)[0] == r
 
@@ -96,7 +102,7 @@ base_points = st.floats(min_value=0.5, max_value=1.0)
        l=st.integers(0, 6), cap=st.integers(1, 30))
 def test_return_times_match_scalar_oracle(seq, xs, l, cap):
     # caps of at most 30 steps make some legs cap, in either family
-    vec = tower.return_times_vec(seq, np.array(xs), cap)
+    vec = first_return_times(seq, np.array(xs), cap)
     for x, r in zip(xs, vec):
         want = scalar_first_hits(seq, x, 0, 1, cap)[0]
         assert r == (cap + 1 if want is None else want)
@@ -230,7 +236,7 @@ def test_tail_curve_consistent_with_exact():
 
 @pytest.mark.parametrize("size", [1, 7, 1000, 250000])
 def test_fraction_above_equals_mean_per_n(size):
-    # return times as return_times_vec gives them: 1 .. cap, and cap + 1 when capped
+    # return times as first_return_times gives them: 1 .. cap, and cap + 1 when capped
     cap = 30
     rng = np.random.default_rng(size)
     R = np.minimum(rng.geometric(0.15, size), cap + 1)
@@ -250,11 +256,102 @@ def test_tail_curve_with_capped_returns_matches_mean_loop(block_values, monkeypa
     for seed in (2, 5):
         seq = make_sequence(seed, "lsv", (0.85, 0.95))
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xA11))))
-        R = tower.return_times_vec(seq, 0.5 + 0.5 * rng.random(3000), 25)
+        R = first_return_times(seq, 0.5 + 0.5 * rng.random(3000), 25)
         # a capped sample (R = cap + 1) is above every n
         per_seed.append([np.mean((R > n) | (R > 25)) for n in range(41)])
     assert tc.capped_fraction > 0.0
     assert tc.tail.tobytes() == np.mean(per_seed, axis=0).tobytes()
+
+
+def oracle_tail_curve(family, bounds, seeds, n_max, samples, cap):
+    """tail_curve from each point's own first return time: one mean per n and seed."""
+    per_seed, capped = [], 0
+    for seed in seeds:
+        seq = make_sequence(seed, family, bounds)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xA11))))
+        R = first_return_times(seq, 0.5 + 0.5 * rng.random(samples), cap)
+        # a capped sample (R = cap + 1) is above every n
+        per_seed.append([np.mean((R > n) | (R > cap)) for n in range(n_max + 1)])
+        capped += int(np.count_nonzero(R > cap))
+    return tower._pooled_tail(np.arange(n_max + 1), np.array(per_seed), samples, capped)
+
+
+def assert_same_curve(got, want):
+    for name in ("n", "tail", "std_err"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (got.n_eff, got.capped_fraction, got.warnings) == (
+        want.n_eff, want.capped_fraction, want.warnings)
+
+
+families = st.one_of(st.just(("doubling", (0.0, 0.0))),
+                     st.floats(0.01, 0.89).map(lambda lo: ("lsv", (lo, lo + 0.1))))
+
+
+# caps below, at and above the merge step; 1 and 2500 samples are no multiple of 7 or 1000
+@settings(max_examples=40, deadline=None)
+@given(family=families, seeds=st.lists(st.integers(0, 99), min_size=1, max_size=2),
+       n_max=st.integers(2, 45), samples=st.integers(1, 1500), cap=st.integers(1, 40),
+       merge=st.sampled_from([1, 2, 8, "cap", "cap + 5"]),
+       block_values=st.sampled_from([1, 7, 1000, tower._BLOCK_VALUES]))
+@example(family=("lsv", (0.85, 0.95)), seeds=[2], n_max=20, samples=1, cap=3, merge=8,
+         block_values=tower._BLOCK_VALUES)
+@example(family=("lsv", (0.85, 0.95)), seeds=[2, 5], n_max=20, samples=2500, cap=8, merge=8,
+         block_values=1000)
+@example(family=("lsv", (0.5, 0.6)), seeds=[1], n_max=40, samples=2500, cap=30, merge=8,
+         block_values=7)
+@example(family=("doubling", (0.0, 0.0)), seeds=[3], n_max=16, samples=2500, cap=40,
+         merge="cap + 5", block_values=1000)
+def test_tail_curve_equals_per_point_return_times(family, seeds, n_max, samples, cap, merge,
+                                                   block_values):
+    merge = {"cap": cap, "cap + 5": cap + 5}.get(merge, merge)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tower, "_MERGE_AT", merge)
+        m.setattr(tower, "_BLOCK_VALUES", block_values)
+        got = tower.tail_curve(*family, seeds, n_max, samples, cap)
+    assert_same_curve(got, oracle_tail_curve(*family, seeds, n_max, samples, cap))
+
+
+def test_tail_curve_walks_no_array_past_the_block_size(monkeypatch):
+    # 30 blocks of 1000 leave about 70 survivors each at step 8, so the parked
+    # points must walk on early, before the last block is drawn
+    monkeypatch.setattr(tower, "_BLOCK_VALUES", 1000)
+    sizes, parked_walks = [], []
+    count_returns = tower._count_returns
+
+    def sized_apply(fmap, y):
+        sizes.append(np.size(y))
+        return apply(fmap, y)
+
+    def watched_count_returns(seq, y, t, t_end, counts):
+        if t > 0:
+            parked_walks.append(y.size)
+        return count_returns(seq, y, t, t_end, counts)
+
+    monkeypatch.setattr(tower, "apply", sized_apply)
+    monkeypatch.setattr(tower, "_count_returns", watched_count_returns)
+    got = tower.tail_curve("lsv", (0.85, 0.95), [2], 40, 30000, cap=200)
+    assert max(sizes) <= 1000
+    assert len(parked_walks) >= 2 and max(parked_walks) <= 1000
+    monkeypatch.undo()
+    assert_same_curve(got, oracle_tail_curve("lsv", (0.85, 0.95), [2], 40, 30000, 200))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_tail_curve_walks_each_seed_once_past_the_merge_step(seed, monkeypatch):
+    # 150000 samples: two full blocks and a remainder, whose survivors walk on together
+    calls = []
+
+    def counting_apply(fmap, y):
+        calls.append(np.size(y))
+        return apply(fmap, y)
+
+    monkeypatch.setattr(tower, "apply", counting_apply)
+    tower.tail_curve("lsv", (0.2, 0.4), [seed], 16, 150000)
+    monkeypatch.undo()
+    seq = make_sequence(seed, "lsv", (0.2, 0.4))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xA11))))
+    largest_R = int(first_return_times(seq, 0.5 + 0.5 * rng.random(150000), 10 ** 6).max())
+    assert largest_R <= len(calls) <= 3 * tower._MERGE_AT + largest_R - tower._MERGE_AT
 
 
 def test_tail_curve_counts_a_capped_sample_above_every_n():
