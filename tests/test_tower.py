@@ -77,6 +77,12 @@ def first_return_times(seq, xs, cap):
     return np.where(R < 0, cap + 1, R)
 
 
+def drawn_base_points(seed, samples):
+    """The base points tail_curve draws for seed, as one array."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xA11))))
+    return 0.5 + 0.5 * rng.random(samples)
+
+
 def test_first_return_times_match_scalar():
     seq = lsv_seq(4)
     rng = np.random.default_rng(0)
@@ -255,12 +261,23 @@ def test_tail_curve_with_capped_returns_matches_mean_loop(block_values, monkeypa
     per_seed = []
     for seed in (2, 5):
         seq = make_sequence(seed, "lsv", (0.85, 0.95))
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xA11))))
-        R = first_return_times(seq, 0.5 + 0.5 * rng.random(3000), 25)
+        R = first_return_times(seq, drawn_base_points(seed, 3000), 25)
         # a capped sample (R = cap + 1) is above every n
         per_seed.append([np.mean((R > n) | (R > 25)) for n in range(41)])
     assert tc.capped_fraction > 0.0
     assert tc.tail.tobytes() == np.mean(per_seed, axis=0).tobytes()
+
+
+def test_count_returns_counts_each_entry_once_and_tops_out_the_last_bin():
+    # 1/2 is in the base, as _first_entries has it: 0.75 -> 0.5 enters at n = 1, and
+    # 0.5625 -> 0.125 -> 0.25 -> 0.5 at n = 3, past n_max = 1, so in the top bin;
+    # 0.53125 -> 0.0625 -> 0.125 -> 0.25 is still out
+    counts = np.zeros(3, dtype=np.int64)
+    xs = np.array([0.75, 0.5625, 0.53125])
+    left = tower._count_returns(doubling_seq(), xs, 0, 3, counts)
+    assert counts.tolist() == [0, 1, 1]
+    assert left.tolist() == [0.25]
+    assert tower._first_entries(doubling_seq(), xs, 0, 3)[0].tolist() == [1, 3, -1]
 
 
 def oracle_tail_curve(family, bounds, seeds, n_max, samples, cap):
@@ -268,8 +285,7 @@ def oracle_tail_curve(family, bounds, seeds, n_max, samples, cap):
     per_seed, capped = [], 0
     for seed in seeds:
         seq = make_sequence(seed, family, bounds)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xA11))))
-        R = first_return_times(seq, 0.5 + 0.5 * rng.random(samples), cap)
+        R = first_return_times(seq, drawn_base_points(seed, samples), cap)
         # a capped sample (R = cap + 1) is above every n
         per_seed.append([np.mean((R > n) | (R > cap)) for n in range(n_max + 1)])
         capped += int(np.count_nonzero(R > cap))
@@ -287,7 +303,8 @@ families = st.one_of(st.just(("doubling", (0.0, 0.0))),
                      st.floats(0.01, 0.89).map(lambda lo: ("lsv", (lo, lo + 0.1))))
 
 
-# caps below, at and above the merge step; 1 and 2500 samples are no multiple of 7 or 1000
+# the examples: caps below, at and above the merge step, one sample, and 2500 samples,
+# which is no multiple of 7 or 1000
 @settings(max_examples=40, deadline=None)
 @given(family=families, seeds=st.lists(st.integers(0, 99), min_size=1, max_size=2),
        n_max=st.integers(2, 45), samples=st.integers(1, 1500), cap=st.integers(1, 40),
@@ -349,8 +366,7 @@ def test_tail_curve_walks_each_seed_once_past_the_merge_step(seed, monkeypatch):
     tower.tail_curve("lsv", (0.2, 0.4), [seed], 16, 150000)
     monkeypatch.undo()
     seq = make_sequence(seed, "lsv", (0.2, 0.4))
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xA11))))
-    largest_R = int(first_return_times(seq, 0.5 + 0.5 * rng.random(150000), 10 ** 6).max())
+    largest_R = int(first_return_times(seq, drawn_base_points(seed, 150000), 10 ** 6).max())
     assert largest_R <= len(calls) <= 3 * tower._MERGE_AT + largest_R - tower._MERGE_AT
 
 
