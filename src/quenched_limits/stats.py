@@ -209,7 +209,9 @@ def brownian_functional_samples(functional: str, sigma: float, n_paths: int,
 
     Stream layout: paths come in blocks of _block_rows(n_steps) rows, and for
     each block of m paths the Philox stream holds its m * n_steps standard
-    normals (row-major), then its m * n_steps uniforms.
+    normals (row-major), then its m * n_steps uniforms.  A block is computed
+    with whole-block array temporaries, so memory is bounded by the block
+    size, not by n_paths.
     """
     if functional != "sup":
         raise ValueError(f"unknown functional {functional!r}")
@@ -219,29 +221,13 @@ def brownian_functional_samples(functional: str, sigma: float, n_paths: int,
     c = 2.0 * sigma * sigma * dt
     out = np.empty(n_paths)
     rows = _block_rows(n_steps)
-    w_buf, u_buf, t_buf = np.empty((3, min(rows, n_paths), n_steps))
     for r in range(0, n_paths, rows):
         m = min(rows, n_paths - r)
-        _sup_block(rng, out[r:r + m], w_buf[:m], u_buf[:m], t_buf[:m], scale, c)
+        w = np.cumsum(rng.standard_normal((m, n_steps)) * scale, axis=1)
+        u = rng.random((m, n_steps))
+        a = np.concatenate((np.zeros((m, 1)), w[:, :-1]), axis=1)   # w_0 = 0
+        out[r:r + m] = 0.5 * np.max(a + w + np.sqrt((w - a) ** 2 - c * np.log(u)), axis=1)
     return out
-
-
-def _sup_block(rng, row_out, w, u, t, scale, c):
-    """Draw one block's normals into w, then its uniforms into u, and write
-    each path's sup into row_out; w, u and t (scratch) have len(row_out) rows."""
-    rng.standard_normal(out=w)
-    rng.random(out=u)
-    w *= scale
-    np.cumsum(w, axis=1, out=w)
-    np.multiply(c, np.log(u, out=u), out=u)
-    t[:, 0] = w[:, 0]                              # b - a with a = 0
-    np.subtract(w[:, 1:], w[:, :-1], out=t[:, 1:])
-    np.subtract(np.square(t, out=t), u, out=t)
-    np.sqrt(t, out=t)
-    np.add(0.0, w[:, 0], out=u[:, 0])              # a + b with a = 0
-    np.add(w[:, :-1], w[:, 1:], out=u[:, 1:])
-    np.max(np.add(u, t, out=u), axis=1, out=row_out)
-    row_out *= 0.5
 
 
 def brownian_sup_cdf(a: np.ndarray, sigma: float = 1.0) -> np.ndarray:

@@ -13,7 +13,6 @@ as exact triplets, for the soundness checks and the decomposition's one pull.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,17 +34,9 @@ def nearest_bin(x: np.ndarray, n_bins: int) -> np.ndarray:
 
 def bin_average(fn, n_bins: int, subsamples: int) -> np.ndarray:
     """Bin-averaged observable values from subsamples stratified midpoints per bin."""
-    pts = _stratified_points(n_bins, subsamples)
-    return np.asarray(fn(pts)).reshape(n_bins, subsamples).mean(axis=1)
-
-
-@functools.lru_cache(maxsize=8)
-def _stratified_points(n_bins: int, subsamples: int) -> np.ndarray:
-    """The subsamples midpoints of each bin, bin-major; cached read-only per grid."""
     offs = (np.arange(subsamples) + 0.5) / subsamples
-    pts = ((np.arange(n_bins)[:, None] + offs[None, :]) / n_bins).ravel()
-    pts.flags.writeable = False
-    return pts
+    pts = ((np.arange(n_bins)[:, None] + offs[None, :]) / n_bins).ravel()   # bin-major
+    return np.asarray(fn(pts)).reshape(n_bins, subsamples).mean(axis=1)
 
 
 @dataclass(frozen=True)

@@ -72,16 +72,6 @@ def test_ulam_entries_match_sampled_full_grid_oracle(n_bins, alpha):
     assert np.max(np.abs(exact - sampled)) <= 2.0 / 2 ** 12
 
 
-def test_grid_cache_is_read_only_and_shared_with_bin_average():
-    pts = transfer._stratified_points(8, 16)
-    assert pts is transfer._stratified_points(8, 16)
-    with pytest.raises(ValueError):
-        pts[0] = 0
-    seen = []
-    transfer.bin_average(lambda x: seen.append(x) or x, 8, 16)
-    assert seen[0] is pts
-
-
 GRIDS = [*range(2, 601), 4095, 8191]
 
 
