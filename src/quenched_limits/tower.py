@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maps import FiberMap, _iterates, apply, derivative, fiber_map, left_branch_inverse
+from .maps import FiberMap, apply, derivative, fiber_map, left_branch_inverse
 from .omega import ParamSequence, make_sequence
 from .util import _BLOCK_VALUES, seed_mean
 
@@ -128,16 +128,12 @@ def _image_ok(seq: ParamSequence, lo: np.ndarray, hi: np.ndarray, R: np.ndarray,
               tol: float) -> np.ndarray:
     """Does f^R map each cell (lo, hi) onto the base up to tol at both ends?
 
-    Twelve probes inside each end of every cell walk together, in one walk
-    up to the largest R, and each cell's probes are read at its own R;
-    apply gives a point the same bits in any array.
+    Twelve probes inside each end of every cell walk together, in one
+    induced_jacobian walk, and each cell's probes stop at its own R.
     """
     offsets = (hi - lo)[:, None] * np.array([10.0 ** -j for j in range(1, 13)])
     probes = np.concatenate([lo[:, None] + offsets, hi[:, None] - offsets], axis=1)
-    at_R = np.empty_like(probes)
-    for n, y in enumerate(_iterates(seq, probes, int(R.max(initial=0))), start=1):
-        done = R == n
-        at_R[done] = y[done]
+    at_R = induced_jacobian(seq, probes, R[:, None])[0]
     low_ok = np.any(at_R[:, :12] <= BASE_LO + max(tol, 1e-9), axis=1)
     high_ok = np.any(at_R[:, 12:] >= 1.0 - max(tol, 1e-6), axis=1)
     return low_ok & high_ok
@@ -280,14 +276,20 @@ def separation_time(seq: ParamSequence, x: float, y: float, cap: int = 64,
     return math.inf
 
 
-def induced_jacobian(seq: ParamSequence, x, R: int):
-    """(f^R x, product of the derivatives along the first R steps); scalars or arrays."""
-    y, jac = x, 1.0
-    for k in range(R):
-        fmap = fiber_map(seq, k)
-        jac = jac * derivative(fmap, y)
-        y = apply(fmap, y)
-    return y, jac
+def induced_jacobian(seq: ParamSequence, x, R):
+    """(f^R x, product of the derivatives along the first R steps); scalars or arrays.
+
+    R may be an integer array broadcast against x: every point walks in one
+    walk, one fiber_map, derivative and apply per step, and stops at its own
+    R.  apply and derivative give a point the same bits in any array.
+    """
+    y, R = np.broadcast_arrays(np.asarray(x, dtype=float), R)
+    jac = np.ones(y.shape)
+    for k in range(int(R.max(initial=0))):
+        fmap, go = fiber_map(seq, k), k < R
+        jac = np.where(go, jac * derivative(fmap, y), jac)
+        y = np.where(go, apply(fmap, y), y)
+    return y[()], jac[()]
 
 
 def distortion_check(seq: ParamSequence, partition: ReturnPartition,
@@ -303,26 +305,23 @@ def distortion_check(seq: ParamSequence, partition: ReturnPartition,
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((rng_seed, 0xD157))))
     masses = partition.hi - partition.lo
     probs = masses / masses.sum()
+    ci, u = np.empty(pair_samples, dtype=np.int64), np.empty((pair_samples, 2))
+    for i in range(pair_samples):   # a cell, then a pair in it, per sample
+        ci[i], u[i] = rng.choice(masses.size, p=probs), rng.random(2)
+    lo, hi = partition.lo[ci, None], partition.hi[ci, None]
+    pts = lo + (hi - lo) * u
+    keep = pts[:, 0] != pts[:, 1]
+    (x, y), R = pts[keep].T, partition.R[ci[keep]]
+    (fx, fy), (jx, jy) = induced_jacobian(seq, np.array([x, y]), R)
+    dev = np.abs(jx / jy - 1.0)
+    expansion = np.abs(fx - fy) / np.abs(x - y)
+    min_expansion = float(expansion.min(initial=math.inf))
+    violations = int(np.count_nonzero(expansion < 1.0 / beta))
     max_cf = 0.0
-    min_expansion = math.inf
-    violations = 0
-    for _ in range(pair_samples):
-        ci = rng.choice(masses.size, p=probs)
-        lo, hi, R = partition.lo[ci], partition.hi[ci], partition.R[ci]
-        x, y = lo + (hi - lo) * rng.random(2)
-        if x == y:
-            continue
-        (fx, fy), (jx, jy) = induced_jacobian(seq, np.array([x, y]), R)
-        dev = abs(jx / jy - 1.0)
-        expansion = abs(fx - fy) / abs(x - y)
-        min_expansion = min(min_expansion, expansion)
-        if expansion < 1.0 / beta:
-            violations += 1
-        if dev > 0.0:
-            s = separation_time(seq, x, y, cap=64)
-            denom = beta ** s if s != math.inf else 0.0
-            if denom > 0:
-                max_cf = max(max_cf, dev / denom)
+    for xi, yi, d in zip(x[dev > 0], y[dev > 0], dev[dev > 0]):
+        s = separation_time(seq, xi, yi, cap=64)
+        if s != math.inf:
+            max_cf = max(max_cf, d / beta ** s)
     return {
         "empirical_CF": max_cf,
         "beta_hat": 1.0 / min_expansion,   # the largest inverse expansion

@@ -194,6 +194,13 @@ def test_image_ok_matches_per_cell_walks():
     assert part.image_ok.all()
 
 
+def test_image_ok_low_end_tolerance_is_1e_9():
+    # doubling's R = 1 cell is [3/4, 1]; shrunk to (3/4 + 2e-9, 1], all its
+    # low-end probes land at 1/2 + 4e-9 or above, past 1/2 + 1e-9
+    lo, hi, R = np.array([0.75, 0.75 + 2e-9]), np.ones(2), np.ones(2, dtype=np.int64)
+    assert tower._image_ok(doubling_seq(), lo, hi, R, 1e-12).tolist() == [True, False]
+
+
 @pytest.mark.parametrize("refine_tol", [math.nan, -1e-12, math.inf])
 def test_build_partition_rejects_bad_refine_tol(refine_tol):
     # a NaN tolerance used to mark every cell's image as not onto the base
@@ -377,6 +384,13 @@ def test_tail_curve_counts_a_capped_sample_above_every_n():
     assert np.all(tc.tail[10:] == tc.capped_fraction)
 
 
+@pytest.mark.parametrize("capped, warned", [(10, False), (11, True)])
+def test_pooled_tail_warns_only_past_one_percent_capped(capped, warned):
+    tc = tower._pooled_tail(np.arange(3), np.full((1, 3), 0.5), 1000, capped)
+    assert tc.capped_fraction == capped / 1000
+    assert tc.warnings == ([f"capped fraction {capped / 1000:.3f} exceeds 1%"] if warned else [])
+
+
 def test_tail_curve_needs_a_sample_per_seed():
     with pytest.raises(ValueError, match="samples_per_omega"):
         tower.tail_curve("doubling", (0.0, 0.0), [1], 10, 0)
@@ -442,6 +456,25 @@ def test_induced_jacobian_array_matches_per_point_walks():
             for alpha in seq.params(0, R):
                 w = apply(FiberMap(seq.family, alpha), w)
             assert y == w
+
+
+@settings(max_examples=150, deadline=None)
+@given(seq=sequences(), xs=st.lists(base_points, min_size=1, max_size=8),
+       Rs=st.lists(st.integers(0, 12), min_size=8, max_size=8), scalar_x=st.booleans())
+def test_induced_jacobian_per_point_R_matches_scalar_walks(seq, xs, Rs, scalar_x):
+    # one walk, each point stopping at its own R, gives every point the bits
+    # of its own scalar walk; a scalar x is broadcast against R
+    x = xs[0] if scalar_x else np.array(xs)
+    R = np.array(Rs if scalar_x else Rs[:len(xs)])
+    ys, jacs = tower.induced_jacobian(seq, x, R)
+    assert ys.shape == jacs.shape == R.shape
+    for xi, r, y, jac in zip(np.broadcast_to(x, R.shape).tolist(), R.tolist(), ys, jacs):
+        z, j = xi, 1.0
+        for k in range(r):
+            fmap = fiber_map(seq, k)
+            j *= derivative(fmap, z)
+            z = apply(fmap, z)
+        assert (y, jac) == (z, j)
 
 
 def test_build_partition_inverts_once_per_level(monkeypatch):
