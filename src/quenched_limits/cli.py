@@ -202,7 +202,7 @@ def run_partition(cfg: ExperimentConfig) -> dict:
 def run_density(cfg: ExperimentConfig) -> dict:
     seq = cfg.sequence()
     h = transfer_mod.equivariant_density(seq, cfg.n_bins, cfg.depth)
-    resid = transfer_mod.equivariance_residual(seq, cfg.n_bins, cfg.depth, cfg.subsamples)
+    resid = transfer_mod.equivariance_residual(seq, cfg.n_bins, cfg.depth)
     return {"density.csv": (["bin", "mass", "density"],
                             [np.arange(cfg.n_bins), h, h * cfg.n_bins]),
             "density.json": {"equivariance_residual_l1": resid, "depth": cfg.depth,

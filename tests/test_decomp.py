@@ -122,3 +122,12 @@ def test_invalid_k():
     seq = make_sequence(1, "doubling", (0.0, 0.0))
     with pytest.raises(ValueError):
         decomp.martingale_psi(seq, get_observable("cos2pi"), -1, 64, 4)
+
+
+@pytest.mark.parametrize("K_trunc, warned", [(3, True), (6, False)])
+def test_series_tail_warns_past_ten_percent_of_the_first_term(K_trunc, warned):
+    # the last series term is 0.133 of the first at K_trunc 3 and 0.062 at 6
+    seq = make_sequence(1, "lsv", (0.3, 0.5))
+    d = decomp.martingale_psi(seq, get_observable("cos2pi"), K_trunc, 128, 6, 8)
+    assert len(d.warnings) == warned
+    assert all(w.startswith("series tail") for w in d.warnings)
