@@ -279,8 +279,8 @@ def separation_time(seq: ParamSequence, x: float, y: float, cap: int = 64,
 def induced_jacobian(seq: ParamSequence, x, R):
     """(f^R x, product of the derivatives along the first R steps); scalars or arrays.
 
-    R may be an integer array broadcast against x: every point walks in one
-    walk, one fiber_map, derivative and apply per step, and stops at its own
+    R may be an integer array broadcast against x: all points walk together,
+    one fiber_map, derivative and apply per step, and each stops at its own
     R.  apply and derivative give a point the same bits in any array.
     """
     y, R = np.broadcast_arrays(np.asarray(x, dtype=float), R)
@@ -306,7 +306,7 @@ def distortion_check(seq: ParamSequence, partition: ReturnPartition,
     masses = partition.hi - partition.lo
     probs = masses / masses.sum()
     ci, u = np.empty(pair_samples, dtype=np.int64), np.empty((pair_samples, 2))
-    for i in range(pair_samples):   # a cell, then a pair in it, per sample
+    for i in range(pair_samples):   # stream order: a cell, then a pair in it, per sample
         ci[i], u[i] = rng.choice(masses.size, p=probs), rng.random(2)
     lo, hi = partition.lo[ci, None], partition.hi[ci, None]
     pts = lo + (hi - lo) * u
