@@ -36,12 +36,24 @@ class FiberMap:
 
 
 def apply(fmap: FiberMap, x):
-    """One application of the fiber map; accepts scalars or arrays."""
+    """One application of the fiber map; accepts scalars or arrays.
+
+    x's NaN-ignoring min and max serve as the range check and pick the
+    branch: an array wholly in [1/2, 1] computes only 2x - 1 (already in
+    [0, 1]), one wholly below 1/2 only the left formula, and a mixed one
+    both.  Each point gets the operations, so the bits, of the mixed form.
+    """
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
+    lo, hi = (np.fmin.reduce(x, axis=None), np.fmax.reduce(x, axis=None)) if x.size else (0.0, 1.0)
+    if lo < 0.0 or hi > 1.0:
         raise ValueError("point outside [0, 1]")
     a = fmap.alpha
-    y = np.clip(np.where(x < 0.5, x * (1.0 + 2.0 ** a * x ** a), 2.0 * x - 1.0), 0.0, 1.0)
+    if lo >= 0.5:
+        y = 2.0 * x - 1.0
+    elif hi < 0.5:
+        y = np.clip(x * (1.0 + 2.0 ** a * x ** a), 0.0, 1.0)
+    else:
+        y = np.clip(np.where(x < 0.5, x * (1.0 + 2.0 ** a * x ** a), 2.0 * x - 1.0), 0.0, 1.0)
     return float(y) if y.ndim == 0 else y
 
 

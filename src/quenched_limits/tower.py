@@ -280,15 +280,16 @@ def induced_jacobian(seq: ParamSequence, x, R):
     """(f^R x, product of the derivatives along the first R steps); scalars or arrays.
 
     R may be an integer array broadcast against x: all points walk together,
-    one fiber_map, derivative and apply per step, and each stops at its own
-    R.  apply and derivative give a point the same bits in any array.
+    one fiber_map, derivative and apply per step on the points still
+    walking, and each stops at its own R.  apply and derivative give a point
+    the same bits in any array.
     """
     y, R = np.broadcast_arrays(np.asarray(x, dtype=float), R)
-    jac = np.ones(y.shape)
+    y, jac = y.copy(), np.ones(y.shape)   # broadcast views are read-only
     for k in range(int(R.max(initial=0))):
         fmap, go = fiber_map(seq, k), k < R
-        jac = np.where(go, jac * derivative(fmap, y), jac)
-        y = np.where(go, apply(fmap, y), y)
+        jac[go] = jac[go] * derivative(fmap, y[go])
+        y[go] = apply(fmap, y[go])
     return y[()], jac[()]
 
 

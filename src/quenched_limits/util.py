@@ -73,13 +73,12 @@ def fmt17(x) -> str:
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
-    """Deterministic CSV emission with fixed float formatting."""
-    rows = zip(*columns)
+    """Deterministic CSV emission: floats as fmt17 writes them, other values as str."""
+    columns = [np.asarray(c) for c in columns]
+    line = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt17(v) if isinstance(v, (float, np.floating)) else str(v)
-                              for v in row) + "\n")
+        fh.writelines(line % row for row in zip(*(c.tolist() for c in columns)))
 
 
 def write_json(path: Path, obj: dict):

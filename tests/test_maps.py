@@ -90,10 +90,47 @@ def test_doubling_needs_alpha_zero():
 
 def test_domain_check():
     f = FiberMap("lsv", 0.2)
-    with pytest.raises(ValueError):
-        apply(f, -0.1)
-    with pytest.raises(ValueError):
-        apply(f, np.array([0.2, 1.3]))
+    for bad in (-0.1, [-0.1], [1.3], np.array([0.2, 1.3]), [math.nan, -1.0]):
+        with pytest.raises(ValueError, match="outside"):
+            apply(f, bad)
+    # NaN is not out of range: the check ignores it, as x < 0 and x > 1 do
+    assert np.isnan(apply(f, [math.nan, 0.2])).tolist() == [True, False]
+
+
+def reference_apply(fmap, x):
+    # both branches on every point, as apply computed them before it chose one
+    a = fmap.alpha
+    return np.clip(np.where(x < 0.5, x * (1.0 + 2.0 ** a * x ** a), 2.0 * x - 1.0), 0.0, 1.0)
+
+
+_BELOW_HALF = math.nextafter(0.5, 0.0)
+SIDES = {"left": st.one_of(st.sampled_from([0.0, -0.0, _BELOW_HALF]),
+                           st.floats(0.0, _BELOW_HALF)),
+         "right": st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.5, 1.0))}
+SIDES["mixed"] = st.one_of(SIDES["left"], SIDES["right"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+       side=st.sampled_from(sorted(SIDES)), ndim=st.sampled_from([0, 1, 2]),
+       nan=st.booleans(), data=st.data())
+def test_apply_matches_the_two_branch_reference_bit_for_bit(alpha, side, ndim, nan, data):
+    # one-sided arrays compute one branch, mixed ones both; every point keeps
+    # the bits of the reference, for 0-d, empty and 2-D inputs alike
+    fmap = FiberMap("doubling", 0.0) if alpha is None else FiberMap("lsv", alpha)
+    xs = data.draw(st.lists(SIDES[side], max_size=24))
+    if nan:
+        xs.insert(data.draw(st.integers(0, len(xs))), math.nan)
+    if ndim == 0:
+        x = np.array(xs[0] if xs else 0.5)
+    else:
+        x = np.array(xs[:len(xs) // 2 * 2]).reshape(2, -1) if ndim == 2 else np.array(xs)
+    got, want = apply(fmap, x), reference_apply(fmap, x)
+    assert isinstance(got, float) == (x.ndim == 0)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == x.shape and np.array_equal(np.isnan(got), np.isnan(want))
+    # NaN compared as NaN, every other point bit for bit (-0.0 included)
+    assert np.where(np.isnan(got), 2.0, got).tobytes() == np.where(np.isnan(want), 2.0, want).tobytes()
 
 
 def test_vectorized_matches_scalar():
