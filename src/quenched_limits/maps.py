@@ -38,10 +38,9 @@ class FiberMap:
 def apply(fmap: FiberMap, x):
     """One application of the fiber map; accepts scalars or arrays.
 
-    x's NaN-ignoring min and max serve as the range check and pick the
-    branch: an array wholly in [1/2, 1] computes only 2x - 1 (already in
-    [0, 1]), one wholly below 1/2 only the left formula, and a mixed one
-    both.  Each point gets the operations, so the bits, of the mixed form.
+    x's NaN-ignoring min and max are the range check and pick the branch: an
+    array wholly in [1/2, 1] computes only 2x - 1, one wholly below 1/2 only
+    the left formula, a mixed one both; each point keeps the mixed form's bits.
     """
     x = np.asarray(x, dtype=float)
     lo, hi = (np.fmin.reduce(x, axis=None), np.fmax.reduce(x, axis=None)) if x.size else (0.0, 1.0)

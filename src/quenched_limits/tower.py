@@ -279,10 +279,9 @@ def separation_time(seq: ParamSequence, x: float, y: float, cap: int = 64,
 def induced_jacobian(seq: ParamSequence, x, R):
     """(f^R x, product of the derivatives along the first R steps); scalars or arrays.
 
-    R may be an integer array broadcast against x: all points walk together,
-    one fiber_map, derivative and apply per step on the points still
-    walking, and each stops at its own R.  apply and derivative give a point
-    the same bits in any array.
+    R may be an integer array broadcast against x: the points walk together,
+    step k maps only those with k < R, so each stops at its own R.  apply
+    and derivative give a point the same bits in any array.
     """
     y, R = np.broadcast_arrays(np.asarray(x, dtype=float), R)
     y, jac = y.copy(), np.ones(y.shape)   # broadcast views are read-only

@@ -60,7 +60,7 @@ def test_write_csv_matches_the_per_value_writer(tmp_path):
     edges = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308,
                       -1.7976931348623157e308, 3.0, -17.0, 2.0 ** 53, 1e16, 0.1, 1.0 / 3.0])
     rng = np.random.default_rng(7)
-    bits = rng.integers(0, 2 ** 64, 4096 - edges.size, dtype=np.uint64)
+    bits = rng.integers(0, 2 ** 64, 3000 - edges.size, dtype=np.uint64)
     floats = np.concatenate([edges, bits.view(np.float64)])   # every exponent and sign
     n = floats.size
     singles = rng.integers(0, 2 ** 32, n, dtype=np.uint32).view(np.float32)
@@ -68,7 +68,9 @@ def test_write_csv_matches_the_per_value_writer(tmp_path):
                (np.arange(n) % 2).astype(int), np.arange(n, dtype=np.int64) - 2 ** 62,
                np.full(n, 5e-324)]
     header = [f"c{i}" for i in range(len(columns))]
-    for cols in (columns, [c[:0] for c in columns], columns[:1], columns[3:5]):
+    # whole and partial 1024-row blocks, no rows, unequal lengths and no columns
+    for cols in (columns, [c[:0] for c in columns], columns[:1], columns[3:5],
+                 [columns[1], columns[0][:1500]], []):
         write_csv(tmp_path / "new.csv", header[:len(cols)], cols)
         per_value_write_csv(tmp_path / "old.csv", header[:len(cols)], cols)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
