@@ -78,7 +78,7 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
     line = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(0, min(map(len, columns), default=0), 1024):   # 1024 rows at a time
+        for i in range(0, min(map(len, columns), default=0), 1024):   # memory stays flat
             fh.writelines(line % row for row in zip(*(c[i:i + 1024].tolist() for c in columns)))
 
 
