@@ -157,13 +157,11 @@ def qclt_test(ens: BirkhoffEnsemble, sigma2: float) -> dict:
     return res
 
 
-def qclt_null_calibration(n_samples: int, n_steps: int = 256, reps: int = 100,
-                          level: float = 0.01) -> dict:
+def qclt_null_calibration(n_samples: int, reps: int = 100, level: float = 0.01) -> dict:
     """Rejection rate of the KS test on injected i.i.d. Gaussian increments.
 
-    The normalized sum of n_steps i.i.d. standard normals is exactly N(0, 1),
-    so each sample is one standard normal draw: n_steps does not change the
-    law, nor the draws.
+    The normalized sum of any number of i.i.d. standard normal increments is
+    exactly N(0, 1), so each sample is one standard normal draw.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((7, 0xCA1))))
     rejections = 0

@@ -52,7 +52,7 @@ class UlamMatrix:
     n_bins: int
 
 
-def ulam_matrix(fmap: FiberMap, n_bins: int, subsamples: int = 64) -> UlamMatrix:
+def ulam_matrix(fmap: FiberMap, n_bins: int) -> UlamMatrix:
     """Row-stochastic bin-to-bin transition fractions under one fiber map.
 
     M[i, j] = Leb(bin_i intersect f^-1 bin_j) * n_bins, exactly.  Both
@@ -63,7 +63,6 @@ def ulam_matrix(fmap: FiberMap, n_bins: int, subsamples: int = 64) -> UlamMatrix
     among equal cuts); a piece's row and column count the edges and the
     preimages at or left of it, and its weight is its length in bin units,
     measured from its row's own edge so that each row adds up to exactly 1.
-    The exact build ignores subsamples.
     """
     if n_bins < 2:
         raise ValueError("need n_bins >= 2")
@@ -182,12 +181,11 @@ def sample_from_density(mass: np.ndarray, n: int, rng: np.random.Generator) -> n
     return (j + np.clip(frac, 0.0, 1.0)) / mass.size
 
 
-def equivariance_residual(seq: ParamSequence, n_bins: int, pullback_depth: int,
-                          subsamples: int = 64) -> float:
+def equivariance_residual(seq: ParamSequence, n_bins: int, pullback_depth: int) -> float:
     """L1 gap between push(h_w) and the independently pulled-back h_{shift w}.
 
     push(h_w) is h_{shift w} pulled back one step deeper, so the residual
-    compares two depths of one density.  subsamples is not read.
+    compares two depths of one density.
     """
     s = seq.shift(1)
     return float(np.abs(equivariant_density(s, n_bins, pullback_depth + 1)

@@ -13,6 +13,11 @@ imports, in function bodies too, may only name modules of a lower layer,
 and only cli may import the package itself.  No module imports scipy, which
 the tests keep as an oracle only.
 
+Every parameter of every ``def`` in the package is read in its body (self
+and cls excepted), so no argument is accepted and then ignored.  Lambdas are
+not held to it: a dispatch table's lambdas share one signature, and each
+reads only what its law needs (``stats._LAWS``).
+
 The name rules match by name, not by type: a method or field is taken as read
 when any attribute of that name is read, so one that shares its name with
 a read attribute of another class (``alpha_exp``, ``n``, ...) passes
@@ -188,3 +193,33 @@ def test_the_scipy_rule_sees_imports_in_function_bodies():
                      "from .scipy_like import x\nimport scipyx\n"
                      "def f():\n    from scipy.special import ndtr\n")
     assert scipy_imports(tree) == ["scipy.sparse", "scipy", "scipy.special"]
+
+
+def unread_parameters(tree: ast.AST) -> list[str]:
+    """function.parameter of every parameter, self and cls excepted, that a
+    def (nested or a method too) never reads as a variable in its body."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            reads = {n.id for stmt in node.body for n in ast.walk(stmt)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            out += [f"{node.name}.{p.arg}"
+                    for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
+                    if p is not None and p.arg not in reads and p.arg not in ("self", "cls")]
+    return out
+
+
+def test_every_parameter_is_read():
+    found = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in unread_parameters(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def test_the_parameter_rule_sees_unread_parameters():
+    tree = ast.parse("def f(a, b=1, *c, d, **e):\n    return a + len(c)\n"
+                     "class C:\n    def m(self, x):\n        return self.x\n"
+                     "    @classmethod\n    def k(cls, y):\n        return y\n"
+                     "def g(n):\n    def h(m):\n        return n\n    return h\n"
+                     "LAWS = {'t': lambda a, s: a}\n")
+    assert unread_parameters(tree) == ["f.b", "f.d", "f.e", "m.x", "h.m"]

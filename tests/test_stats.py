@@ -98,7 +98,7 @@ def test_qclt_doubling():
 
 
 def test_null_calibration():
-    cal = stats.qclt_null_calibration(2000, n_steps=64, reps=60)
+    cal = stats.qclt_null_calibration(2000, reps=60)
     assert cal["rejection_rate"] <= 0.05
 
 
@@ -163,8 +163,8 @@ def test_variance_growth_memory_does_not_grow_with_n_boot():
 
 def whole_matrix_null_calibration(n_samples, reps, level, seen):
     """The null calibration with its normalized sums drawn whole: one
-    (n_samples,) normal vector per repetition, the exact law of the sum of
-    n_steps increments over sqrt(n_steps)."""
+    (n_samples,) normal vector per repetition, the exact law of a sum of
+    i.i.d. standard normal increments over its root length."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((7, 0xCA1))))
     rejections = 0
     for _ in range(reps):
@@ -176,17 +176,12 @@ def whole_matrix_null_calibration(n_samples, reps, level, seen):
     return {"rejection_rate": rejections / reps, "reps": reps, "level": level}
 
 
-# neither n_steps nor the block budget changes the draws
-@pytest.mark.parametrize("block_values", [None, 100])
-@pytest.mark.parametrize("n_samples, n_steps", [(2000, 64), (333, 17), (10000, 256)])
-def test_null_calibration_equals_whole_matrix_oracle(monkeypatch, n_samples, n_steps,
-                                                     block_values):
-    if block_values is not None:
-        monkeypatch.setattr(stats, "_BLOCK_VALUES", block_values)
+@pytest.mark.parametrize("n_samples", [2000, 333, 10000])
+def test_null_calibration_equals_whole_matrix_oracle(monkeypatch, n_samples):
     seen = []
     monkeypatch.setattr(stats, "ks_statistic",
                         lambda z, cdf: seen.append(z.copy()) or ks_statistic(z, cdf))
-    got = stats.qclt_null_calibration(n_samples, n_steps, reps=3, level=0.5)
+    got = stats.qclt_null_calibration(n_samples, reps=3, level=0.5)
     want_z = []
     want = whole_matrix_null_calibration(n_samples, 3, 0.5, want_z)
     assert got == want

@@ -11,7 +11,7 @@ from quenched_limits.omega import make_sequence
 
 def test_ulam_doubling_small_grid():
     # bin 0 = [0, 1/4) maps onto [0, 1/2): half into bin 0, half into bin 1
-    M = transfer.ulam_matrix(FiberMap("doubling", 0.0), 4, subsamples=64)
+    M = transfer.ulam_matrix(FiberMap("doubling", 0.0), 4)
     dense = np.zeros((4, 4))
     dense[M.rows, M.cols] = M.weights
     expected = np.array([
@@ -251,8 +251,8 @@ def test_equivariant_density_equals_pushing_every_step(monkeypatch, family, boun
 
 def test_equivariance_residual_decreases_with_depth():
     seq = make_sequence(1, "lsv", (0.05, 0.15))
-    r4 = transfer.equivariance_residual(seq, 2 ** 10, 4, 32)
-    r16 = transfer.equivariance_residual(seq, 2 ** 10, 16, 32)
+    r4 = transfer.equivariance_residual(seq, 2 ** 10, 4)
+    r16 = transfer.equivariance_residual(seq, 2 ** 10, 16)
     assert r16 < r4
 
 
@@ -275,17 +275,17 @@ def one_loop_residual(seq, n_bins, depth):
     return float(np.abs(transfer.push(steps[-1], h) - h_next).sum())
 
 
-@pytest.mark.parametrize("family, bounds, n_bins, depth, subsamples", [
-    ("lsv", (0.05, 0.15), 64, 0, 8),
-    ("lsv", (0.05, 0.15), 64, 1, 8),
-    ("lsv", (0.1, 0.3), 333, 7, 12),
-    ("doubling", (0.0, 0.0), 128, 5, 8),
-    ("lsv", (0.1, 0.1), 333, 9, 8),
-    ("lsv", (0.05, 0.15), 2 ** 10, 16, 32),
+@pytest.mark.parametrize("family, bounds, n_bins, depth", [
+    ("lsv", (0.05, 0.15), 64, 0),
+    ("lsv", (0.05, 0.15), 64, 1),
+    ("lsv", (0.1, 0.3), 333, 7),
+    ("doubling", (0.0, 0.0), 128, 5),
+    ("lsv", (0.1, 0.1), 333, 9),
+    ("lsv", (0.05, 0.15), 2 ** 10, 16),
 ])
-def test_equivariance_residual_equals_two_walks(family, bounds, n_bins, depth, subsamples):
+def test_equivariance_residual_equals_two_walks(family, bounds, n_bins, depth):
     seq = make_sequence(4, family, bounds)
-    got = transfer.equivariance_residual(seq, n_bins, depth, subsamples)
+    got = transfer.equivariance_residual(seq, n_bins, depth)
     assert got == two_walk_residual(seq, n_bins, depth) == one_loop_residual(seq, n_bins, depth)
 
 
@@ -297,14 +297,14 @@ def test_equivariance_residual_builds_both_depths(monkeypatch, depth):
     push_step = transfer.push_step
     monkeypatch.setattr(transfer, "push_step", lambda *args: made.append(args) or push_step(*args))
     monkeypatch.setattr(transfer, "ulam_matrix", lambda *args: builds.append(args))
-    transfer.equivariance_residual(make_sequence(5, "lsv", (0.05, 0.15)), 64, depth, 8)
+    transfer.equivariance_residual(make_sequence(5, "lsv", (0.05, 0.15)), 64, depth)
     assert len(made) == 2 * depth + 1
     assert builds == []
 
 
 def test_equivariance_residual_rejects_negative_depth():
     with pytest.raises(ValueError, match="pullback_depth"):
-        transfer.equivariance_residual(make_sequence(5, "lsv", (0.05, 0.15)), 64, -1, 8)
+        transfer.equivariance_residual(make_sequence(5, "lsv", (0.05, 0.15)), 64, -1)
 
 
 def test_dual_normalization():
