@@ -5,11 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quenched_limits
 from quenched_limits import cli, stats
@@ -377,3 +379,62 @@ def test_float_format_17_digits(tmp_path):
     val = row.split(",")[1]
     # the printed value round-trips to the same float exactly
     assert format(float(val), ".17g") == val
+
+
+# a tiny run of every subcommand, the edge values a key may take on top, and
+# values past an edge, one for each range the config check enforces
+SMALL = ["--n_bins", "16", "--depth", "2", "--k_trunc", "2", "--n_steps", "16",
+         "--n_samples", "20", "--samples", "200", "--cap", "50", "--n_max", "8",
+         "--pairs", "50", "--depth_cap", "4", "--subsamples", "2"]
+EDGES = [("n_bins", "2"), ("n_bins", "3"), ("n_steps", "1"), ("n_steps", "2"),
+         ("n_samples", "1"), ("n_samples", "2"), ("samples", "1"), ("samples", "2"),
+         ("pairs", "1"), ("pairs", "2"), ("cap", "1"), ("depth", "0"),
+         ("alpha_min", "1e-9"), ("alpha_max", "1e-9"), ("alpha_min", "0.999999"),
+         ("alpha_max", "0.999999"), ("p", "nan"), ("D", "nan"), ("seed", str(2 ** 64)),
+         ("observable", "holder_gamma"), ("gamma", "1e-300")]
+PAST_EDGES = [("n_steps", "0"), ("depth", "-1"), ("n_max", "1"), ("alpha_max", "1"),
+              ("gamma", "0"), ("observable", "nope"), ("alpha_exp", "1"),
+              ("sampling", "grid"), ("functional", "max"), ("refine_tol", "nan")]
+NON_FINITE = {"nan", "inf", "-inf"}   # as %.17g and write_json print them
+
+
+def finite_json(value) -> bool:
+    """No float in value is NaN or infinite, as a number or as write_json's string."""
+    if isinstance(value, dict):
+        return all(map(finite_json, value.values()))
+    if isinstance(value, list):
+        return all(map(finite_json, value))
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return not (isinstance(value, str) and value.lower() in NON_FINITE)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(subcommand=st.sampled_from(sorted(cli.HANDLERS)),
+       edges=st.lists(st.sampled_from(EDGES), max_size=4),
+       past=st.none() | st.sampled_from(PAST_EDGES))
+def test_edge_configs_exit_cleanly_and_write_finite_artifacts(subcommand, edges, past):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        keys = [*edges, past] if past else edges   # on the command line the last value wins
+        code = main([subcommand, *SMALL, *(a for k, v in keys for a in (f"--{k}", v)),
+                     "--out", str(out)])
+        assert code in (0, 2, 3)
+        if past:   # a config error whatever the subcommand
+            assert code == 2
+            with pytest.raises(ConfigError):
+                load_config(None, keys)
+        if code != 0:
+            assert not out.exists()
+            return
+        manifest = json.loads((out / "manifest.json").read_text())
+        names = sorted(f.name for f in out.iterdir() if f.name != "manifest.json")
+        assert sorted(manifest["files"]) == names
+        for name in names:
+            assert manifest["files"][name] == sha256_of(out / name)
+            text = (out / name).read_text()
+            if name.endswith(".csv"):
+                cells = {c.lower() for row in text.splitlines()[1:] for c in row.split(",")}
+                assert not NON_FINITE & cells, name
+            else:
+                assert finite_json(json.loads(text)), name

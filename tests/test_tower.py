@@ -116,6 +116,22 @@ def test_return_times_match_scalar_oracle(seq, xs, l, cap):
         assert tower.nth_return(seq, x, l, cap) == scalar_first_hits(seq, x, 0, l, cap)[0]
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(bounds=st.lists(st.floats(1e-6, 1 - 1e-6), min_size=2, max_size=2).map(sorted),
+       seed=st.integers(0, 2 ** 64), xs=st.lists(base_points, max_size=8))
+def test_random_return_time_lies_between_the_constant_ones(bounds, seed, xs):
+    # on [0, 1/2) the LSV left branch x (1 + (2x)^alpha) rises with x and falls
+    # with alpha, so the orbit under alpha_min stays ahead of the random one
+    # and that under alpha_max behind it: R_{alpha_min} <= R_w <= R_{alpha_max},
+    # a capped walk (cap + 1) above every finite one
+    lo, hi = bounds
+    xs = np.concatenate((xs, drawn_base_points(seed, 200)))
+    r_lo, r_w, r_hi = (first_return_times(make_sequence(s, "lsv", b), xs, 300)
+                       for s, b in ((0, (lo, lo)), (seed, (lo, hi)), (0, (hi, hi))))
+    bad = (r_lo > r_w) | (r_w > r_hi)
+    assert not bad.any(), (xs[bad], r_lo[bad], r_w[bad], r_hi[bad])
+
+
 @settings(max_examples=100, deadline=None)
 @given(seq=sequences(), x=base_points, gap=st.sampled_from([0.0, 1e-12, 1e-8, 1e-4, 0.1]),
        swap=st.booleans(), cap=st.integers(1, 64), return_cap=st.integers(1, 30))
