@@ -10,7 +10,7 @@ no output directory, and a run that exits non-zero writes no manifest
 Floats are serialized with 17 significant digits and every reduction runs
 in a fixed order, so identical configs produce byte-identical CSV/JSON output.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
+Exit codes: 0 success, 2 config error, 3 numeric failure or out of memory, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def load_config(path: str | None, overrides: list[tuple[str, str]]) -> Experimen
     if path is not None:
         try:
             text = Path(path).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
@@ -325,7 +325,7 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir: str | Path) -> int:
         # library ValueErrors (an empty fit window, ...) reject the config too
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, RuntimeError, FloatingPointError) as exc:
+    except (NumericError, RuntimeError, FloatingPointError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

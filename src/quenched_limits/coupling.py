@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import _doubling_orbit_values, _iterates, apply, fiber_map
+from .maps import _doubling_orbit_values, _iterates, apply
 from .omega import ParamSequence, make_sequence
 from .tower import (BASE_LO, CAP_DEFAULT, TailCurve, _fraction_above, _pooled_tail,
                     _value_counts)
@@ -66,7 +66,7 @@ def _match_pairs(seq: ParamSequence, pts: np.ndarray, l0: int, cap: int,
                 a[keep] for a in (pair, pos, first, hits, leg, n_alt, n_T))
         if pair.size == 0:
             break
-        pos = apply(fiber_map(seq, t), pos)
+        pos = apply(seq.param(t), pos)
         t += 1
         in_base = pos >= BASE_LO
         entered = np.where(first, in_base[:, 0], in_base[:, 1])

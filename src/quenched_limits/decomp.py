@@ -14,10 +14,10 @@ from typing import Callable
 
 import numpy as np
 
-from .maps import apply, fiber_map
+from .maps import apply
 from .omega import ParamSequence, make_sequence
 from .transfer import (_density_chain, bin_average, nearest_bin, pull, push,
-                       sample_from_density, ulam_matrix)
+                       sample_from_density)
 from .util import seed_mean
 
 K_TRUNC_DEFAULT = 16
@@ -60,8 +60,8 @@ def _decompose(seq: ParamSequence, phi: Callable[[np.ndarray], np.ndarray], K_tr
 
     The density chain (transfer._density_chain) walks from Lebesgue on fiber
     -(K_trunc + depth); from mu on fiber -K_trunc on, signed masses for the
-    truncated series are pushed along the same steps.  psi pulls through the
-    one Ulam matrix, of fiber 0; a zero-mass bin raises FloatingPointError.
+    truncated series are pushed along the same steps.  psi is pulled through
+    step 0, the push step of fiber 0; a zero-mass bin raises FloatingPointError.
     """
     if K_trunc < 0:
         raise ValueError("K_trunc must be >= 0")
@@ -87,7 +87,7 @@ def _decompose(seq: ParamSequence, phi: Callable[[np.ndarray], np.ndarray], K_tr
 
     with np.errstate(divide="raise", invalid="raise"):
         g_w, g_sw = A / h0, B / h1
-    psi = pull(ulam_matrix(fiber_map(seq, 0), n_bins), phi_c1 - g_sw) + g_w
+    psi = pull(step, phi_c1 - g_sw) + g_w
     residual = float(np.abs(push(step, psi * h0)).sum())
     sigma2_fiber = float(np.sum(psi ** 2 * h0))
     tail_norm = float(np.abs(tail).sum())
@@ -143,7 +143,7 @@ def coboundary_test(family: str, bounds: tuple[float, float], seeds: list[int],
         d = decomps[0]
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seeds[0], 0xC0B))))
         xs = sample_from_density(d.h, 4096, rng)
-        fx = apply(fiber_map(seq, 0), xs)
+        fx = apply(seq.param(0), xs)
         mean1 = float(d.h_next @ bin_average(phi, n_bins, subsamples))
         resid = (phi(fx) - mean1
                  - d.g_next[nearest_bin(fx, n_bins)]

@@ -7,36 +7,25 @@ Two families are implemented:
   The branch point 1/2 belongs to the right branch, so the right branch is a
   bijection [1/2, 1] -> [0, 1].
 * ``doubling`` -- f(x) = 2x mod 1, the uniformly expanding baseline with
-  analytically known statistics.  It is the lsv map at alpha = 0, which a
-  doubling FiberMap must have: the formulas read only alpha, and at 0 they
-  give 2x, 2 and the inverse t / 2 bit for bit (x ** 0.0 and 2.0 ** 0.0
-  are exactly 1).
+  analytically known statistics.  It is the lsv map at alpha = 0: the
+  formulas give 2x, 2 and the inverse t / 2 bit for bit there (x ** 0.0 and
+  2.0 ** 0.0 are exactly 1).
+
+A fiber map is its parameter alpha: the map acting at step k of the
+composition driven by seq is seq.param(k).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .omega import FAMILIES, ParamSequence
+from .omega import ParamSequence
 
 
-@dataclass(frozen=True)
-class FiberMap:
-    family: str
-    alpha: float
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "doubling" and self.alpha != 0.0:
-            raise ValueError(f"the doubling map is lsv at alpha 0, got alpha {self.alpha}")
-
-
-def apply(fmap: FiberMap, x):
-    """One application of the fiber map; accepts scalars or arrays.
+def apply(alpha: float, x):
+    """One application of the fiber map of parameter alpha; accepts scalars or arrays.
 
     x's NaN-ignoring min and max are the range check and pick the branch: an
     array wholly in [1/2, 1] computes only 2x - 1, one wholly below 1/2 only
@@ -46,25 +35,24 @@ def apply(fmap: FiberMap, x):
     lo, hi = (np.fmin.reduce(x, axis=None), np.fmax.reduce(x, axis=None)) if x.size else (0.0, 1.0)
     if lo < 0.0 or hi > 1.0:
         raise ValueError("point outside [0, 1]")
-    a = fmap.alpha
     if lo >= 0.5:
         y = 2.0 * x - 1.0
     elif hi < 0.5:
-        y = np.clip(x * (1.0 + 2.0 ** a * x ** a), 0.0, 1.0)
+        y = np.clip(x * (1.0 + 2.0 ** alpha * x ** alpha), 0.0, 1.0)
     else:
-        y = np.clip(np.where(x < 0.5, x * (1.0 + 2.0 ** a * x ** a), 2.0 * x - 1.0), 0.0, 1.0)
+        left = x * (1.0 + 2.0 ** alpha * x ** alpha)
+        y = np.clip(np.where(x < 0.5, left, 2.0 * x - 1.0), 0.0, 1.0)
     return float(y) if y.ndim == 0 else y
 
 
-def derivative(fmap: FiberMap, x):
+def derivative(alpha: float, x):
     """f'(x); at the branch point 1/2 the left-branch value is taken."""
     x = np.asarray(x, dtype=float)
-    a = fmap.alpha
-    d = np.where(x <= 0.5, 1.0 + 2.0 ** a * (1.0 + a) * x ** a, 2.0)
+    d = np.where(x <= 0.5, 1.0 + 2.0 ** alpha * (1.0 + alpha) * x ** alpha, 2.0)
     return float(d) if d.ndim == 0 else d
 
 
-def left_branch_inverse(fmap: FiberMap, t):
+def left_branch_inverse(alpha: float, t):
     """The unique y in [0, 1/2] with f(y) = t, by Newton's method.
 
     Accepts scalars or arrays.  The left branch is increasing and convex,
@@ -77,10 +65,10 @@ def left_branch_inverse(fmap: FiberMap, t):
     or in an array.
     """
     t = np.asarray(t, dtype=float)
-    a, tt = fmap.alpha, t.ravel()
-    y = _newton_step(a, tt / (1.0 + 2.0 ** a * tt ** a), tt)   # the overshoot
+    tt = t.ravel()
+    y = _newton_step(alpha, tt / (1.0 + 2.0 ** alpha * tt ** alpha), tt)   # the overshoot
     while True:
-        nxt = _newton_step(a, y, tt)
+        nxt = _newton_step(alpha, y, tt)
         falling = nxt < y
         if not falling.any():
             break
@@ -100,15 +88,10 @@ def _newton_step(a: float, y: np.ndarray, t: np.ndarray) -> np.ndarray:
     return y - ((y - t) + c * y * ya) / (1.0 + c * (1.0 + a) * ya)
 
 
-def fiber_map(seq: ParamSequence, k: int = 0) -> FiberMap:
-    """The map acting at step k of the composition driven by seq."""
-    return FiberMap(seq.family, seq.param(k))
-
-
 def _iterates(seq: ParamSequence, x, n: int):
     """Yield f^1 x, ..., f^n x, one apply per step, from one batch of parameters."""
     for alpha in seq.params(0, n):
-        x = apply(FiberMap(seq.family, alpha), x)
+        x = apply(alpha, x)
         yield x
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maps import FiberMap, apply, derivative, fiber_map, left_branch_inverse
+from .maps import apply, derivative, left_branch_inverse
 from .omega import ParamSequence, make_sequence
 from .util import _BLOCK_VALUES, seed_mean
 
@@ -51,7 +51,7 @@ def _check_base(x: float):
 def _first_entries(seq: ParamSequence, xs: np.ndarray, t0: int, cap: int):
     """Step every point of xs from tower time t0 to its first entry to the base.
 
-    Step t makes one fiber_map(seq, t) call and one array apply over the
+    Step t makes one seq.param(t) call and one array apply over the
     points not yet back; apply gives the same bits for a point and an array.
     Returns (steps, points): each point's step count, or -1 once it runs cap
     steps without entering, and where it stopped.
@@ -62,7 +62,7 @@ def _first_entries(seq: ParamSequence, xs: np.ndarray, t0: int, cap: int):
     for n in range(1, cap + 1):
         if active.size == 0:
             break
-        z = apply(fiber_map(seq, t0 + n - 1), y[active])
+        z = apply(seq.param(t0 + n - 1), y[active])
         y[active] = z
         returned = z >= BASE_LO
         steps[active[returned]] = n
@@ -109,7 +109,7 @@ def build_partition(seq: ParamSequence, depth_cap: int,
         raise ValueError(f"refine_tol must be finite and >= 0, got {refine_tol}")
     w = np.empty(0)      # w[i] belongs to n = depth_cap - i
     for k in range(depth_cap - 1, 0, -1):
-        w = left_branch_inverse(fiber_map(seq, k), np.append(w, 0.5))
+        w = left_branch_inverse(seq.param(k), np.append(w, 0.5))
     w = np.append(w, 0.5)[::-1]
     b = np.append(1.0, (w + 1.0) / 2.0)   # right branch inverse of w
     residual, kept = b[depth_cap] - BASE_LO, []
@@ -139,7 +139,7 @@ def _image_ok(seq: ParamSequence, lo: np.ndarray, hi: np.ndarray, R: np.ndarray,
     return low_ok & high_ok
 
 
-def exact_tail(family: str, alpha: float, n_max: int) -> np.ndarray:
+def exact_tail(alpha: float, n_max: int) -> np.ndarray:
     """Deterministic tail Leb(R > n)/Leb(base) for a constant-parameter map.
 
     Computed by tracking the boundary of {R > n} through left-branch
@@ -148,11 +148,10 @@ def exact_tail(family: str, alpha: float, n_max: int) -> np.ndarray:
     """
     tail = np.empty(n_max + 1)
     tail[0] = 1.0
-    fmap = FiberMap(family, alpha)
     z = 0.5
     tail[1:2] = z   # a slice, empty when n_max is 0
     for n in range(2, n_max + 1):
-        z = left_branch_inverse(fmap, z)
+        z = left_branch_inverse(alpha, z)
         tail[n] = z
     return tail
 
@@ -226,7 +225,7 @@ def _count_returns(seq: ParamSequence, y: np.ndarray, t: int, t_end: int, counts
     for n in range(t + 1, t_end + 1):
         if y.size == 0:
             break
-        z = apply(fiber_map(seq, n - 1), y)
+        z = apply(seq.param(n - 1), y)
         y = z[z < BASE_LO]
         counts[min(n, counts.size - 1)] += z.size - y.size
     return y
@@ -286,9 +285,9 @@ def induced_jacobian(seq: ParamSequence, x, R):
     y, R = np.broadcast_arrays(np.asarray(x, dtype=float), R)
     y, jac = y.copy(), np.ones(y.shape)   # broadcast views are read-only
     for k in range(int(R.max(initial=0))):
-        fmap, go = fiber_map(seq, k), k < R
-        jac[go] = jac[go] * derivative(fmap, y[go])
-        y[go] = apply(fmap, y[go])
+        alpha, go = seq.param(k), k < R
+        jac[go] = jac[go] * derivative(alpha, y[go])
+        y[go] = apply(alpha, y[go])
     return y[()], jac[()]
 
 

@@ -5,10 +5,10 @@ branches are increasing, so an Ulam step takes the distribution function C
 of the masses to F(j/n) = C(f_L^-1(j/n)) + C((n + j)/(2n)) - C(1/2) (Lasota
 and Mackey 1994, ch. 4; Li 1976): push_step places a fiber map's edge
 preimages on the grid, push moves any signed mass through them (the dual of
-psi against h as psi * h), and _density_chain pushes Lebesgue through the
-recent past and on along mu_{s^k w} = (f_w^k)_* mu_w for centering, decay
-and the decomposition.  ulam_matrix builds the same operator independently,
-as exact triplets, for the soundness checks and the decomposition's one pull.
+psi against h as psi * h), pull is its adjoint, and _density_chain pushes
+Lebesgue through the recent past and on along mu_{s^k w} = (f_w^k)_* mu_w
+for centering, decay and the decomposition.  ulam_matrix builds the same
+operator independently, as exact triplets, for the soundness checks only.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .maps import FiberMap, left_branch_inverse
+from .maps import left_branch_inverse
 from .omega import ParamSequence, make_sequence
 from .util import seed_mean
 
@@ -43,8 +43,8 @@ def bin_average(fn, n_bins: int, subsamples: int) -> np.ndarray:
 class UlamMatrix:
     """Sparse matrix M[rows[k], cols[k]] = weights[k], one triplet per nonzero.
 
-    Triplets are row-major with ascending columns, so pushforward and pull
-    add their terms in the same order as a CSR product (bit-identical sums).
+    Triplets are row-major with ascending columns, so pushforward adds its
+    terms in the same order as a CSR product (bit-identical sums).
     """
     rows: np.ndarray
     cols: np.ndarray
@@ -52,8 +52,8 @@ class UlamMatrix:
     n_bins: int
 
 
-def ulam_matrix(fmap: FiberMap, n_bins: int) -> UlamMatrix:
-    """Row-stochastic bin-to-bin transition fractions under one fiber map.
+def ulam_matrix(alpha: float, n_bins: int) -> UlamMatrix:
+    """Row-stochastic bin-to-bin transition fractions under the fiber map alpha.
 
     M[i, j] = Leb(bin_i intersect f^-1 bin_j) * n_bins, exactly.  Both
     branches are increasing, so the cuts at the bin edges k/n, the left
@@ -69,7 +69,7 @@ def ulam_matrix(fmap: FiberMap, n_bins: int) -> UlamMatrix:
     n = n_bins
     edges = np.arange(n + 1) / n
     # f_L^-1(0) = 0 and f_L^-1(1) = 1/2 are cuts already: edge 0 and (n + 0) / (2n)
-    cuts = np.concatenate((edges, left_branch_inverse(fmap, edges[1:-1]),
+    cuts = np.concatenate((edges, left_branch_inverse(alpha, edges[1:-1]),
                            np.arange(n, 2 * n) / (2 * n)))
     order = np.argsort(cuts, kind="stable")
     x = cuts[order]
@@ -94,13 +94,8 @@ def pushforward(M: UlamMatrix, mass: np.ndarray) -> np.ndarray:
     return np.bincount(M.cols, M.weights * mass[M.rows], minlength=M.n_bins)
 
 
-def pull(M: UlamMatrix, values: np.ndarray) -> np.ndarray:
-    """M @ values: bin averages of values composed with the fiber map."""
-    return np.bincount(M.rows, M.weights * values[M.cols], minlength=M.n_bins)
-
-
 def row_stochasticity_defect(M: UlamMatrix) -> float:
-    return float(np.max(np.abs(pull(M, np.ones(M.n_bins)) - 1.0)))
+    return float(np.max(np.abs(np.bincount(M.rows, M.weights, M.n_bins) - 1.0)))
 
 
 @dataclass(frozen=True)
@@ -111,8 +106,8 @@ class PushStep:
     from_edge: np.ndarray
 
 
-def push_step(fmap: FiberMap, n_bins: int) -> PushStep:
-    """Where one fiber map's left preimages y_j = f_L^-1(j/n) fall on the grid:
+def push_step(alpha: float, n_bins: int) -> PushStep:
+    """Where the fiber map alpha's left preimages y_j = f_L^-1(j/n) fall on the grid:
     f_L' > 1 on (0, 1/2], so y_j and y_{j+1} are less than a bin apart, and the
     edge index[j + 1] splits their gap into to_edge = index[j + 1] - y_j, in
     bin index[j] (negative when both lie in one bin), and from_edge."""
@@ -120,7 +115,7 @@ def push_step(fmap: FiberMap, n_bins: int) -> PushStep:
         raise ValueError("need n_bins >= 2")
     n = n_bins
     # in bin units; f_L^-1(0) = 0 and f_L^-1(1) = 1/2
-    y = np.concatenate(([0.0], left_branch_inverse(fmap, np.arange(1, n) / n) * n, [n / 2]))
+    y = np.concatenate(([0.0], left_branch_inverse(alpha, np.arange(1, n) / n) * n, [n / 2]))
     index = y.astype(np.int64)
     return PushStep(index, index[1:] - y[:-1], y[1:] - index[1:])
 
@@ -134,6 +129,15 @@ def push(step: PushStep, mass: np.ndarray) -> np.ndarray:
         raise ValueError("dimension mismatch between step and mass vector")
     left, right = mass[step.index], np.repeat(mass[n // 2:], 2)[n % 2:]
     return step.to_edge * left[:-1] + step.from_edge * left[1:] + 0.5 * right
+
+
+def pull(step: PushStep, values: np.ndarray) -> np.ndarray:
+    """M @ values without M, the adjoint of push: bin averages of values composed
+    with the fiber map.  Each term of push is sent back to the bin it came from."""
+    n = step.to_edge.size
+    return (np.bincount(step.index[:-1], step.to_edge * values, n)
+            + np.bincount(step.index[1:], step.from_edge * values, n)
+            + np.bincount((n + np.arange(n)) // 2, 0.5 * values, n))
 
 
 def equivariant_density(seq: ParamSequence, n_bins: int, pullback_depth: int) -> np.ndarray:
@@ -158,7 +162,7 @@ def _density_chain(seq: ParamSequence, k_lo: int, k_hi: int, n_bins: int, depth:
         if i == depth:
             yield None, h
         if alpha != last:
-            step, last = push_step(FiberMap(seq.family, alpha), n_bins), alpha
+            step, last = push_step(alpha, n_bins), alpha
             h, fixed = push(step, h), False
         elif not fixed:
             pushed = push(step, h)

@@ -13,7 +13,7 @@ import pytest
 
 from quenched_limits import coupling, decomp, stats, tower, transfer
 from quenched_limits.cli import main as cli_main
-from quenched_limits.maps import FiberMap, apply, get_observable
+from quenched_limits.maps import apply, get_observable
 from quenched_limits.omega import make_sequence
 from quenched_limits.util import fit_loglinear, fit_loglog
 
@@ -50,7 +50,7 @@ def test_criterion_01_transfer_soundness():
     t0 = time.perf_counter()
     defects = []
     for fam, a in (("doubling", 0.0), ("lsv", 0.08), ("lsv", 0.35)):
-        M = transfer.ulam_matrix(FiberMap(fam, a), 2 ** 12)
+        M = transfer.ulam_matrix(a, 2 ** 12)
         defects.append(transfer.row_stochasticity_defect(M))
         rng = np.random.default_rng(0)
         mass = rng.random(2 ** 12)
@@ -106,7 +106,7 @@ def test_criterion_04_equivariance():
 
 def test_criterion_05_return_time_tail():
     # deterministic boundary-tracked tail over the stated window [1e2, 1e4]
-    et = tower.exact_tail("lsv", 0.2, 10 ** 4)
+    et = tower.exact_tail(0.2, 10 ** 4)
     fit = fit_loglog(np.arange(et.size), et, (100, 10 ** 4))
     exponent_ok = abs(fit["exponent"] - 5.0) / 5.0 <= 0.15
     # Monte Carlo cross-check (1e6 samples) on the resolvable part of the tail
@@ -165,7 +165,7 @@ def test_criterion_09_coupling():
     for T in tr.Ts:
         y1, y2 = 0.62, 0.81
         for k in range(T):
-            f = FiberMap("doubling", seq.param(k))
+            f = seq.param(k)
             y1, y2 = apply(f, y1), apply(f, y2)
         structural = structural and y1 >= 0.5 and y2 >= 0.5
     ct = coupling.coupling_tail("doubling", (0.0, 0.0), [1], 1, 0.1, 40, 10 ** 4)

@@ -64,6 +64,15 @@ def test_missing_config_file():
         load_config("/nonexistent/cfg.txt", [])
 
 
+def test_non_utf8_config_file_exits_2(tmp_path, capsys):
+    f = tmp_path / "cfg.txt"
+    f.write_bytes(b"n_bins=\xff\n")
+    out = tmp_path / "d"
+    assert main(["density", "--config", str(f), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config file {f}")
+    assert not out.exists()
+
+
 def test_rate_subcommand(tmp_path):
     out = tmp_path / "rate"
     code = main(["rate", "--p", "inf", "--D", "10", "--out", str(out)])
@@ -243,6 +252,20 @@ def test_numeric_failure_exits_3(tmp_path, exc, monkeypatch, capsys):
     out = tmp_path / "r"
     assert main(["rate", "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("numeric failure:")
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
+    # a grid too large to allocate raises numpy's MemoryError subclass in the
+    # handler; a real allocation of that size could wake the OOM killer
+    from quenched_limits import transfer
+
+    def fail(*args):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+    monkeypatch.setattr(transfer, "equivariant_density", fail)
+    out = tmp_path / "d"
+    assert main(["density", "--n_bins", "100000000000", "--depth", "0", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "numeric failure: Unable to allocate 745. GiB for an array\n"
     assert not out.exists()
 
 
@@ -438,3 +461,19 @@ def test_edge_configs_exit_cleanly_and_write_finite_artifacts(subcommand, edges,
                 assert not NON_FINITE & cells, name
             else:
                 assert finite_json(json.loads(text)), name
+
+
+@pytest.mark.parametrize("subcommand", ["density", "decay", "decompose", "clt", "lil", "fclt"])
+def test_no_run_builds_an_ulam_matrix(tmp_path, monkeypatch, subcommand):
+    # ulam_matrix and pushforward are the independent reference that the
+    # soundness checks compare push and pull with; every binding of them in
+    # the package raises here, and every grid subcommand still runs
+    from quenched_limits import transfer
+
+    refs = (transfer.ulam_matrix, transfer.pushforward)
+    for name, mod in list(sys.modules.items()):
+        if name == "quenched_limits" or name.startswith("quenched_limits."):
+            for key, val in list(vars(mod).items()):
+                if any(val is ref for ref in refs):
+                    monkeypatch.setattr(mod, key, fail_with(AssertionError(f"{name}.{key}")))
+    assert main([subcommand, *SMALL, "--out", str(tmp_path / subcommand)]) == 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quenched_limits import coupling, tower
-from quenched_limits.maps import FiberMap, apply
+from quenched_limits.maps import apply
 from quenched_limits.omega import make_sequence
 from test_tower import scalar_first_hits
 
@@ -15,7 +15,7 @@ from test_tower import scalar_first_hits
 def advance(seq, x, steps):
     y = x
     for k in range(steps):
-        y = apply(FiberMap(seq.family, seq.param(k)), y)
+        y = apply(seq.param(k), y)
     return y
 
 
@@ -152,9 +152,9 @@ def test_coupling_tail_matches_pair_by_pair_loop(family, bounds, seeds, alpha_ex
 def test_coupling_tail_applies_once_per_tower_time(monkeypatch):
     calls = []
 
-    def counting(fmap, x):
+    def counting(alpha, x):
         calls.append(np.size(x))
-        return apply(fmap, x)
+        return apply(alpha, x)
 
     monkeypatch.setattr(coupling, "apply", counting)
     seq = make_sequence(1, "doubling", (0.0, 0.0))

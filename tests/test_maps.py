@@ -7,49 +7,48 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quenched_limits import maps
-from quenched_limits.maps import (FiberMap, _iterates, apply, derivative,
-                                  fiber_map, get_observable,
+from quenched_limits.maps import (_iterates, apply, derivative, get_observable,
                                   left_branch_inverse)
 from quenched_limits.omega import make_sequence
 
 
 def test_lsv_point_values():
-    f = FiberMap("lsv", 0.1)
-    assert apply(f, 0.25) == pytest.approx(0.48326, abs=1e-5)
-    assert apply(f, 0.0) == 0.0
-    assert apply(f, 0.5) == 0.0          # branch point belongs to the right branch
-    assert apply(f, 0.75) == 0.5
-    assert apply(f, 1.0) == 1.0
+    alpha = 0.1
+    assert apply(alpha, 0.25) == pytest.approx(0.48326, abs=1e-5)
+    assert apply(alpha, 0.0) == 0.0
+    assert apply(alpha, 0.5) == 0.0          # branch point belongs to the right branch
+    assert apply(alpha, 0.75) == 0.5
+    assert apply(alpha, 1.0) == 1.0
 
 
 def test_lsv_derivative_value():
     # 1 + 2^a (1+a) x^a at a=0.1, x=0.25
-    f = FiberMap("lsv", 0.1)
+    alpha = 0.1
     expected = 1.0 + 2.0 ** 0.1 * 1.1 * 0.25 ** 0.1
-    assert derivative(f, 0.25) == pytest.approx(expected, rel=1e-15)
-    assert derivative(f, 0.25) == pytest.approx(2.0263362906904883, rel=1e-12)
+    assert derivative(alpha, 0.25) == pytest.approx(expected, rel=1e-15)
+    assert derivative(alpha, 0.25) == pytest.approx(2.0263362906904883, rel=1e-12)
 
 
 def test_derivative_matches_finite_difference():
-    f = FiberMap("lsv", 0.3)
+    alpha = 0.3
     for x in (0.1, 0.2, 0.4, 0.6, 0.9):
         h = 1e-7
-        fd = (apply(f, x + h) - apply(f, x - h)) / (2 * h)
-        assert derivative(f, x) == pytest.approx(fd, rel=1e-5)
+        fd = (apply(alpha, x + h) - apply(alpha, x - h)) / (2 * h)
+        assert derivative(alpha, x) == pytest.approx(fd, rel=1e-5)
 
 
 def test_neutral_fixed_point():
-    f = FiberMap("lsv", 0.5)
-    assert apply(f, 0.0) == 0.0
-    assert derivative(f, 0.0) == 1.0
+    alpha = 0.5
+    assert apply(alpha, 0.0) == 0.0
+    assert derivative(alpha, 0.0) == 1.0
 
 
 def test_doubling_period_two():
-    d = FiberMap("doubling", 0.0)
+    alpha = 0.0
     x = 1.0 / 3.0
-    y = apply(d, x)
+    y = apply(alpha, x)
     assert y == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert apply(d, y) == pytest.approx(x, abs=1e-15)
+    assert apply(alpha, y) == pytest.approx(x, abs=1e-15)
 
 
 # The doubling formulas that the lsv formulas replace at alpha = 0, kept as oracles.
@@ -68,38 +67,34 @@ EDGE_POINTS = [0.0, 5e-324, 2.0 ** -1060, 2.0 ** -1022, math.nextafter(0.5, 0.0)
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(st.sampled_from(EDGE_POINTS), st.floats(0.0, 1.0)), max_size=30))
 def test_doubling_is_lsv_at_zero_bit_for_bit(xs):
-    d = FiberMap("doubling", 0.0)
+    alpha = 0.0
     arr = np.array(xs, dtype=float)
     for x in [arr, *(np.array(v) for v in xs)]:   # the array, then each 0-d point
-        for got, want in ((apply(d, x), old_doubling_apply(x)),
-                          (derivative(d, x), old_doubling_derivative(x))):
+        for got, want in ((apply(alpha, x), old_doubling_apply(x)),
+                          (derivative(alpha, x), old_doubling_derivative(x))):
             assert np.ndim(got) == x.ndim
             assert np.asarray(got, dtype=float).tobytes() == np.asarray(want).tobytes()
 
 
-def test_doubling_needs_alpha_zero():
-    with pytest.raises(ValueError, match="alpha 0"):
-        FiberMap("doubling", 0.3)
-    # the inverse at alpha = 0 is t / 2 bit for bit, whatever the family is
-    # called: Newton starts on the root and keeps it, also on the edges of a
-    # 4096-bin grid and on subnormals
+def test_left_branch_inverse_at_alpha_zero_is_half_bit_for_bit():
+    # Newton starts on the root and keeps it, also on the edges of a 4096-bin
+    # grid and on subnormals
     ts = np.concatenate((np.linspace(0.0, 1.0, 17), np.arange(4097) / 4096,
                          [5e-324, 1e-310]))
-    assert left_branch_inverse(FiberMap("lsv", 0.0), ts).tobytes() == (0.5 * ts).tobytes()
+    assert left_branch_inverse(0.0, ts).tobytes() == (0.5 * ts).tobytes()
 
 
 def test_domain_check():
-    f = FiberMap("lsv", 0.2)
+    alpha = 0.2
     for bad in (-0.1, [-0.1], [1.3], np.array([0.2, 1.3]), [math.nan, -1.0]):
         with pytest.raises(ValueError, match="outside"):
-            apply(f, bad)
+            apply(alpha, bad)
     # NaN is not out of range: the check ignores it, as x < 0 and x > 1 do
-    assert np.isnan(apply(f, [math.nan, 0.2])).tolist() == [True, False]
+    assert np.isnan(apply(alpha, [math.nan, 0.2])).tolist() == [True, False]
 
 
-def reference_apply(fmap, x):
+def reference_apply(a, x):
     # both branches on every point, as apply computed them before it chose one
-    a = fmap.alpha
     return np.clip(np.where(x < 0.5, x * (1.0 + 2.0 ** a * x ** a), 2.0 * x - 1.0), 0.0, 1.0)
 
 
@@ -117,7 +112,7 @@ SIDES["mixed"] = st.one_of(SIDES["left"], SIDES["right"])
 def test_apply_matches_the_two_branch_reference_bit_for_bit(alpha, side, ndim, nan, data):
     # one-sided arrays compute one branch, mixed ones both; every point keeps
     # the bits of the reference, for 0-d, empty and 2-D inputs alike
-    fmap = FiberMap("doubling", 0.0) if alpha is None else FiberMap("lsv", alpha)
+    alpha = 0.0 if alpha is None else alpha
     xs = data.draw(st.lists(SIDES[side], max_size=24))
     if nan:
         xs.insert(data.draw(st.integers(0, len(xs))), math.nan)
@@ -125,7 +120,7 @@ def test_apply_matches_the_two_branch_reference_bit_for_bit(alpha, side, ndim, n
         x = np.array(xs[0] if xs else 0.5)
     else:
         x = np.array(xs[:len(xs) // 2 * 2]).reshape(2, -1) if ndim == 2 else np.array(xs)
-    got, want = apply(fmap, x), reference_apply(fmap, x)
+    got, want = apply(alpha, x), reference_apply(alpha, x)
     assert isinstance(got, float) == (x.ndim == 0)
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == x.shape and np.array_equal(np.isnan(got), np.isnan(want))
@@ -135,24 +130,23 @@ def test_apply_matches_the_two_branch_reference_bit_for_bit(alpha, side, ndim, n
 
 
 def test_vectorized_matches_scalar():
-    f = FiberMap("lsv", 0.25)
+    alpha = 0.25
     xs = np.linspace(0.0, 1.0, 37)
-    ys = apply(f, xs)
-    assert ys == pytest.approx([apply(f, float(x)) for x in xs])
+    ys = apply(alpha, xs)
+    assert ys == pytest.approx([apply(alpha, float(x)) for x in xs])
 
 
 @given(st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
        st.floats(min_value=0.05, max_value=0.95))
 def test_left_branch_inverse_roundtrip(t, alpha):
-    f = FiberMap("lsv", alpha)
-    y = left_branch_inverse(f, t)
+    y = left_branch_inverse(alpha, t)
     assert 0.0 <= y < 0.5
-    assert apply(f, y) == pytest.approx(t, abs=1e-13)
+    assert apply(alpha, y) == pytest.approx(t, abs=1e-13)
 
 
 def test_left_branch_inverse_doubling():
-    d = FiberMap("doubling", 0.0)
-    assert left_branch_inverse(d, 0.3) == pytest.approx(0.15, abs=1e-15)
+    alpha = 0.0
+    assert left_branch_inverse(alpha, 0.3) == pytest.approx(0.15, abs=1e-15)
 
 
 def test_orbit_composition_order():
@@ -161,16 +155,16 @@ def test_orbit_composition_order():
     assert list(_iterates(seq, 0.3, 0)) == []
     x, want = 0.3, []
     for k in range(4):
-        x = apply(fiber_map(seq, k), x)
+        x = apply(seq.param(k), x)
         want.append(x)
     assert list(_iterates(seq, 0.3, 4)) == want
 
 
-def bisection_left_branch_inverse(fmap, t):
+def bisection_left_branch_inverse(alpha, t):
     """The oracle: each entry bisects [0, min(t, 1/2)] (f(y) >= y) until no
     float lies inside its bracket, comparing f(mid) with t in long double,
     and takes the bracket end whose image is nearer t."""
-    a = np.longdouble(fmap.alpha)
+    a = np.longdouble(alpha)
 
     def f(y):
         y = y.astype(np.longdouble)
@@ -193,8 +187,8 @@ def bisection_left_branch_inverse(fmap, t):
        st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True), min_size=1,
                 max_size=20))
 def test_left_branch_inverse_within_2_ulp_of_bisection(alpha, ts):
-    f = FiberMap("lsv", alpha)
-    got, want = left_branch_inverse(f, np.array(ts)), bisection_left_branch_inverse(f, ts)
+    got = left_branch_inverse(alpha, np.array(ts))
+    want = bisection_left_branch_inverse(alpha, ts)
     # 2 ulp relative; below the normal range, 2 steps of the smallest subnormal
     assert np.all(np.abs(got - want) <= 2.0 ** -51 * np.maximum(want, 2.0 ** -1022))
 
@@ -205,16 +199,16 @@ def test_left_branch_inverse_within_2_ulp_of_bisection(alpha, ts):
                           st.floats(min_value=0.0, max_value=1.0)), max_size=40))
 def test_left_branch_inverse_array_matches_scalar(alpha, ts):
     # alpha None stands for the doubling map
-    f = FiberMap("doubling", 0.0) if alpha is None else FiberMap("lsv", alpha)
-    ys = left_branch_inverse(f, np.array(ts))
+    alpha = 0.0 if alpha is None else alpha
+    ys = left_branch_inverse(alpha, np.array(ts))
     assert ys.shape == (len(ts),)
-    assert ys.tobytes() == np.array([left_branch_inverse(f, t) for t in ts]).tobytes()
-    assert left_branch_inverse(f, np.array(ts).reshape(-1, 1)).tobytes() == ys.tobytes()
+    assert ys.tobytes() == np.array([left_branch_inverse(alpha, t) for t in ts]).tobytes()
+    assert left_branch_inverse(alpha, np.array(ts).reshape(-1, 1)).tobytes() == ys.tobytes()
 
 
 def test_left_branch_inverse_of_zero_is_zero():
     for alpha in (1e-3, 0.3, 0.999):
-        assert left_branch_inverse(FiberMap("lsv", alpha), 0.0) == 0.0
+        assert left_branch_inverse(alpha, 0.0) == 0.0
 
 
 def test_inverse_takes_at_most_8_evaluations_per_entry(monkeypatch):
@@ -231,10 +225,10 @@ def test_inverse_takes_at_most_8_evaluations_per_entry(monkeypatch):
     ts = np.concatenate([rng.uniform(0.0, 1.0, 300), 10.0 ** rng.uniform(-300, 0, 100)])
     for alpha, t in zip(rng.uniform(0.01, 0.99, ts.size), ts):
         steps.append(0)
-        left_branch_inverse(FiberMap("lsv", alpha), t)
+        left_branch_inverse(alpha, t)
     for alpha in (0.1, 0.5, 0.9, 0.99):   # every edge of a 4096-bin grid in one call
         steps.append(0)
-        left_branch_inverse(FiberMap("lsv", alpha), np.arange(4097) / 4096)
+        left_branch_inverse(alpha, np.arange(4097) / 4096)
     assert 0 < min(steps) and max(steps) <= 8
 
 
@@ -247,7 +241,7 @@ def test_orbit_array_matches_per_point_walk():
         for x in xs:
             y = x
             for alpha in seq.params(0, n):
-                y = apply(FiberMap(seq.family, alpha), y)
+                y = apply(alpha, y)
             walked.append(y)
         *_, y = _iterates(seq, xs, n)
         assert y.tolist() == walked
@@ -269,10 +263,10 @@ def test_observable_registry():
 def test_coboundary_observable_is_exact_coboundary():
     # phi = u o f - u with u = cos(2 pi x) and f the doubling map
     phi = get_observable("coboundary_cos")
-    d = FiberMap("doubling", 0.0)
+    alpha = 0.0
     u = lambda x: np.cos(2.0 * np.pi * x)
     xs = np.linspace(0.0, 1.0, 101)[:-1]
-    assert phi(xs) == pytest.approx(u(apply(d, xs)) - u(xs), abs=1e-12)
+    assert phi(xs) == pytest.approx(u(apply(alpha, xs)) - u(xs), abs=1e-12)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0),

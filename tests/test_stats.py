@@ -193,7 +193,7 @@ def chained_means(seq, phi_bar, h, n_steps, n_bins):
     from quenched_limits import transfer
 
     params = seq.params(0, n_steps).tolist()
-    made = {a: transfer.push_step(maps.FiberMap(seq.family, a), n_bins) for a in set(params)}
+    made = {a: transfer.push_step(a, n_bins) for a in set(params)}
     means = np.empty(n_steps + 1)
     means[0] = float(h @ phi_bar)
     mass = h

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quenched_limits import tower
-from quenched_limits.maps import (FiberMap, _iterates, apply, derivative, fiber_map,
-                                  left_branch_inverse)
+from quenched_limits.maps import _iterates, apply, derivative, left_branch_inverse
 from quenched_limits.omega import make_sequence
 
 
@@ -46,7 +45,7 @@ def scalar_first_hits(seq, x, t0, l, cap):
     steps = 0
     for _ in range(l):
         for _step in range(cap):
-            y = apply(fiber_map(seq, t0 + steps), y)
+            y = apply(seq.param(t0 + steps), y)
             steps += 1
             if y >= tower.BASE_LO:
                 break
@@ -225,32 +224,31 @@ def test_build_partition_rejects_bad_refine_tol(refine_tol):
 
 
 def test_exact_tail_doubling():
-    t = tower.exact_tail("doubling", 0.0, 12)
+    t = tower.exact_tail(0.0, 12)
     assert t == pytest.approx(0.5 ** np.arange(13))
 
 
 def test_exact_tail_doubling_equals_closed_form_past_underflow():
     # chained t / 2 inverses give the closed form 0.5 ** n bit for bit, through
     # the subnormals (n > 1022) and down to 0 (n = 1075 on)
-    t = tower.exact_tail("doubling", 0.0, 1100)
+    t = tower.exact_tail(0.0, 1100)
     assert t.tobytes() == (0.5 ** np.arange(1101)).tobytes()
     assert t[1074] == 5e-324 and t[1075] == 0.0
-    assert tower.exact_tail("doubling", 0.0, 0).tolist() == [1.0]
+    assert tower.exact_tail(0.0, 0).tolist() == [1.0]
 
 
 def test_exact_tail_lsv_boundary_relation():
     # successive tail values are left-branch preimages of 1/2: f(z_{n+1}) = z_n
     alpha = 0.2
-    t = tower.exact_tail("lsv", alpha, 40)
-    f = FiberMap("lsv", alpha)
+    t = tower.exact_tail(alpha, 40)
     assert t[1] == 0.5
     for n in range(1, 40):
-        assert apply(f, t[n + 1]) == pytest.approx(t[n], abs=1e-13)
+        assert apply(alpha, t[n + 1]) == pytest.approx(t[n], abs=1e-13)
     assert np.all(np.diff(t) < 0)
 
 
 def test_exact_tail_lsv_regression_value():
-    t = tower.exact_tail("lsv", 0.2, 10)
+    t = tower.exact_tail(0.2, 10)
     assert t[10] == pytest.approx(0.007057208025653605, rel=1e-9)
 
 
@@ -358,9 +356,9 @@ def test_tail_curve_walks_no_array_past_the_block_size(monkeypatch):
     sizes, parked_walks = [], []
     count_returns = tower._count_returns
 
-    def sized_apply(fmap, y):
+    def sized_apply(alpha, y):
         sizes.append(np.size(y))
-        return apply(fmap, y)
+        return apply(alpha, y)
 
     def watched_count_returns(seq, y, t, t_end, counts):
         if t > 0:
@@ -381,9 +379,9 @@ def test_tail_curve_walks_each_seed_once_past_the_merge_step(seed, monkeypatch):
     # 150000 samples: two full blocks and a remainder, whose survivors walk on together
     calls = []
 
-    def counting_apply(fmap, y):
+    def counting_apply(alpha, y):
         calls.append(np.size(y))
-        return apply(fmap, y)
+        return apply(alpha, y)
 
     monkeypatch.setattr(tower, "apply", counting_apply)
     tower.tail_curve("lsv", (0.2, 0.4), [seed], 16, 150000)
@@ -464,13 +462,13 @@ def test_induced_jacobian_array_matches_per_point_walks():
             # scalar reference: one walk for the Jacobian, one for the image
             j, z = 1.0, x
             for k in range(R):
-                fmap = FiberMap(seq.family, seq.param(k))
-                j *= derivative(fmap, z)
-                z = apply(fmap, z)
+                alpha = seq.param(k)
+                j *= derivative(alpha, z)
+                z = apply(alpha, z)
             assert jac == j
             w = x
             for alpha in seq.params(0, R):
-                w = apply(FiberMap(seq.family, alpha), w)
+                w = apply(alpha, w)
             assert y == w
 
 
@@ -487,18 +485,18 @@ def test_induced_jacobian_per_point_R_matches_scalar_walks(seq, xs, Rs, scalar_x
     for xi, r, y, jac in zip(np.broadcast_to(x, R.shape).tolist(), R.tolist(), ys, jacs):
         z, j = xi, 1.0
         for k in range(r):
-            fmap = fiber_map(seq, k)
-            j *= derivative(fmap, z)
-            z = apply(fmap, z)
+            alpha = seq.param(k)
+            j *= derivative(alpha, z)
+            z = apply(alpha, z)
         assert (y, jac) == (z, j)
 
 
 def test_build_partition_inverts_once_per_level(monkeypatch):
     calls = []
 
-    def counting(fmap, t):
+    def counting(alpha, t):
         calls.append(np.size(t))
-        return left_branch_inverse(fmap, t)
+        return left_branch_inverse(alpha, t)
 
     monkeypatch.setattr(tower, "left_branch_inverse", counting)
     tower.build_partition(lsv_seq(3), 24)

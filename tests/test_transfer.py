@@ -1,17 +1,17 @@
-"""Ulam matrices, the matrix-free push, equivariant densities, the dual operator."""
+"""Ulam matrices, the matrix-free push and pull, equivariant densities, the dual operator."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quenched_limits import transfer
-from quenched_limits.maps import FiberMap, apply
+from quenched_limits.maps import apply
 from quenched_limits.omega import make_sequence
 
 
 def test_ulam_doubling_small_grid():
     # bin 0 = [0, 1/4) maps onto [0, 1/2): half into bin 0, half into bin 1
-    M = transfer.ulam_matrix(FiberMap("doubling", 0.0), 4)
+    M = transfer.ulam_matrix(0.0, 4)
     dense = np.zeros((4, 4))
     dense[M.rows, M.cols] = M.weights
     expected = np.array([
@@ -30,16 +30,14 @@ def test_ulam_matches_scipy_csr_oracle(family, alpha, n_bins, seed):
     # the triplets are one CSR matrix: products bit for bit
     import scipy.sparse as sp
 
-    fmap = FiberMap(family, 0.0 if family == "doubling" else alpha)   # doubling is lsv at 0
-    M = transfer.ulam_matrix(fmap, n_bins)
+    alpha = 0.0 if family == "doubling" else alpha   # doubling is lsv at 0
+    M = transfer.ulam_matrix(alpha, n_bins)
     assert np.all(np.diff(M.rows * n_bins + M.cols) > 0)   # row-major, ascending columns
     assert np.all(M.weights > 0)
     ref = sp.coo_matrix((M.weights, (M.rows, M.cols)), shape=(n_bins, n_bins)).tocsr()
     rng = np.random.default_rng(seed)
     mass = rng.standard_normal(n_bins)
-    values = rng.standard_normal(n_bins)
     assert np.array_equal(transfer.pushforward(M, mass), mass @ ref)
-    assert np.array_equal(transfer.pull(M, values), ref @ values)
     # row sums in CSR-product order; scipy's sum(axis=1) adds a + (b + c)
     # (numpy reduceat) and may differ in the last bit
     defect = transfer.row_stochasticity_defect(M)
@@ -63,9 +61,8 @@ def full_grid_ulam(f, n_bins, subsamples):
 def test_ulam_entries_match_sampled_full_grid_oracle(n_bins, alpha):
     # a sampled entry counts the midpoints of one interval: off by at most
     # one, plus one whose image rounds across a bin edge
-    fmap = FiberMap("lsv", alpha)
-    M = transfer.ulam_matrix(fmap, n_bins)
-    rows, cols, weights = full_grid_ulam(lambda x: apply(fmap, x), n_bins, 2 ** 12)
+    M = transfer.ulam_matrix(alpha, n_bins)
+    rows, cols, weights = full_grid_ulam(lambda x: apply(alpha, x), n_bins, 2 ** 12)
     exact, sampled = np.zeros((2, n_bins, n_bins))
     exact[M.rows, M.cols] = M.weights
     sampled[rows, cols] = weights
@@ -76,9 +73,9 @@ GRIDS = [*range(2, 601), 4095, 8191]
 
 
 def test_row_stochastic():
-    for fam, a in (("doubling", 0.0), ("lsv", 0.1), ("lsv", 0.35), ("lsv", 0.9)):
+    for a in (0.0, 0.1, 0.35, 0.9):   # the doubling map and three lsv maps
         for n_bins in GRIDS:
-            M = transfer.ulam_matrix(FiberMap(fam, a), n_bins)
+            M = transfer.ulam_matrix(a, n_bins)
             assert transfer.row_stochasticity_defect(M) < 1e-12
 
 
@@ -86,7 +83,7 @@ def test_doubling_has_two_triplets_per_row():
     # the left preimages 0.5 * (j / n) of even j are bin edges bit for bit,
     # and so are the right preimages (n + j) / (2n) of odd n + j
     for n_bins in GRIDS:
-        M = transfer.ulam_matrix(FiberMap("doubling", 0.0), n_bins)
+        M = transfer.ulam_matrix(0.0, n_bins)
         assert np.array_equal(np.bincount(M.rows, minlength=n_bins), np.full(n_bins, 2))
 
 
@@ -94,14 +91,14 @@ def test_pushforward_conserves_mass():
     rng = np.random.default_rng(1)
     mass = rng.random(2 ** 10)
     mass /= mass.sum()
-    M = transfer.ulam_matrix(FiberMap("lsv", 0.2), 2 ** 10)
+    M = transfer.ulam_matrix(0.2, 2 ** 10)
     out = transfer.pushforward(M, mass)
     assert out.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(out >= 0.0)
 
 
 def test_pushforward_dimension_check():
-    M = transfer.ulam_matrix(FiberMap("doubling", 0.0), 8)
+    M = transfer.ulam_matrix(0.0, 8)
     with pytest.raises(ValueError):
         transfer.pushforward(M, transfer.uniform_density(16))
 
@@ -126,18 +123,44 @@ def one_mass(kind, n_bins, rng):
 def test_push_matches_pushforward_of_the_ulam_matrix(alpha, n_bins, kind, seed):
     # one operator, its terms summed in another order: the gap stays within
     # the n_bins * eps rounding that the matrix weights carry on odd grids
-    fmap = FiberMap("lsv", alpha)
     mass = one_mass(kind, n_bins, np.random.default_rng(seed))
-    got = transfer.push(transfer.push_step(fmap, n_bins), mass)
-    want = transfer.pushforward(transfer.ulam_matrix(fmap, n_bins), mass)
+    got = transfer.push(transfer.push_step(alpha, n_bins), mass)
+    want = transfer.pushforward(transfer.ulam_matrix(alpha, n_bins), mass)
     assert np.max(np.abs(got - want)) <= n_bins * np.finfo(float).eps * np.abs(mass).sum()
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha=st.floats(0.0, 1.0, exclude_max=True), n_bins=st.integers(2, 600),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(alpha=0.0, n_bins=2, seed=0)
+@example(alpha=0.0, n_bins=291, seed=1)
+@example(alpha=0.3, n_bins=333, seed=2)
+@example(alpha=0.3, n_bins=535, seed=3)
+def test_pull_is_the_adjoint_of_push_and_the_ulam_product(alpha, n_bins, seed):
+    # <push(m), v> = <m, pull(v)> up to the rounding of two length-n dot
+    # products.  Against the CSR product of the independent triplets, each
+    # build rounds its weights in bin units (ulp(n_bins) <= n_bins eps) and
+    # a row adds up to four of them: the row sums of |pull - M| reach
+    # 1.9 n_bins eps (535 bins, alpha 0.3), so the bound is 2 n_bins eps.
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(seed)
+    mass, values = rng.standard_normal((2, n_bins))
+    step = transfer.push_step(alpha, n_bins)
+    pulled = transfer.pull(step, values)
+    eps = n_bins * np.finfo(float).eps
+    gap = abs(transfer.push(step, mass) @ values - mass @ pulled)
+    assert gap <= eps * np.linalg.norm(mass) * np.linalg.norm(values)
+    M = transfer.ulam_matrix(alpha, n_bins)
+    ref = sp.csr_matrix((M.weights, (M.rows, M.cols)), shape=(n_bins, n_bins))
+    assert np.max(np.abs(pulled - ref @ values)) <= 2.0 * eps * np.abs(values).max()
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 12, 13])
 def test_uniform_is_a_bitwise_fixed_point_of_the_doubling_push(k):
     # every term is a dyadic rational: y_j = j / 2 bins, shares 0 and 1/2
     rho = transfer.uniform_density(2 ** k)
-    step = transfer.push_step(FiberMap("doubling", 0.0), 2 ** k)
+    step = transfer.push_step(0.0, 2 ** k)
     assert transfer.push(step, rho).tobytes() == rho.tobytes()
 
 
@@ -145,18 +168,18 @@ def test_push_conserves_mass_and_checks_its_grid():
     rng = np.random.default_rng(1)
     mass = rng.random(2 ** 10)
     mass /= mass.sum()
-    step = transfer.push_step(FiberMap("lsv", 0.2), 2 ** 10)
+    step = transfer.push_step(0.2, 2 ** 10)
     out = transfer.push(step, mass)
     assert out.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(out >= 0.0)
     with pytest.raises(ValueError, match="dimension"):
         transfer.push(step, transfer.uniform_density(2 ** 9))
     with pytest.raises(ValueError):
-        transfer.push_step(FiberMap("doubling", 0.0), 1)
+        transfer.push_step(0.0, 1)
 
 
 def test_doubling_uniform_is_invariant():
-    M = transfer.ulam_matrix(FiberMap("doubling", 0.0), 2 ** 8)
+    M = transfer.ulam_matrix(0.0, 2 ** 8)
     rho = transfer.uniform_density(2 ** 8)
     out = transfer.pushforward(M, rho)
     assert out == pytest.approx(rho, abs=1e-15)
@@ -180,7 +203,7 @@ def test_equivariant_density_normalized():
 def reference_steps(seq, k_lo, k_hi, n_bins):
     """The push step of each step k_lo .. k_hi - 1, one per distinct parameter."""
     params = seq.params(k_lo, k_hi).tolist()
-    made = {a: transfer.push_step(FiberMap(seq.family, a), n_bins) for a in set(params)}
+    made = {a: transfer.push_step(a, n_bins) for a in set(params)}
     return [made[a] for a in params]
 
 
@@ -196,10 +219,10 @@ def chain_pushing_every_step(seq, k_lo, k_hi, n_bins, depth):
     """_density_chain as a reference walk: every step computed and pushed."""
     h = transfer.uniform_density(n_bins)
     for a in seq.params(k_lo - depth, k_lo).tolist():
-        h = transfer.push(transfer.push_step(FiberMap(seq.family, a), n_bins), h)
+        h = transfer.push(transfer.push_step(a, n_bins), h)
     out = [(None, h)]
     for a in seq.params(k_lo, k_hi).tolist():
-        step = transfer.push_step(FiberMap(seq.family, a), n_bins)
+        step = transfer.push_step(a, n_bins)
         h = transfer.push(step, h)
         out.append((step, h))
     return out
@@ -392,4 +415,4 @@ def test_nearest_bin_edges():
 
 def test_ulam_validation():
     with pytest.raises(ValueError):
-        transfer.ulam_matrix(FiberMap("doubling", 0.0), 1)
+        transfer.ulam_matrix(0.0, 1)
