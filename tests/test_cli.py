@@ -260,12 +260,11 @@ def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
     # handler; a real allocation of that size could wake the OOM killer
     from quenched_limits import transfer
 
-    def fail(*args):
-        raise MemoryError("Unable to allocate 745. GiB for an array")
-    monkeypatch.setattr(transfer, "equivariant_density", fail)
+    message = "Unable to allocate 745. GiB for an array"
+    monkeypatch.setattr(transfer, "equivariant_density", fail_with(MemoryError(message)))
     out = tmp_path / "d"
     assert main(["density", "--n_bins", "100000000000", "--depth", "0", "--out", str(out)]) == 3
-    assert capsys.readouterr().err == "numeric failure: Unable to allocate 745. GiB for an array\n"
+    assert capsys.readouterr().err == f"numeric failure: {message}\n"
     assert not out.exists()
 
 
