@@ -31,7 +31,7 @@ from . import stats as stats_mod
 from . import tower as tower_mod
 from . import transfer as transfer_mod
 from .maps import get_observable
-from .omega import make_sequence
+from .omega import ParamSequence, make_sequence
 from .util import fit_loglinear, fit_loglog, fmt17, sha256_of, write_csv, write_json
 
 # same-cell pairs sampled for the distortion diagnostics in partition.json
@@ -78,17 +78,16 @@ class ExperimentConfig:
     D: float = 10.0
     exponential: bool = False
 
-    def seeds(self) -> list[int]:
-        return [self.seed + i for i in range(self.n_seeds)]
+    def sequences(self) -> list[ParamSequence]:
+        """The driving sequences of seeds seed .. seed + n_seeds - 1; the first is sequence()."""
+        return [make_sequence(self.seed + i, self.family, (self.alpha_min, self.alpha_max))
+                for i in range(self.n_seeds)]
 
-    def sequence(self):
+    def sequence(self) -> ParamSequence:
         return make_sequence(self.seed, self.family, (self.alpha_min, self.alpha_max))
 
     def phi(self):
         return get_observable(self.observable, self.gamma)
-
-    def bounds(self) -> tuple[float, float]:
-        return (self.alpha_min, self.alpha_max)
 
     def validate(self):
         try:
@@ -176,8 +175,7 @@ def _default_window(cfg: ExperimentConfig, lo: float, hi: float) -> tuple[float,
 
 
 def run_tail(cfg: ExperimentConfig) -> dict:
-    tc = tower_mod.tail_curve(cfg.family, cfg.bounds(), cfg.seeds(),
-                              cfg.n_max, cfg.samples, cfg.cap)
+    tc = tower_mod.tail_curve(cfg.sequences(), cfg.n_max, cfg.samples, cfg.cap)
     fit = fit_loglog(tc.n, tc.tail, _default_window(cfg, 2, cfg.n_max))
     fit["warnings"] = tc.warnings
     fit["capped_fraction"] = tc.capped_fraction
@@ -210,17 +208,16 @@ def run_density(cfg: ExperimentConfig) -> dict:
 
 
 def run_decay(cfg: ExperimentConfig) -> dict:
-    dc = transfer_mod.decay_curve(cfg.family, cfg.bounds(), cfg.seeds(), cfg.phi(),
-                                  cfg.n_max, cfg.n_bins, cfg.depth, cfg.subsamples)
+    dc = transfer_mod.decay_curve(cfg.sequences(), cfg.phi(), cfg.n_max, cfg.n_bins,
+                                  cfg.depth, cfg.subsamples)
     return {"decay.csv": (["n", "decay_estimate", "std_err"], [dc.n, dc.decay, dc.std_err]),
             "decay_fit.json": fit_loglog(dc.n, dc.decay, _default_window(cfg, 1, cfg.n_max))}
 
 
 def run_decompose(cfg: ExperimentConfig) -> dict:
-    s2, se, decomps = decomp_mod.sigma_squared(cfg.family, cfg.bounds(), cfg.seeds(),
-                                               cfg.phi(), cfg.k_trunc, cfg.n_bins,
-                                               cfg.depth, cfg.subsamples)
-    d = decomps[0]   # seeds()[0] is cfg.seed, the sequence the artifacts describe
+    s2, se, decomps = decomp_mod.sigma_squared(cfg.sequences(), cfg.phi(), cfg.k_trunc,
+                                               cfg.n_bins, cfg.depth, cfg.subsamples)
+    d = decomps[0]   # sequences()[0] is sequence(), the one the artifacts describe
     rep = d.report()
     rep.update({"sigma2": s2, "sigma2_se": se, "warnings": d.warnings})
     return {"decompose.csv": (["bin", "g", "g_next", "psi"],
@@ -229,11 +226,10 @@ def run_decompose(cfg: ExperimentConfig) -> dict:
 
 
 def run_couple(cfg: ExperimentConfig) -> dict:
-    ct = coupling_mod.coupling_tail(cfg.family, cfg.bounds(), cfg.seeds(), cfg.l0,
-                                    cfg.alpha_exp, cfg.n_max, cfg.pairs, cfg.cap)
+    seqs = cfg.sequences()
+    ct = coupling_mod.coupling_tail(seqs, cfg.l0, cfg.alpha_exp, cfg.n_max, cfg.pairs, cfg.cap)
     fit = fit_loglinear(ct.n, ct.tail, _default_window(cfg, 1, cfg.n_max))
-    fit["l0_estimate"] = coupling_mod.estimate_l0(cfg.family, cfg.bounds(), cfg.seeds(),
-                                                  l_max=cfg.n_max, samples=cfg.pairs)
+    fit["l0_estimate"] = coupling_mod.estimate_l0(seqs, l_max=cfg.n_max, samples=cfg.pairs)
     return {"couple.csv": (["n", "tail_estimate", "std_err", "capped_fraction"],
                            [ct.n, ct.tail, ct.std_err,
                             np.full(ct.n.size, ct.capped_fraction)]),
@@ -241,8 +237,7 @@ def run_couple(cfg: ExperimentConfig) -> dict:
 
 
 def _ensemble_and_sigma(cfg: ExperimentConfig):
-    s2, se, _ = decomp_mod.sigma_squared(cfg.family, cfg.bounds(), cfg.seeds(),
-                                         cfg.phi(), cfg.k_trunc, cfg.n_bins,
+    s2, se, _ = decomp_mod.sigma_squared(cfg.sequences(), cfg.phi(), cfg.k_trunc, cfg.n_bins,
                                          cfg.depth, cfg.subsamples)
     ens = stats_mod.birkhoff_ensemble(cfg.sequence(), cfg.phi(), cfg.n_steps,
                                       cfg.n_samples, cfg.sampling, cfg.n_bins,

@@ -21,12 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import _doubling_orbit_values, _iterates, apply
-from .omega import ParamSequence, make_sequence
+from .omega import ParamSequence
 from .tower import (BASE_LO, CAP_DEFAULT, TailCurve, _fraction_above, _pooled_tail,
                     _value_counts)
 from .util import seed_mean
-
-ALPHA_EXP_DEFAULT = 0.1
 
 
 @dataclass
@@ -96,27 +94,27 @@ def match_pair(seq: ParamSequence, x: float, x_prime: float, l0: int,
     return CouplingTrace([0] + tau.tolist(), tau[k > 0].tolist())
 
 
-def estimate_l0(family: str, bounds: tuple[float, float], seeds: list[int],
-                l_max: int, samples: int) -> dict:
+def estimate_l0(seqs: list[ParamSequence], l_max: int, samples: int) -> dict:
     """Fraction of base points back in the base at each tower time l.
 
     The times at which an orbit visits the base are exactly its cumulative
     return times, so eps[l] is the base-occupation fraction at time l, for
-    l = 0 .. l_max.  suggested_l0 is the first l >= 1 from which every eps
-    stays positive, or None (with a warning) when there is none.  Doubling
-    runs on bit streams (maps._doubling_orbit_values); x_l, l >= 1, skips
-    the first bit, so conditioning on the base stays exact in law.
+    l = 0 .. l_max, averaged over the sequences, each one's points drawn from a
+    stream keyed on its master_seed.  suggested_l0 is the first l >= 1 from
+    which every eps stays positive, or None (with a warning) when there is
+    none.  Doubling runs on bit streams (maps._doubling_orbit_values); x_l,
+    l >= 1, skips the first bit, so conditioning on the base stays exact in law.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    occ = np.zeros((len(seeds), l_max + 1))
-    for si, seed in enumerate(seeds):
-        seq = make_sequence(seed, family, bounds)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0x10))))
+    occ = np.zeros((len(seqs), l_max + 1))
+    for si, seq in enumerate(seqs):
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence((seq.master_seed, 0x10))))
         occ[si, 0] = 1.0
-        if family == "doubling":
+        if seq.family == "doubling":
             values = _doubling_orbit_values(samples, l_max, rng)
         else:
             values = _iterates(seq, BASE_LO + 0.5 * rng.random(samples), l_max)
@@ -132,15 +130,14 @@ def estimate_l0(family: str, bounds: tuple[float, float], seeds: list[int],
     return {"suggested_l0": suggested, "eps": eps, "warnings": warnings}
 
 
-def coupling_tail(family: str, bounds: tuple[float, float], seeds: list[int],
-                  l0: int, alpha_exp: float = ALPHA_EXP_DEFAULT,
-                  n_max: int = 64, pair_samples: int = 1000,
-                  cap: int = CAP_DEFAULT) -> TailCurve:
+def coupling_tail(seqs: list[ParamSequence], l0: int, alpha_exp: float, n_max: int,
+                  pair_samples: int, cap: int = CAP_DEFAULT) -> TailCurve:
     """Monte Carlo tail of the simultaneous-return counting process.
 
-    tail(n) estimates the pair-measure of {T_{floor(n^alpha_exp)} > n};
-    pairs are drawn Lebesgue x Lebesgue on the base.  Pairs whose return
-    computation caps are scored as T = infinity (conservative).
+    tail(n) estimates the pair-measure of {T_{floor(n^alpha_exp)} > n},
+    averaged over the driving sequences; each sequence's pairs are drawn
+    Lebesgue x Lebesgue on the base from a stream keyed on its master_seed.
+    Pairs whose return computation caps are scored as T = infinity (conservative).
     """
     if not (0.0 < alpha_exp < 1.0):
         raise ValueError("alpha_exp must be in (0, 1)")
@@ -151,11 +148,11 @@ def coupling_tail(family: str, bounds: tuple[float, float], seeds: list[int],
     ns = np.arange(1, n_max + 1)
     k_of_n = np.maximum(np.floor(ns.astype(float) ** alpha_exp).astype(int), 1)
     k_max = int(k_of_n.max())
-    per_seed = np.empty((len(seeds), n_max))
+    per_seed = np.empty((len(seqs), n_max))
     capped_pairs = 0
-    for si, seed in enumerate(seeds):
-        seq = make_sequence(seed, family, bounds)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xC9))))
+    for si, seq in enumerate(seqs):
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence((seq.master_seed, 0xC9))))
         pts = BASE_LO + 0.5 * rng.random((pair_samples, 2))
         pair, tau, k, capped = _match_pairs(seq, pts, l0, cap, 8 * (n_max + 4), k_max)
         # T_k per pair; n_max + 1 stands for not reached, and for every k of a capped pair

@@ -15,14 +15,12 @@ from typing import Callable
 import numpy as np
 
 from .maps import apply
-from .omega import ParamSequence, make_sequence
+from .omega import ParamSequence
 from .transfer import (_density_chain, bin_average, nearest_bin, pull, push,
                        sample_from_density)
 from .util import seed_mean
 
 K_TRUNC_DEFAULT = 16
-N_BINS_DEFAULT = 2 ** 12
-DEPTH_DEFAULT = 32
 
 # Deterministic driving (zero seed-to-seed spread) makes a pure
 # 3-standard-error criterion vacuous, so the degeneracy verdict also uses an
@@ -55,7 +53,7 @@ class Decomposition:
 
 
 def _decompose(seq: ParamSequence, phi: Callable[[np.ndarray], np.ndarray], K_trunc: int,
-               n_bins: int, depth: int, subsamples: int = 64) -> Decomposition:
+               n_bins: int, depth: int, subsamples: int) -> Decomposition:
     """Single sweep through the fibers -K_trunc .. 0 building g_w, g_sw and psi_w.
 
     The density chain (transfer._density_chain) walks from Lebesgue on fiber
@@ -101,47 +99,44 @@ def _decompose(seq: ParamSequence, phi: Callable[[np.ndarray], np.ndarray], K_tr
                          residual, sigma2_fiber, tail_norm, min_density, warnings)
 
 
-def martingale_psi(seq: ParamSequence, phi: Callable[[np.ndarray], np.ndarray],
-                   K_trunc: int = K_TRUNC_DEFAULT, n_bins: int = N_BINS_DEFAULT,
-                   depth: int = DEPTH_DEFAULT, subsamples: int = 64) -> Decomposition:
+def martingale_psi(seq: ParamSequence, phi: Callable[[np.ndarray], np.ndarray], K_trunc: int,
+                   n_bins: int, depth: int, subsamples: int) -> Decomposition:
     """Full decomposition on fiber w (g, g at sw, psi, residual, variance)."""
     return _decompose(seq, phi, K_trunc, n_bins, depth, subsamples)
 
 
-def sigma_squared(family: str, bounds: tuple[float, float], seeds: list[int],
-                  phi: Callable[[np.ndarray], np.ndarray], K_trunc: int = K_TRUNC_DEFAULT,
-                  n_bins: int = N_BINS_DEFAULT, depth: int = DEPTH_DEFAULT,
-                  subsamples: int = 64) -> tuple[float, float, list[Decomposition]]:
-    """Ensemble average of int psi^2 dmu_w over driving seeds.
+def sigma_squared(seqs: list[ParamSequence], phi: Callable[[np.ndarray], np.ndarray],
+                  K_trunc: int, n_bins: int, depth: int,
+                  subsamples: int) -> tuple[float, float, list[Decomposition]]:
+    """Ensemble average of int psi^2 dmu_w over the driving sequences.
 
-    Also returns the per-seed decompositions, so callers that need one
-    (seed 0 for the artifacts and the pointwise check) do not rebuild it.
+    Also returns the per-sequence decompositions, so callers that need one
+    (seqs[0] for the artifacts and the pointwise check) do not rebuild it.
+    Nothing is sampled: each decomposition is a function of its sequence alone.
     """
-    decomps = [_decompose(make_sequence(seed, family, bounds), phi, K_trunc,
-                          n_bins, depth, subsamples) for seed in seeds]
+    decomps = [_decompose(seq, phi, K_trunc, n_bins, depth, subsamples) for seq in seqs]
     s2, se = seed_mean(np.array([d.sigma2_fiber for d in decomps]))
     return float(s2), float(se), decomps
 
 
-def coboundary_test(family: str, bounds: tuple[float, float], seeds: list[int],
-                    phi: Callable[[np.ndarray], np.ndarray], n_bins: int = N_BINS_DEFAULT,
-                    depth: int = DEPTH_DEFAULT, subsamples: int = 64) -> dict:
+def coboundary_test(seqs: list[ParamSequence], phi: Callable[[np.ndarray], np.ndarray],
+                    n_bins: int, depth: int, subsamples: int) -> dict:
     """Degenerate-vs-nondegenerate verdict for the limiting variance.
 
     Degenerate when the sigma^2 estimate (series truncated at
     K_TRUNC_DEFAULT) is below both 3 standard errors and the absolute
     grid-noise floor SIGMA2_FLOOR; in that case the pointwise coboundary
-    identity is additionally checked on 4096 points sampled from mu_w.
+    identity is additionally checked on 4096 points sampled from mu_w of
+    seqs[0], from a stream keyed on its master_seed.
     """
-    s2, se, decomps = sigma_squared(family, bounds, seeds, phi, K_TRUNC_DEFAULT, n_bins,
-                                    depth, subsamples)
+    s2, se, decomps = sigma_squared(seqs, phi, K_TRUNC_DEFAULT, n_bins, depth, subsamples)
     degenerate = s2 < max(3.0 * se, SIGMA2_FLOOR)
     out = {"verdict": "degenerate" if degenerate else "nondegenerate",
            "sigma2": s2, "sigma2_se": se, "pointwise_residual": None}
     if degenerate:
-        seq = make_sequence(seeds[0], family, bounds)
-        d = decomps[0]
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seeds[0], 0xC0B))))
+        seq, d = seqs[0], decomps[0]
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence((seq.master_seed, 0xC0B))))
         xs = sample_from_density(d.h, 4096, rng)
         fx = apply(seq.param(0), xs)
         mean1 = float(d.h_next @ bin_average(phi, n_bins, subsamples))

@@ -63,9 +63,8 @@ def _dyadic_records(n_steps: int) -> np.ndarray:
 
 
 def birkhoff_ensemble(seq: ParamSequence, phi: Callable[[np.ndarray], np.ndarray],
-                      n_steps: int, n_samples: int, sampling_mode: str = "equivariant",
-                      n_bins: int = 2 ** 12, depth: int = 32,
-                      subsamples: int = 32) -> BirkhoffEnsemble:
+                      n_steps: int, n_samples: int, sampling_mode: str, n_bins: int,
+                      depth: int, subsamples: int) -> BirkhoffEnsemble:
     """Simulate partial sums of the fiberwise-centered observable.
 
     Centering constants are grid quadratures of phi against the masses of

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .maps import apply, derivative, left_branch_inverse
-from .omega import ParamSequence, make_sequence
+from .omega import ParamSequence
 from .util import _BLOCK_VALUES, seed_mean
 
 BASE_LO = 0.5
@@ -181,27 +181,27 @@ class TailCurve:
     warnings: list = field(default_factory=list)
 
 
-def tail_curve(family: str, bounds: tuple[float, float], seeds: list[int],
-               n_max: int, samples_per_omega: int, cap: int = CAP_DEFAULT) -> TailCurve:
+def tail_curve(seqs: list[ParamSequence], n_max: int, samples_per_omega: int,
+               cap: int = CAP_DEFAULT) -> TailCurve:
     """Monte Carlo estimate of the annealed return-time tail.
 
-    Base points are drawn uniformly on [1/2, 1] for each driving seed; the
-    curve is the pooled fraction of samples with R > n, where a capped
-    sample counts as above every n, as coupling_tail scores a capped pair.
-    They are drawn _BLOCK_VALUES at a time, one stream per seed, and walk
-    alone for _MERGE_AT steps; the seed's survivors then walk on together to
-    cap, in groups of at most _BLOCK_VALUES, so memory does not grow with
+    Base points are drawn uniformly on [1/2, 1], _BLOCK_VALUES at a time,
+    from one stream per driving sequence keyed on its master_seed; the curve
+    is the pooled fraction of samples with R > n, where a capped sample counts
+    as above every n, as coupling_tail scores a capped pair.  Each block walks
+    alone for _MERGE_AT steps; the survivors then walk on together to cap, in
+    groups of at most _BLOCK_VALUES, so memory does not grow with
     samples_per_omega.  Only exact integer counts are kept, whatever _MERGE_AT is.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if samples_per_omega < 1:
         raise ValueError("samples_per_omega must be >= 1")
-    per_seed = np.empty((len(seeds), n_max + 1))
+    per_seed = np.empty((len(seqs), n_max + 1))
     merge, capped_total = min(_MERGE_AT, cap), 0
-    for si, seed in enumerate(seeds):
-        seq = make_sequence(seed, family, bounds)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xA11))))
+    for si, seq in enumerate(seqs):
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence((seq.master_seed, 0xA11))))
         counts = np.zeros(n_max + 2, dtype=np.int64)
         parked = []
         # one empty block past the last walks what is still parked

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .maps import left_branch_inverse
-from .omega import ParamSequence, make_sequence
+from .omega import ParamSequence
 from .util import seed_mean
 
 
@@ -203,21 +203,20 @@ class DecayCurve:
     std_err: np.ndarray
 
 
-def decay_curve(family: str, bounds: tuple[float, float], seeds: list[int],
-                phi: Callable[[np.ndarray], np.ndarray], n_max: int, n_bins: int,
-                pullback_depth: int, subsamples: int = 64) -> DecayCurve:
+def decay_curve(seqs: list[ParamSequence], phi: Callable[[np.ndarray], np.ndarray],
+                n_max: int, n_bins: int, pullback_depth: int, subsamples: int) -> DecayCurve:
     """Annealed L1 decay of the iterated dual on the centered observable.
 
-    Per seed the signed measure (phi - mean) d mu_w is pushed forward step
-    by step beside the density chain; its total variation at step n equals
-    the L1(mu) norm of P^n(phi_w - int phi_w d mu_w), with no division.
+    Per driving sequence the signed measure (phi - mean) d mu_w is pushed
+    forward step by step beside the density chain; its total variation at
+    step n equals the L1(mu) norm of P^n(phi_w - int phi_w d mu_w), with no
+    division.  Nothing is sampled: each row is a function of its sequence alone.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     phi_bar = bin_average(phi, n_bins, subsamples)
-    curves = np.empty((len(seeds), n_max + 1))
-    for si, seed in enumerate(seeds):
-        seq = make_sequence(seed, family, bounds)
+    curves = np.empty((len(seqs), n_max + 1))
+    for si, seq in enumerate(seqs):
         chain = _density_chain(seq, 0, n_max, n_bins, pullback_depth)
         for n, (step, h) in enumerate(chain):
             w = (phi_bar - float(h @ phi_bar)) * h if step is None else push(step, w)

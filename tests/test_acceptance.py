@@ -41,7 +41,7 @@ def lsv_ensemble():
 
 @pytest.fixture(scope="module")
 def lsv_sigma2():
-    s2, se, _ = decomp.sigma_squared("lsv", (0.05, 0.15), [1], COS,
+    s2, se, _ = decomp.sigma_squared([make_sequence(1, "lsv", (0.05, 0.15))], COS,
                                      16, 2 ** 12, 32, 32)
     return s2
 
@@ -64,7 +64,7 @@ def test_criterion_01_transfer_soundness():
 
 
 def test_criterion_02_doubling_variance(doubling_ensemble):
-    s2, _, _ = decomp.sigma_squared("doubling", (0.0, 0.0), [1], COS,
+    s2, _, _ = decomp.sigma_squared([make_sequence(1, "doubling", (0.0, 0.0))], COS,
                                     16, 2 ** 12, 16, 32)
     # joint statement over ~5 checkpoints, so widen the per-point CI to 99%
     vg = stats.variance_growth(doubling_ensemble, n_boot=400, ci_level=0.99)
@@ -110,11 +110,11 @@ def test_criterion_05_return_time_tail():
     fit = fit_loglog(np.arange(et.size), et, (100, 10 ** 4))
     exponent_ok = abs(fit["exponent"] - 5.0) / 5.0 <= 0.15
     # Monte Carlo cross-check (1e6 samples) on the resolvable part of the tail
-    tc = tower.tail_curve("lsv", (0.2, 0.2), [1], 60, 10 ** 6)
+    tc = tower.tail_curve([make_sequence(1, "lsv", (0.2, 0.2))], 60, 10 ** 6)
     mc_fit = fit_loglog(tc.n, tc.tail, (10, 60))
     mc_ok = abs(mc_fit["exponent"] - 5.0) / 5.0 <= 0.15
     # doubling tail equals 2^-n within 3 standard errors
-    td = tower.tail_curve("doubling", (0.0, 0.0), [1], 15, 10 ** 6)
+    td = tower.tail_curve([make_sequence(1, "doubling", (0.0, 0.0))], 15, 10 ** 6)
     dev = [abs(td.tail[n] - 0.5 ** n) / max(td.std_err[n], 1e-12)
            for n in range(1, 14)]
     doubling_ok = max(dev) <= 3.0
@@ -168,7 +168,7 @@ def test_criterion_09_coupling():
             f = seq.param(k)
             y1, y2 = apply(f, y1), apply(f, y2)
         structural = structural and y1 >= 0.5 and y2 >= 0.5
-    ct = coupling.coupling_tail("doubling", (0.0, 0.0), [1], 1, 0.1, 40, 10 ** 4)
+    ct = coupling.coupling_tail([make_sequence(1, "doubling", (0.0, 0.0))], 1, 0.1, 40, 10 ** 4)
     fit = fit_loglinear(ct.n, ct.tail, (1, 40))
     ok = structural and fit["rate"] > 0.0
     report(9, "coupling scheme", ok,
@@ -190,17 +190,15 @@ def test_criterion_10_rate_calculator():
 
 
 def test_criterion_11_coboundary_dichotomy():
-    cob = decomp.coboundary_test("doubling", (0.0, 0.0), [1],
-                                 get_observable("coboundary_cos"),
-                                 n_bins=2 ** 13, depth=16, subsamples=32)
     seq = make_sequence(1, "doubling", (0.0, 0.0))
+    cob = decomp.coboundary_test([seq], get_observable("coboundary_cos"),
+                                 n_bins=2 ** 13, depth=16, subsamples=32)
     ens = stats.birkhoff_ensemble(seq, get_observable("coboundary_cos"),
                                   2 ** 11, 4000, "equivariant", 2 ** 11, 8, 32)
     vg = stats.variance_growth(ens)
     decay_fit = fit_loglog(vg["n"], np.maximum(vg["var_over_n"], 1e-12), (16, 2 ** 11))
     one_over_n = abs(decay_fit["exponent"] - 1.0) <= 0.3
-    nondeg = decomp.coboundary_test("doubling", (0.0, 0.0), [1], COS,
-                                    n_bins=2 ** 11, depth=8, subsamples=32)
+    nondeg = decomp.coboundary_test([seq], COS, n_bins=2 ** 11, depth=8, subsamples=32)
     ok = (cob["verdict"] == "degenerate" and cob["pointwise_residual"] < 1e-3
           and one_over_n and nondeg["verdict"] == "nondegenerate")
     report(11, "coboundary dichotomy", ok,

@@ -413,7 +413,8 @@ EDGES = [("n_bins", "2"), ("n_bins", "3"), ("n_steps", "1"), ("n_steps", "2"),
          ("pairs", "1"), ("pairs", "2"), ("cap", "1"), ("depth", "0"),
          ("alpha_min", "1e-9"), ("alpha_max", "1e-9"), ("alpha_min", "0.999999"),
          ("alpha_max", "0.999999"), ("p", "nan"), ("D", "nan"), ("seed", str(2 ** 64)),
-         ("observable", "holder_gamma"), ("gamma", "1e-300")]
+         ("observable", "holder_gamma"), ("gamma", "1e-300"), ("n_seeds", "2"),
+         ("family", "doubling")]
 PAST_EDGES = [("n_steps", "0"), ("depth", "-1"), ("n_max", "1"), ("alpha_max", "1"),
               ("gamma", "0"), ("observable", "nope"), ("alpha_exp", "1"),
               ("sampling", "grid"), ("functional", "max"), ("refine_tol", "nan")]

@@ -11,6 +11,8 @@ from quenched_limits.maps import apply
 from quenched_limits.omega import make_sequence
 from test_tower import scalar_first_hits
 
+DOUBLING = [make_sequence(1, "doubling", (0.0, 0.0))]   # the one driving sequence, seed 1
+
 
 def advance(seq, x, steps):
     y = x
@@ -134,7 +136,8 @@ def test_lockstep_kernel_matches_scalar_recursion(config):
 ])
 def test_coupling_tail_matches_pair_by_pair_loop(family, bounds, seeds, alpha_exp, n_max,
                                                  pairs, cap):
-    ct = coupling.coupling_tail(family, bounds, seeds, 1, alpha_exp, n_max, pairs, cap)
+    seqs = [make_sequence(seed, family, bounds) for seed in seeds]
+    ct = coupling.coupling_tail(seqs, 1, alpha_exp, n_max, pairs, cap)
     tail, se, capped_fraction = pair_by_pair_coupling_tail(family, bounds, seeds, 1, alpha_exp,
                                                            n_max, pairs, cap)
     assert ct.tail.tobytes() == tail.tobytes()
@@ -143,8 +146,7 @@ def test_coupling_tail_matches_pair_by_pair_loop(family, bounds, seeds, alpha_ex
     if family == "lsv":
         assert capped_fraction > 0.1
         # some capped pairs record T_1 first; they still score T = infinity at every k
-        seq = make_sequence(seeds[0], family, bounds)
-        pair, _, k, capped = coupling._match_pairs(seq, pair_points(seeds[0], pairs), 1, cap,
+        pair, _, k, capped = coupling._match_pairs(seqs[0], pair_points(seeds[0], pairs), 1, cap,
                                                    8 * (n_max + 4), 5)
         assert np.any(capped[pair[k > 0]])
 
@@ -158,7 +160,7 @@ def test_coupling_tail_applies_once_per_tower_time(monkeypatch):
 
     monkeypatch.setattr(coupling, "apply", counting)
     seq = make_sequence(1, "doubling", (0.0, 0.0))
-    ct = coupling.coupling_tail("doubling", (0.0, 0.0), [1], 1, 0.1, 40, 2000)
+    ct = coupling.coupling_tail([seq], 1, 0.1, 40, 2000)
     final_t = [scalar_match_pair(seq, x, xp, 1, max_T=1, max_alternations=8 * 44)[0][-1]
                for x, xp in pair_points(1, 2000)]
     assert ct.capped_fraction == 0.0
@@ -218,7 +220,7 @@ def test_Ts_are_increasing():
 
 def test_estimate_l0_doubling():
     # one step after the base, half of [1/2, 1] is back: eps_1 = 1/2
-    tab = coupling.estimate_l0("doubling", (0.0, 0.0), [1], 6, 100000)
+    tab = coupling.estimate_l0(DOUBLING, 6, 100000)
     assert tab["eps"][0] == 1.0
     assert tab["eps"][1] == pytest.approx(0.5, abs=0.01)
     assert tab["suggested_l0"] == 1
@@ -229,20 +231,21 @@ def test_estimate_l0_doubling():
 def test_estimate_l0_doubling_past_float_precision():
     # a float64 doubling orbit collapses to 0 after ~52 steps; on bit
     # streams every eps[l], l >= 1, stays at 1/2
-    tab = coupling.estimate_l0("doubling", (0.1, 0.1), [1], 64, 2000)
+    tab = coupling.estimate_l0([make_sequence(1, "doubling", (0.1, 0.1))], 64, 2000)
     assert tab["suggested_l0"] == 1
     assert tab["warnings"] == []
     assert np.all(np.abs(tab["eps"][1:] - 0.5) <= 0.05)
 
 
 def test_estimate_l0_lsv_positive():
-    tab = coupling.estimate_l0("lsv", (0.05, 0.15), [1, 2], 8, 20000)
+    tab = coupling.estimate_l0([make_sequence(seed, "lsv", (0.05, 0.15)) for seed in (1, 2)],
+                               8, 20000)
     assert tab["suggested_l0"] is not None
     assert np.all(tab["eps"][tab["suggested_l0"]:] > 0)
 
 
 def test_coupling_tail_decreasing_and_bounded():
-    ct = coupling.coupling_tail("doubling", (0.0, 0.0), [1], 1, 0.1, 24, 400)
+    ct = coupling.coupling_tail(DOUBLING, 1, 0.1, 24, 400)
     assert np.all(ct.tail >= 0) and np.all(ct.tail <= 1)
     assert ct.tail[-1] < ct.tail[0]
     assert ct.capped_fraction == 0.0
@@ -250,14 +253,14 @@ def test_coupling_tail_decreasing_and_bounded():
 
 def test_coupling_tail_validation():
     with pytest.raises(ValueError):
-        coupling.coupling_tail("doubling", (0.0, 0.0), [1], 1, 1.5, 10, 10)
+        coupling.coupling_tail(DOUBLING, 1, 1.5, 10, 10)
     # l0 = 0 would score every pair as never matched; no pairs would divide by zero
     with pytest.raises(ValueError, match="l0"):
-        coupling.coupling_tail("doubling", (0.0, 0.0), [1], 0, 0.1, 10, 10)
+        coupling.coupling_tail(DOUBLING, 0, 0.1, 10, 10)
     with pytest.raises(ValueError, match="pair_samples"):
-        coupling.coupling_tail("doubling", (0.0, 0.0), [1], 1, 0.1, 10, 0)
+        coupling.coupling_tail(DOUBLING, 1, 0.1, 10, 0)
 
 
 def test_estimate_l0_needs_a_sample():
     with pytest.raises(ValueError, match="samples"):
-        coupling.estimate_l0("doubling", (0.0, 0.0), [1], 4, 0)
+        coupling.estimate_l0(DOUBLING, 4, 0)

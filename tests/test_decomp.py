@@ -7,12 +7,13 @@ from quenched_limits import decomp, transfer
 from quenched_limits.maps import get_observable
 from quenched_limits.omega import make_sequence
 
+DOUBLING = [make_sequence(1, "doubling", (0.0, 0.0))]   # the one driving sequence, seed 1
+
 
 def test_doubling_cos_variance_is_half():
     # all correlations of cos(2 pi x) vanish under doubling, so
     # sigma^2 = int cos^2(2 pi x) dx = 1/2
-    s2, se, per = decomp.sigma_squared("doubling", (0.0, 0.0), [1], get_observable("cos2pi"),
-                                       16, 2 ** 12, 16, 32)
+    s2, se, per = decomp.sigma_squared(DOUBLING, get_observable("cos2pi"), 16, 2 ** 12, 16, 32)
     assert s2 == pytest.approx(0.5, abs=0.01)
     assert len(per) == 1
     assert per[0].sigma2_fiber == s2
@@ -94,8 +95,8 @@ def test_truncation_tail_shrinks_with_K():
 
 
 def test_sigma_squared_ensemble():
-    s2, se, per = decomp.sigma_squared("lsv", (0.05, 0.15), [1, 2, 3],
-                                       get_observable("cos2pi"), 12, 2 ** 10, 16, 32)
+    seqs = [make_sequence(seed, "lsv", (0.05, 0.15)) for seed in (1, 2, 3)]
+    s2, se, per = decomp.sigma_squared(seqs, get_observable("cos2pi"), 12, 2 ** 10, 16, 32)
     assert len(per) == 3
     assert se > 0.0
     assert s2 == pytest.approx(np.mean([d.sigma2_fiber for d in per]))
@@ -103,14 +104,14 @@ def test_sigma_squared_ensemble():
 
 
 def test_coboundary_detected_as_degenerate():
-    res = decomp.coboundary_test("doubling", (0.0, 0.0), [1], get_observable("coboundary_cos"),
+    res = decomp.coboundary_test(DOUBLING, get_observable("coboundary_cos"),
                                  n_bins=2 ** 13, depth=16, subsamples=32)
     assert res["verdict"] == "degenerate"
     assert res["pointwise_residual"] < 1e-3
 
 
 def test_cos_detected_as_nondegenerate():
-    res = decomp.coboundary_test("doubling", (0.0, 0.0), [1], get_observable("cos2pi"),
+    res = decomp.coboundary_test(DOUBLING, get_observable("cos2pi"),
                                  n_bins=2 ** 11, depth=8, subsamples=32)
     assert res["verdict"] == "nondegenerate"
     assert res["pointwise_residual"] is None
@@ -120,7 +121,7 @@ def test_cos_detected_as_nondegenerate():
 def test_invalid_k():
     seq = make_sequence(1, "doubling", (0.0, 0.0))
     with pytest.raises(ValueError):
-        decomp.martingale_psi(seq, get_observable("cos2pi"), -1, 64, 4)
+        decomp.martingale_psi(seq, get_observable("cos2pi"), -1, 64, 4, 64)
 
 
 @pytest.mark.parametrize("K_trunc, warned", [(3, True), (6, False)])

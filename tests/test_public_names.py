@@ -13,6 +13,11 @@ imports, in function bodies too, may only name modules of a lower layer,
 and only cli may import the package itself.  No module imports scipy, which
 the tests keep as an oracle only.
 
+Only cli turns a seed, a family and bounds into a driving sequence: no
+other package module imports or calls ``make_sequence``, and no function
+but ``make_sequence`` takes ``family``, ``bounds`` or ``seeds``, so every
+ensemble function takes the sequences it averages over.
+
 Every parameter of every ``def`` in the package is read in its body (self
 and cls excepted), so no argument is accepted and then ignored.  Lambdas are
 not held to it: a dispatch table's lambdas share one signature, and each
@@ -193,6 +198,49 @@ def test_the_scipy_rule_sees_imports_in_function_bodies():
                      "from .scipy_like import x\nimport scipyx\n"
                      "def f():\n    from scipy.special import ndtr\n")
     assert scipy_imports(tree) == ["scipy.sparse", "scipy", "scipy.special"]
+
+
+def make_sequence_uses(tree: ast.AST) -> list[int]:
+    """Lines that import make_sequence or call it, by its name or as an attribute."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            lines += [node.lineno for a in node.names if a.name == "make_sequence"]
+        elif isinstance(node, ast.Call) and "make_sequence" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def sequence_parameters(tree: ast.AST) -> list[str]:
+    """function.parameter of every def that takes family, bounds or seeds, the
+    makings of a driving sequence, in place of the sequences themselves."""
+    return [f"{node.name}.{p.arg}" for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for p in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+            if p.arg in ("family", "bounds", "seeds")]
+
+
+def test_only_cli_builds_driving_sequences():
+    found = {path.stem: make_sequence_uses(ast.parse(path.read_text(), str(path)))
+             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "cli"}
+    assert {module: lines for module, lines in found.items() if lines} == {}
+    takers = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+              for name in sequence_parameters(ast.parse(path.read_text(), str(path)))]
+    assert takers == ["omega.make_sequence.family", "omega.make_sequence.bounds"]
+
+
+def test_the_sequence_rule_sees_imports_and_calls():
+    tree = ast.parse("from .omega import ParamSequence, make_sequence\n"
+                     "from . import omega\n"
+                     "def f(seed):\n    return omega.make_sequence(seed, 'lsv', b)\n"
+                     "seq = make_sequence(1, 'lsv', b)\n"
+                     "def make_sequence_like(): pass\nmake_sequence_like()\n"
+                     "def make_sequence(seed): return seed\n")
+    assert make_sequence_uses(tree) == [1, 4, 5]
+    tree = ast.parse("def tail(seqs, n, family='lsv'):\n    pass\n"
+                     "class C:\n    def m(self, *, seeds, bounds_lo):\n        pass\n")
+    assert sequence_parameters(tree) == ["tail.family", "m.seeds"]
 
 
 def unread_parameters(tree: ast.AST) -> list[str]:

@@ -253,7 +253,7 @@ def test_exact_tail_lsv_regression_value():
 
 
 def test_tail_curve_consistent_with_exact():
-    tc = tower.tail_curve("doubling", (0.0, 0.0), [1], 10, 100000)
+    tc = tower.tail_curve([doubling_seq()], 10, 100000)
     exact = 0.5 ** np.arange(11)
     for n in range(11):
         assert abs(tc.tail[n] - exact[n]) < 4 * max(tc.std_err[n], 1e-9)
@@ -278,7 +278,8 @@ def test_fraction_above_equals_mean_per_n(size):
 @pytest.mark.parametrize("block_values", [1, 7, 1000, tower._BLOCK_VALUES])
 def test_tail_curve_with_capped_returns_matches_mean_loop(block_values, monkeypatch):
     monkeypatch.setattr(tower, "_BLOCK_VALUES", block_values)
-    tc = tower.tail_curve("lsv", (0.85, 0.95), [2, 5], 40, 3000, cap=25)
+    tc = tower.tail_curve([make_sequence(seed, "lsv", (0.85, 0.95)) for seed in (2, 5)],
+                          40, 3000, cap=25)
     per_seed = []
     for seed in (2, 5):
         seq = make_sequence(seed, "lsv", (0.85, 0.95))
@@ -345,7 +346,8 @@ def test_tail_curve_equals_per_point_return_times(family, seeds, n_max, samples,
     with pytest.MonkeyPatch.context() as m:
         m.setattr(tower, "_MERGE_AT", merge)
         m.setattr(tower, "_BLOCK_VALUES", block_values)
-        got = tower.tail_curve(*family, seeds, n_max, samples, cap)
+        got = tower.tail_curve([make_sequence(seed, *family) for seed in seeds], n_max,
+                               samples, cap)
     assert_same_curve(got, oracle_tail_curve(*family, seeds, n_max, samples, cap))
 
 
@@ -367,7 +369,7 @@ def test_tail_curve_walks_no_array_past_the_block_size(monkeypatch):
 
     monkeypatch.setattr(tower, "apply", sized_apply)
     monkeypatch.setattr(tower, "_count_returns", watched_count_returns)
-    got = tower.tail_curve("lsv", (0.85, 0.95), [2], 40, 30000, cap=200)
+    got = tower.tail_curve([make_sequence(2, "lsv", (0.85, 0.95))], 40, 30000, cap=200)
     assert max(sizes) <= 1000
     assert len(parked_walks) >= 2 and max(parked_walks) <= 1000
     monkeypatch.undo()
@@ -384,16 +386,16 @@ def test_tail_curve_walks_each_seed_once_past_the_merge_step(seed, monkeypatch):
         return apply(alpha, y)
 
     monkeypatch.setattr(tower, "apply", counting_apply)
-    tower.tail_curve("lsv", (0.2, 0.4), [seed], 16, 150000)
-    monkeypatch.undo()
     seq = make_sequence(seed, "lsv", (0.2, 0.4))
+    tower.tail_curve([seq], 16, 150000)
+    monkeypatch.undo()
     largest_R = int(first_return_times(seq, drawn_base_points(seed, 150000), 10 ** 6).max())
     assert largest_R <= len(calls) <= 3 * tower._MERGE_AT + largest_R - tower._MERGE_AT
 
 
 def test_tail_curve_counts_a_capped_sample_above_every_n():
     # cap 10 < n_max 40: past the cap only the capped samples are left above n
-    tc = tower.tail_curve("lsv", (0.5, 0.6), [1], 40, 2000, cap=10)
+    tc = tower.tail_curve([make_sequence(1, "lsv", (0.5, 0.6))], 40, 2000, cap=10)
     assert tc.capped_fraction > 0.0
     assert np.all(tc.tail[10:] == tc.capped_fraction)
 
@@ -407,14 +409,14 @@ def test_pooled_tail_warns_only_past_one_percent_capped(capped, warned):
 
 def test_tail_curve_needs_a_sample_per_seed():
     with pytest.raises(ValueError, match="samples_per_omega"):
-        tower.tail_curve("doubling", (0.0, 0.0), [1], 10, 0)
+        tower.tail_curve([doubling_seq()], 10, 0)
 
 
 def test_tail_curve_memory_does_not_grow_with_samples():
     # a whole-array walk of 10^6 samples peaks above 60 MB
     tracemalloc.start()
     try:
-        tower.tail_curve("lsv", (0.2, 0.2), [1], 60, 10 ** 6)
+        tower.tail_curve([make_sequence(1, "lsv", (0.2, 0.2))], 60, 10 ** 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

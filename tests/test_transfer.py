@@ -360,8 +360,8 @@ def test_decay_curve_doubling_cos():
     # cos mode is annihilated after a single step (up to grid error)
     from quenched_limits.maps import get_observable
 
-    dc = transfer.decay_curve("doubling", (0.0, 0.0), [1], get_observable("cos2pi"),
-                              8, 2 ** 10, 8, subsamples=32)
+    dc = transfer.decay_curve([make_sequence(1, "doubling", (0.0, 0.0))],
+                              get_observable("cos2pi"), 8, 2 ** 10, 8, subsamples=32)
     assert dc.decay[0] == pytest.approx(2.0 / np.pi, abs=1e-2)  # mean |cos|
     assert dc.decay[1] < 0.01
     assert np.all(dc.decay[1:] < 0.01)
@@ -388,12 +388,12 @@ def test_decay_curve_equals_pushing_every_step(monkeypatch, family, bounds):
     n_max, n_bins, depth, subsamples, seeds = 200, 2 ** 8, 8, 32, [1, 2]
     phi = get_observable("cos2pi")
     phi_bar = transfer.bin_average(phi, n_bins, subsamples)
-    rows = [decay_pushing_every_step(make_sequence(seed, family, bounds), phi_bar, n_max,
-                                     n_bins, depth) for seed in seeds]
+    seqs = [make_sequence(seed, family, bounds) for seed in seeds]
+    rows = [decay_pushing_every_step(seq, phi_bar, n_max, n_bins, depth) for seq in seqs]
     want, want_se = seed_mean(np.array(rows))
     pushes, push = [], transfer.push
     monkeypatch.setattr(transfer, "push", lambda *a: pushes.append(1) or push(*a))
-    dc = transfer.decay_curve(family, bounds, seeds, phi, n_max, n_bins, depth, subsamples)
+    dc = transfer.decay_curve(seqs, phi, n_max, n_bins, depth, subsamples)
     assert dc.decay.tobytes() == want.tobytes()
     assert dc.std_err.tobytes() == want_se.tobytes()
     # per seed: depth pushes of h_0, n_max of w and fewer than n_max of h

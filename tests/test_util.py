@@ -7,6 +7,7 @@ import pytest
 
 from quenched_limits import coupling, decomp, tower, transfer
 from quenched_limits.maps import get_observable
+from quenched_limits.omega import make_sequence
 from quenched_limits.util import fmt17, seed_mean, write_csv
 
 ROWS = np.array([[0.5, 1.0], [0.25, 1.0], [0.0, 1.0]])
@@ -29,14 +30,11 @@ def test_one_seed_takes_the_binomial_error_or_none():
 
 COS = get_observable("cos2pi")
 ESTIMATES = {
-    "tail_curve": lambda seeds: tower.tail_curve("doubling", (0.0, 0.0), seeds, 4, 10),
-    "coupling_tail": lambda seeds: coupling.coupling_tail("doubling", (0.0, 0.0), seeds, 1,
-                                                          n_max=4, pair_samples=10),
-    "decay_curve": lambda seeds: transfer.decay_curve("doubling", (0.0, 0.0), seeds, COS,
-                                                      2, 16, 1, 4),
-    "sigma_squared": lambda seeds: decomp.sigma_squared("doubling", (0.0, 0.0), seeds, COS,
-                                                        1, 16, 1, 4),
-    "estimate_l0": lambda seeds: coupling.estimate_l0("doubling", (0.0, 0.0), seeds, 2, 10),
+    "tail_curve": lambda seqs: tower.tail_curve(seqs, 4, 10),
+    "coupling_tail": lambda seqs: coupling.coupling_tail(seqs, 1, 0.1, n_max=4, pair_samples=10),
+    "decay_curve": lambda seqs: transfer.decay_curve(seqs, COS, 2, 16, 1, 4),
+    "sigma_squared": lambda seqs: decomp.sigma_squared(seqs, COS, 1, 16, 1, 4),
+    "estimate_l0": lambda seqs: coupling.estimate_l0(seqs, 2, 10),
 }
 
 
@@ -44,7 +42,7 @@ ESTIMATES = {
 def test_every_seed_average_rejects_an_empty_seed_list(name):
     with pytest.raises(ValueError, match="need at least one seed"):
         ESTIMATES[name]([])
-    ESTIMATES[name]([1])   # the same call with one seed runs
+    ESTIMATES[name]([make_sequence(1, "doubling", (0.0, 0.0))])   # one sequence runs
 
 
 def per_value_write_csv(path, header, columns):
